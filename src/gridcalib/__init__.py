@@ -3,13 +3,15 @@
 The package couples a stepping microgrid engine with an emulated
 monitoring stack: synthetic workloads emit approximated per-process
 power counters, a socket-meter model measures the true node power, and
-calibration actors reconcile the two live, inside the simulation loop.
+a calibration stage reconciles the two live, inside the simulation loop,
+for namespace actors to report.
 """
 
 from . import errors
 from .attribution import NodePower, ProcessUtilization, split_dynamic
 from .calibration import (
     CalibrationInputs,
+    CalibrationStage,
     NamespacePowerActor,
     calibrate_dynamic,
     calibrate_idle,
@@ -54,6 +56,7 @@ __all__ = [
     "BenchmarkController",
     "COUNTER",
     "CalibrationInputs",
+    "CalibrationStage",
     "GAUGE",
     "LoadSchedule",
     "MeterSpec",

@@ -8,9 +8,12 @@ estimates by an approximation factor that also reassigns dynamic power
 wrongly attributed to system processes back to the workloads that
 caused it.
 
-All math lives in pure functions; NamespacePowerActor composes them
-over live query signals so a microgrid can treat one namespace's
-calibrated draw as a consumer actor.
+All math lives in pure functions. CalibrationStage applies them once
+per collection to every process, reading each counter rate and the
+meter at the collection instant; NamespacePowerActor sums its
+namespace's share of that snapshot so a microgrid can treat the
+calibrated draw as a consumer actor, and calibrated_power.csv
+serialises the same snapshots, so the two agree by construction.
 """
 
 from __future__ import annotations
@@ -18,17 +21,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .errors import DegenerateDenominator, StaleSignal, ZeroNodeIdle
-from .signals import Clock, Signal, make_query_signal
-from .timeseries import MetricStore
+from .errors import DegenerateDenominator, EmptyWindow, StaleSignal, ZeroNodeIdle
+from .microgrid import Controller, ControllerView
+from .signals import Clock, make_collector_signal
+from .timeseries import MetricStore, rate
 from .wire import (
     METER_GAUGE_METRIC,
     MODE_DYNAMIC,
+    MODE_IDLE,
     MODE_LABEL,
     NAMESPACE_LABEL,
     POWER_COUNTER_METRIC,
+    PROCESS_LABEL,
     SYSTEM_NAMESPACE,
 )
 
@@ -118,13 +124,6 @@ def calibrate_dynamic(
     return factor * max(0.0, m - m_idle)
 
 
-def _window_seconds(window_ms: int) -> int:
-    seconds = window_ms // 1000
-    if seconds < 1 or seconds * 1000 != window_ms:
-        raise ValueError(f"query window must be a positive whole number of seconds, got {window_ms} ms")
-    return seconds
-
-
 def capture_idle_baseline(
     store: MetricStore,
     now_ms: int,
@@ -155,115 +154,181 @@ def capture_idle_baseline(
     return fmean(window)
 
 
-class NamespacePowerActor:
-    """Microgrid consumer reporting one namespace's calibrated dynamic draw.
+@dataclass(frozen=True)
+class CalibrationSnapshot:
+    """One collection's calibration inputs and the kernel's outputs.
 
-    Three query signals feed the calibration inputs: the namespace's own
-    dynamic rate, the node-wide dynamic rate, and the system-namespace
-    dynamic rate, each over a trailing window of the power counter. The
-    meter signal supplies the live measurement; the idle baseline is
-    captured once, at construction, before workloads start.
+    Per-process tuples follow the stage's process order. degenerate
+    carries the DegenerateDenominator message when node minus system
+    dynamic power left calibration undefined; those processes read 0.
     """
+
+    p_dyn: tuple[float, ...]
+    n_dyn: float
+    s_dyn: float
+    m: float
+    m_idle: float
+    factor: tuple[float, ...]
+    cal_dyn: tuple[float, ...]
+    cal_idle: tuple[float, ...]
+    degenerate: str | None = None
+
+
+def member_sum(values: tuple[float, ...], members: tuple[int, ...]) -> float:
+    """Sum of the members' entries in process order; actors and the
+    calibrated table both total a namespace this way, so they agree
+    bit for bit."""
+    return sum((values[i] for i in members), 0.0)
+
+
+class CalibrationStage(Controller):
+    """Calibrated power for every process, computed once per collection.
+
+    One scheduled collection reads, at the collection instant, each
+    process's dynamic and idle counter rate over the trailing query
+    window and the meter's latest reading, then applies the kernel per
+    process. Namespace actors sum the latest snapshot; as a microgrid
+    controller the stage also logs the snapshot each engine tick saw.
+    The system pseudo-process keeps only its idle share: its dynamic
+    power is exactly what calibration redistributes to the workloads.
+    """
+
+    controller_id = "calibration"
 
     def __init__(
         self,
         store: MetricStore,
-        namespace: str,
+        processes: Sequence[tuple[str, str]],
         clock: Clock,
-        meter_signal: Signal,
+        m_idle_w: float,
         *,
-        actor_id: str | None = None,
         window_ms: int = DEFAULT_QUERY_WINDOW_MS,
         interval_ms: int | None = None,
-        m_idle_capture: str = "averaged",
-        m_idle_window_ms: int = DEFAULT_M_IDLE_WINDOW_MS,
-        meter_metric: str = METER_GAUGE_METRIC,
-        meter_labels: Mapping[str, str] | None = None,
+    ):
+        if window_ms < 1000 or window_ms % 1000:
+            raise ValueError(
+                f"query window must be a positive whole number of seconds, got {window_ms} ms"
+            )
+        self.window_ms = window_ms
+        self.processes = list(processes)
+        self.m_idle_w = m_idle_w
+        # namespace -> indices of its processes, in first-seen order
+        self.namespaces: dict[str, tuple[int, ...]] = {}
+        for i, (_, ns) in enumerate(self.processes):
+            self.namespaces[ns] = self.namespaces.get(ns, ()) + (i,)
+        self._system = self.namespaces.get(SYSTEM_NAMESPACE, ())
+        self._store = store
+        self._labels = [
+            {
+                mode: {NAMESPACE_LABEL: ns, PROCESS_LABEL: pid, MODE_LABEL: mode}
+                for mode in (MODE_DYNAMIC, MODE_IDLE)
+            }
+            for pid, ns in self.processes
+        ]
+        zeros = (0.0,) * len(self.processes)
+        self.snapshot = CalibrationSnapshot(
+            zeros, 0.0, 0.0, 0.0, m_idle_w, zeros, zeros, zeros
+        )
+        self.log: list[tuple[int, CalibrationSnapshot]] = []
+        self._signal = make_collector_signal(self._collect, interval_ms, clock)
+
+    @property
+    def last_collection_ms(self) -> int:
+        """0 until the first successful collection."""
+        return self._signal.last_collection_ms
+
+    def _rate(self, labels: Mapping[str, str], now_ms: int) -> float:
+        # a missing series or one that does not cover the window reads 0
+        series = self._store.get(POWER_COUNTER_METRIC, labels)
+        if series is None:
+            return 0.0
+        try:
+            return rate(series, now_ms - self.window_ms, now_ms)
+        except EmptyWindow:
+            return 0.0
+
+    def _collect(self) -> float:
+        # the signal's value is the meter reading; the snapshot is
+        # replaced only when the whole collection succeeds
+        m = self._store.latest(METER_GAUGE_METRIC)
+        if m is None:
+            raise LookupError("no meter samples yet")
+        now = self._store.current_time_ms()
+        p_dyn = tuple(self._rate(labels[MODE_DYNAMIC], now) for labels in self._labels)
+        p_idle = tuple(self._rate(labels[MODE_IDLE], now) for labels in self._labels)
+        n_dyn = sum(p_dyn)
+        s_dyn = member_sum(p_dyn, self._system)
+        n_idle = sum(p_idle)
+        factor, cal_dyn, cal_idle = [], [], []
+        degenerate = None
+        for i, (p, idle) in enumerate(zip(p_dyn, p_idle)):
+            a = 0.0
+            # an idle process draws nothing, which also sidesteps a
+            # degenerate denominator while counters have not moved yet
+            if p > 0 and i not in self._system:
+                try:
+                    a = dynamic_factor(p, n_dyn, s_dyn).a
+                except DegenerateDenominator as exc:
+                    degenerate = str(exc)
+            factor.append(a)
+            cal_dyn.append(calibrate_dynamic(a, m, self.m_idle_w))
+            try:
+                cal_idle.append(calibrate_idle(idle, n_idle, self.m_idle_w))
+            except ZeroNodeIdle:
+                cal_idle.append(0.0)
+        self.snapshot = CalibrationSnapshot(
+            p_dyn, n_dyn, s_dyn, m, self.m_idle_w,
+            tuple(factor), tuple(cal_dyn), tuple(cal_idle), degenerate,
+        )
+        return m
+
+    def step(self, view: ControllerView) -> None:
+        self.log.append((view.time_ms, self.snapshot))
+
+    def close(self) -> None:
+        self._signal.close()
+
+
+class NamespacePowerActor:
+    """Microgrid consumer reporting one namespace's calibrated dynamic draw:
+    the sum over its processes in the stage's latest snapshot."""
+
+    def __init__(
+        self,
+        stage: CalibrationStage,
+        namespace: str,
+        *,
+        actor_id: str | None = None,
         strict: bool = False,
     ):
         self.actor_id = actor_id if actor_id is not None else f"ns.{namespace}"
         self.namespace = namespace
         self.strict = strict
-        self._meter = meter_signal
-        window_s = _window_seconds(window_ms)
-
-        def dynamic_query(extra: str = "") -> str:
-            selector = f'{MODE_LABEL}="{MODE_DYNAMIC}"'
-            if extra:
-                selector = f"{extra}, {selector}"
-            return f"sum(rate({POWER_COUNTER_METRIC}{{{selector}}}[{window_s}s]))"
-
-        self._sig_p = make_query_signal(
-            store, dynamic_query(f'{NAMESPACE_LABEL}="{namespace}"'), interval_ms, clock
-        )
-        self._sig_n = make_query_signal(store, dynamic_query(), interval_ms, clock)
-        self._sig_s = make_query_signal(
-            store,
-            dynamic_query(f'{NAMESPACE_LABEL}="{SYSTEM_NAMESPACE}"'),
-            interval_ms,
-            clock,
-        )
-        self.m_idle_w = capture_idle_baseline(
-            store,
-            clock.now_ms(),
-            mode=m_idle_capture,
-            window_ms=m_idle_window_ms,
-            metric=meter_metric,
-            labels=meter_labels,
-        )
-        self._last_info: dict[str, float] = {
-            "p_dyn_w": 0.0,
-            "n_dyn_w": 0.0,
-            "s_dyn_w": 0.0,
-            "m_w": 0.0,
-            "m_idle_w": self.m_idle_w,
-            "factor_a": 0.0,
-            "calibrated_w": 0.0,
-        }
+        self._stage = stage
+        self._members = stage.namespaces.get(namespace, ())
 
     def calibrated_dynamic_w(self) -> float:
-        """Calibrated namespace dynamic power from the current signal snapshot."""
-        # read every signal before any arithmetic so the snapshot is coherent
-        p = self._sig_p.now()
-        n = self._sig_n.now()
-        s = self._sig_s.now()
-        m = self._meter.now()
-        if self.strict:
-            for label, sig in (
-                ("namespace dynamic", self._sig_p),
-                ("node dynamic", self._sig_n),
-                ("system dynamic", self._sig_s),
-                ("meter", self._meter),
-            ):
-                if sig.last_collection_ms == 0:
-                    raise StaleSignal(f"{label} signal has never collected")
-        if p <= 0:
-            # an idle namespace draws nothing; also sidesteps a degenerate
-            # denominator while counters have not moved yet
-            calibrated, factor = 0.0, 0.0
-        else:
-            factor = dynamic_factor(p, n, s).a
-            calibrated = calibrate_dynamic(factor, m, self.m_idle_w)
-        self._last_info = {
-            "p_dyn_w": p,
-            "n_dyn_w": n,
-            "s_dyn_w": s,
-            "m_w": m,
-            "m_idle_w": self.m_idle_w,
-            "factor_a": factor,
-            "calibrated_w": calibrated,
-        }
-        return calibrated
+        """Calibrated namespace dynamic power from the latest snapshot."""
+        if self.strict and self._stage.last_collection_ms == 0:
+            raise StaleSignal("calibration stage has never collected")
+        snap = self._stage.snapshot
+        if snap.degenerate is not None and member_sum(snap.p_dyn, self._members) > 0:
+            raise DegenerateDenominator(snap.degenerate)
+        return member_sum(snap.cal_dyn, self._members)
 
     def power(self, time_ms: int | None = None) -> float:
         """Signed actor power: a consumer, so the calibrated draw negated."""
         return -self.calibrated_dynamic_w()
 
     def info(self) -> dict[str, float]:
-        """Snapshot of the inputs behind the most recent power evaluation."""
-        return dict(self._last_info)
-
-    def close(self) -> None:
-        self._sig_p.close()
-        self._sig_n.close()
-        self._sig_s.close()
+        """The namespace's share of the stage's latest snapshot."""
+        snap = self._stage.snapshot
+        return {
+            "p_dyn_w": member_sum(snap.p_dyn, self._members),
+            "n_dyn_w": snap.n_dyn,
+            "s_dyn_w": snap.s_dyn,
+            "m_w": snap.m,
+            "m_idle_w": snap.m_idle,
+            "factor_a": member_sum(snap.factor, self._members),
+            "calibrated_w": member_sum(snap.cal_dyn, self._members),
+        }

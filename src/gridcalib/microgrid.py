@@ -32,9 +32,6 @@ class Actor:
     def power(self, time_ms: int) -> float:
         raise NotImplementedError
 
-    def info(self) -> Mapping[str, object]:
-        return {}
-
 
 class StaticActor(Actor):
     """Constant signed power."""
@@ -47,9 +44,6 @@ class StaticActor(Actor):
 
     def power(self, time_ms: int) -> float:
         return self._power_w
-
-    def info(self) -> Mapping[str, object]:
-        return {"power_w": self._power_w}
 
 
 class TraceActor(Actor):
@@ -174,7 +168,6 @@ class ControllerView:
     actor_powers: Mapping[str, float]
     delta_p_w: float
     e_last_j: float
-    actor_infos: Mapping[str, Mapping[str, object]]
     storage: SimpleBattery | None
 
 
@@ -288,13 +281,11 @@ class Microgrid:
         self.clock.advance(self.dt_ms)
         time_ms = self.clock.now_ms()
         powers: dict[str, float] = {}
-        infos: dict[str, Mapping[str, object]] = {}
         for actor in self.actors:
             try:
                 p = float(actor.power(time_ms))
                 if not math.isfinite(p):
                     raise ValueError(f"non-finite power {p!r}")
-                infos[actor.actor_id] = actor.info()
             except Exception as exc:
                 raise StepError(self._t, f"actor {actor.actor_id!r}: {exc}") from exc
             powers[actor.actor_id] = p
@@ -305,7 +296,6 @@ class Microgrid:
             actor_powers=MappingProxyType(powers),
             delta_p_w=delta_p_w,
             e_last_j=self._e_last_j,
-            actor_infos=MappingProxyType(infos),
             storage=self.storage.snapshot() if self.storage is not None else None,
         )
         for controller in self.controllers:

@@ -1,11 +1,14 @@
 """End-to-end scenario execution and artifact emission.
 
 run() wires the full stack under one clock: workload emulation feeds the
-metric store, calibration actors consume it as microgrid consumers, the
-benchmark controller walks the load schedule, and a post-pass turns the
-collected series into CSV/JSON artifacts. Everything is deterministic
-under virtual time: the same config and seed produce byte-identical
-files.
+metric store, one calibration stage turns it into per-process calibrated
+power once per collection, namespace actors report their share of it as
+microgrid consumers, the benchmark controller walks the load schedule,
+and a post-pass turns the run into CSV/JSON artifacts. The calibrated
+power table serialises the snapshots the stage logged on each tick, so
+it matches the monitor's actor powers by construction. Everything is
+deterministic under virtual time: the same config and seed produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,11 +24,10 @@ import numpy as np
 
 from .calibration import (
     DEFAULT_M_IDLE_WINDOW_MS,
+    CalibrationStage,
     NamespacePowerActor,
-    calibrate_dynamic,
-    calibrate_idle,
     capture_idle_baseline,
-    dynamic_factor,
+    member_sum,
 )
 from .config import (
     NamespaceActorSpec,
@@ -44,17 +46,15 @@ from .emulation import (
 )
 from .errors import (
     ConfigError,
-    DegenerateDenominator,
     DegenerateX,
     EmptyWindow,
     GridCalibError,
     MissingArtifact,
     NoOverlap,
     TooFewPoints,
-    ZeroNodeIdle,
 )
 from .microgrid import BenchmarkController, Microgrid, Monitor, StaticActor, TraceActor
-from .signals import Signal, VirtualClock, WallClock, make_latest_value_signal
+from .signals import VirtualClock, WallClock
 from .timeseries import MetricStore, rate
 from .validation import (
     PairedObservation,
@@ -65,16 +65,7 @@ from .validation import (
     report_to_json,
     write_plot_csv,
 )
-from .wire import (
-    METER_GAUGE_METRIC,
-    MODE_DYNAMIC,
-    MODE_IDLE,
-    MODE_LABEL,
-    NAMESPACE_LABEL,
-    POWER_COUNTER_METRIC,
-    PROCESS_LABEL,
-    SYSTEM_NAMESPACE,
-)
+from .wire import METER_GAUGE_METRIC, POWER_COUNTER_METRIC, SYSTEM_NAMESPACE
 
 MONITOR_CSV = "monitor.csv"
 CALIBRATED_CSV = "calibrated_power.csv"
@@ -99,20 +90,16 @@ ARTIFACT_NAMES = [
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
+def _artifact_path(name: str) -> property:
+    return property(lambda self: self.out_dir / name)
+
+
 @dataclass
 class RunArtifacts:
     """Paths of everything run() wrote, plus live handles for callers
     that want to inspect the run without re-reading the files."""
 
     out_dir: Path
-    monitor_csv: Path
-    calibrated_csv: Path
-    energy_csv: Path
-    regression_json: Path
-    regression_csv: Path
-    truth_csv: Path
-    events_csv: Path
-    config_json: Path
     store: MetricStore
     monitor: Monitor
     events: list[tuple[str, float, int]]
@@ -125,6 +112,15 @@ class RunArtifacts:
     calibrated_header: list[str]
     calibrated_rows: list[list[float]]
     energy_wh: dict[str, float] = field(default_factory=dict)
+
+    monitor_csv = _artifact_path(MONITOR_CSV)
+    calibrated_csv = _artifact_path(CALIBRATED_CSV)
+    energy_csv = _artifact_path(ENERGY_CSV)
+    regression_json = _artifact_path(REGRESSION_JSON)
+    regression_csv = _artifact_path(REGRESSION_CSV)
+    truth_csv = _artifact_path(TRUTH_CSV)
+    events_csv = _artifact_path(EVENTS_CSV)
+    config_json = _artifact_path(CONFIG_JSON)
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -145,15 +141,6 @@ def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
     return buf.getvalue().encode()
 
 
-def _safe_rate(series, t1_ms: int, t2_ms: int) -> float:
-    if series is None:
-        return 0.0
-    try:
-        return rate(series, t1_ms, t2_ms)
-    except EmptyWindow:
-        return 0.0
-
-
 class _Runtime:
     """Everything run() builds before stepping the engine."""
 
@@ -167,8 +154,7 @@ class _Runtime:
         self.listener: MeterListener | None = None
         self.publisher: MeterPublisher | None = None
         self.benchmark: BenchmarkController | None = None
-        self.ns_actors: list[NamespacePowerActor] = []
-        self.meter_signals: list[Signal] = []
+        self.stage: CalibrationStage | None = None
         self.m_idle_w = 0.0
         self.engine: Microgrid | None = None
 
@@ -216,25 +202,25 @@ class _Runtime:
             dt_ms=config.dt_ms,
             storage=config.storage.build() if config.storage is not None else None,
         )
+        if config.workloads:
+            self.stage = CalibrationStage(
+                store,
+                _process_table(config),
+                clock,
+                self.m_idle_w,
+                window_ms=config.query_window_ms,
+                interval_ms=config.signal_interval_ms,
+            )
+            self.engine.add_controller(self.stage)
         for spec in config.actors:
             if isinstance(spec, NamespaceActorSpec):
-                meter_signal = make_latest_value_signal(
-                    store, METER_GAUGE_METRIC, None, config.signal_interval_ms, clock
-                )
-                self.meter_signals.append(meter_signal)
+                # config validation guarantees a stage: namespace actors need workloads
                 actor = NamespacePowerActor(
-                    store,
+                    self.stage,
                     spec.namespace,
-                    clock,
-                    meter_signal,
                     actor_id=spec.actor_id,
-                    window_ms=config.query_window_ms,
-                    interval_ms=config.signal_interval_ms,
-                    m_idle_capture=config.m_idle_capture,
-                    m_idle_window_ms=config.warmup_ms or DEFAULT_M_IDLE_WINDOW_MS,
                     strict=config.strict_signals,
                 )
-                self.ns_actors.append(actor)
                 self.engine.add_actor(actor)
             elif isinstance(spec, StaticActorSpec):
                 self.engine.add_actor(StaticActor(spec.actor_id, spec.power_w))
@@ -251,10 +237,8 @@ class _Runtime:
             self.engine.add_controller(self.benchmark)
 
     def close(self) -> None:
-        for actor in self.ns_actors:
-            actor.close()
-        for signal in self.meter_signals:
-            signal.close()
+        if self.stage is not None:
+            self.stage.close()
         if self.meter is not None:
             self.meter.close()
         if self.emitter is not None:
@@ -298,48 +282,37 @@ def _write_artifacts(runtime: _Runtime, out: Path) -> RunArtifacts:
     config, store = runtime.config, runtime.store
     monitor = runtime.engine.monitor
 
-    calibrated_header, calibrated_rows = _calibrated_table(
-        config, store, monitor, runtime.m_idle_w
-    )
+    calibrated_header, calibrated_rows = _calibrated_table(runtime.stage)
     energy_header, energy_rows, energy_wh = _energy_summary(
         config, calibrated_header, calibrated_rows
     )
     report, skipped, pairs = _node_regression(config, store)
     events = list(runtime.benchmark.events) if runtime.benchmark is not None else []
 
-    paths = {name: out / name for name in ARTIFACT_NAMES}
-    _atomic_write(paths[MONITOR_CSV], monitor.csv_bytes())
-    _atomic_write(paths[CALIBRATED_CSV], _csv_bytes(calibrated_header, calibrated_rows))
-    _atomic_write(paths[ENERGY_CSV], _csv_bytes(energy_header, energy_rows))
+    _atomic_write(out / MONITOR_CSV, monitor.csv_bytes())
+    _atomic_write(out / CALIBRATED_CSV, _csv_bytes(calibrated_header, calibrated_rows))
+    _atomic_write(out / ENERGY_CSV, _csv_bytes(energy_header, energy_rows))
     if report is not None:
-        _atomic_write(paths[REGRESSION_JSON], (report_to_json(report) + "\n").encode())
+        _atomic_write(out / REGRESSION_JSON, (report_to_json(report) + "\n").encode())
         buf = io.StringIO(newline="")
         write_plot_csv(pairs, report, buf)
-        _atomic_write(paths[REGRESSION_CSV], buf.getvalue().encode())
+        _atomic_write(out / REGRESSION_CSV, buf.getvalue().encode())
     else:
         payload = json.dumps({"skipped": skipped}, sort_keys=True) + "\n"
-        _atomic_write(paths[REGRESSION_JSON], payload.encode())
+        _atomic_write(out / REGRESSION_JSON, payload.encode())
         _atomic_write(
-            paths[REGRESSION_CSV], _csv_bytes(["x_w", "y_w", "fitted_w", "residual_w"], [])
+            out / REGRESSION_CSV, _csv_bytes(["x_w", "y_w", "fitted_w", "residual_w"], [])
         )
-    _atomic_write(paths[TRUTH_CSV], _truth_csv(config, runtime))
+    _atomic_write(out / TRUTH_CSV, _truth_csv(config, runtime))
     _atomic_write(
-        paths[EVENTS_CSV],
+        out / EVENTS_CSV,
         _csv_bytes(["action", "value", "time_ms"], [[a, v, t] for a, v, t in events]),
     )
     config_payload = json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
-    _atomic_write(paths[CONFIG_JSON], config_payload.encode())
+    _atomic_write(out / CONFIG_JSON, config_payload.encode())
 
     return RunArtifacts(
         out_dir=out,
-        monitor_csv=paths[MONITOR_CSV],
-        calibrated_csv=paths[CALIBRATED_CSV],
-        energy_csv=paths[ENERGY_CSV],
-        regression_json=paths[REGRESSION_JSON],
-        regression_csv=paths[REGRESSION_CSV],
-        truth_csv=paths[TRUTH_CSV],
-        events_csv=paths[EVENTS_CSV],
-        config_json=paths[CONFIG_JSON],
         store=store,
         monitor=monitor,
         events=events,
@@ -365,75 +338,25 @@ def _process_table(config: ScenarioConfig) -> list[tuple[str, str]]:
 
 
 def _calibrated_table(
-    config: ScenarioConfig,
-    store: MetricStore,
-    monitor: Monitor,
-    m_idle_w: float,
+    stage: CalibrationStage | None,
 ) -> tuple[list[str], list[list[float]]]:
-    """Recompute per-process calibrated power at every engine tick.
-
-    Uses the same trailing-window rates the live calibration actors saw.
-    The system pseudo-process keeps only its idle share: its dynamic
-    power is exactly what calibration redistributes to the workloads.
-    """
-    processes = _process_table(config)
-    namespaces: list[str] = []
-    for _, ns in processes:
-        if ns not in namespaces:
-            namespaces.append(ns)
+    """Per-process and per-namespace calibrated power, one row per engine
+    tick: the snapshot the namespace actors read on that tick."""
     header = ["time_ms"]
-    for pid, _ in processes:
+    if stage is None:
+        return header, []
+    for pid, _ in stage.processes:
         header += [f"{pid}_dyn_w", f"{pid}_idle_w"]
-    for ns in namespaces:
+    for ns in stage.namespaces:
         header += [f"ns.{ns}_dyn_w", f"ns.{ns}_idle_w"]
-
     rows: list[list[float]] = []
-    if not processes:
-        return header, rows
-    dyn_series = {}
-    idle_series = {}
-    for pid, ns in processes:
-        labels = {NAMESPACE_LABEL: ns, PROCESS_LABEL: pid}
-        dyn_series[pid] = store.get(
-            POWER_COUNTER_METRIC, {**labels, MODE_LABEL: MODE_DYNAMIC}
-        )
-        idle_series[pid] = store.get(
-            POWER_COUNTER_METRIC, {**labels, MODE_LABEL: MODE_IDLE}
-        )
-    gauge = store.get(METER_GAUGE_METRIC, None)
-    window = config.query_window_ms
-    for tick in monitor.ticks:
-        t = tick.time_ms
-        p_dyn = {pid: _safe_rate(dyn_series[pid], t - window, t) for pid, _ in processes}
-        p_idle = {pid: _safe_rate(idle_series[pid], t - window, t) for pid, _ in processes}
-        n_dyn = sum(p_dyn.values())
-        s_dyn = p_dyn[SYSTEM_PROCESS_ID]
-        n_idle = sum(p_idle.values())
-        try:
-            m = gauge.value_at(t) if gauge is not None else 0.0
-        except EmptyWindow:
-            m = 0.0
-        cal_dyn: dict[str, float] = {}
-        cal_idle: dict[str, float] = {}
-        for pid, _ in processes:
-            if pid == SYSTEM_PROCESS_ID or p_dyn[pid] <= 0:
-                cal_dyn[pid] = 0.0
-            else:
-                try:
-                    factor = dynamic_factor(p_dyn[pid], n_dyn, s_dyn)
-                    cal_dyn[pid] = calibrate_dynamic(factor, m, m_idle_w)
-                except DegenerateDenominator:
-                    cal_dyn[pid] = 0.0
-            try:
-                cal_idle[pid] = calibrate_idle(p_idle[pid], n_idle, m_idle_w)
-            except ZeroNodeIdle:
-                cal_idle[pid] = 0.0
-        row: list[float] = [t]
-        for pid, _ in processes:
-            row += [cal_dyn[pid], cal_idle[pid]]
-        for ns in namespaces:
-            row.append(sum(cal_dyn[pid] for pid, pns in processes if pns == ns))
-            row.append(sum(cal_idle[pid] for pid, pns in processes if pns == ns))
+    for time_ms, snap in stage.log:
+        row: list[float] = [time_ms]
+        for dyn, idle in zip(snap.cal_dyn, snap.cal_idle):
+            row += [dyn, idle]
+        for members in stage.namespaces.values():
+            row.append(member_sum(snap.cal_dyn, members))
+            row.append(member_sum(snap.cal_idle, members))
         rows.append(row)
     return header, rows
 

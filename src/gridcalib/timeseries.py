@@ -18,7 +18,7 @@ import re
 import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, NamedTuple
+from typing import IO, Mapping, NamedTuple
 
 from .errors import (
     BadInterval,
@@ -332,11 +332,3 @@ def export_csv(series: Series, out: IO[str]) -> None:
     writer.writerow(["timestamp_ms", "value"])
     for ts, val in series.samples():
         writer.writerow([ts, repr(val)])
-
-
-def merge_label_sets(series_list: Iterable[Series]) -> list[str]:
-    """Sorted union of label keys, handy for table-style exports."""
-    keys: set[str] = set()
-    for s in series_list:
-        keys.update(s.labels)
-    return sorted(keys)

@@ -1,4 +1,4 @@
-"""Calibration math and the namespace power actor."""
+"""Calibration math, the calibration stage and the namespace power actor."""
 
 import math
 import random
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gridcalib.calibration import (
     CalibrationFactor,
     CalibrationInputs,
+    CalibrationStage,
     NamespacePowerActor,
     calibrate_dynamic,
     calibrate_idle,
@@ -17,7 +18,7 @@ from gridcalib.calibration import (
     dynamic_factor,
 )
 from gridcalib.errors import DegenerateDenominator, StaleSignal, ZeroNodeIdle
-from gridcalib.signals import VirtualClock, make_latest_value_signal
+from gridcalib.signals import VirtualClock
 from gridcalib.timeseries import COUNTER, GAUGE, MetricStore
 from gridcalib.wire import (
     METER_GAUGE_METRIC,
@@ -25,6 +26,7 @@ from gridcalib.wire import (
     MODE_LABEL,
     NAMESPACE_LABEL,
     POWER_COUNTER_METRIC,
+    PROCESS_LABEL,
 )
 
 
@@ -163,9 +165,10 @@ class TestCalibrationInputs:
 
 
 def seed_dynamic_counter(store, namespace, joules_per_s, ticks=3):
+    # one process per namespace, named after it
     series = store.get_or_create(
         POWER_COUNTER_METRIC,
-        {NAMESPACE_LABEL: namespace, MODE_LABEL: MODE_DYNAMIC},
+        {NAMESPACE_LABEL: namespace, MODE_LABEL: MODE_DYNAMIC, PROCESS_LABEL: namespace},
         COUNTER,
     )
     for k in range(ticks):
@@ -174,13 +177,16 @@ def seed_dynamic_counter(store, namespace, joules_per_s, ticks=3):
 
 
 class TestNamespacePowerActor:
-    def build(self, rates, meter_before=260.0, meter_after=400.0, **kwargs):
+    def build(self, rates, meter_before=260.0, meter_after=400.0, strict=False, **kwargs):
         store = MetricStore()
         clock = VirtualClock()
         meter_series = store.get_or_create(METER_GAUGE_METRIC, {}, GAUGE)
         meter_series.append((0, meter_before))
-        meter_sig = make_latest_value_signal(store, METER_GAUGE_METRIC, clock=clock)
-        actor = NamespacePowerActor(store, "bench", clock, meter_sig, **kwargs)
+        m_idle = capture_idle_baseline(store, clock.now_ms())
+        stage = CalibrationStage(
+            store, [(ns, ns) for ns in rates], clock, m_idle, **kwargs
+        )
+        actor = NamespacePowerActor(stage, "bench", strict=strict)
         for namespace, rate in rates.items():
             seed_dynamic_counter(store, namespace, rate)
         meter_series.append((2000, meter_after))
@@ -189,15 +195,16 @@ class TestNamespacePowerActor:
 
     def test_composed_calibration(self):
         actor = self.build({"bench": 30.0, "other": 50.0, "system": 20.0})
-        assert actor.m_idle_w == 260.0
         assert actor.calibrated_dynamic_w() == pytest.approx(52.5, rel=1e-9)
         assert actor.power() == pytest.approx(-52.5, rel=1e-9)
         info = actor.info()
+        assert info["m_idle_w"] == 260.0
         assert info["p_dyn_w"] == pytest.approx(30.0)
         assert info["n_dyn_w"] == pytest.approx(100.0)
         assert info["s_dyn_w"] == pytest.approx(20.0)
         assert info["m_w"] == pytest.approx(400.0)
         assert info["factor_a"] == pytest.approx(0.375)
+        assert info["calibrated_w"] == pytest.approx(52.5, rel=1e-9)
 
     def test_idle_namespace_draws_nothing(self):
         actor = self.build({"other": 50.0, "system": 20.0})
@@ -219,9 +226,8 @@ class TestNamespacePowerActor:
 
     def test_strict_mode_flags_never_collected_signals(self):
         store = MetricStore()
-        clock = VirtualClock()
-        meter_sig = make_latest_value_signal(store, METER_GAUGE_METRIC, clock=clock)
-        actor = NamespacePowerActor(store, "bench", clock, meter_sig, strict=True)
+        stage = CalibrationStage(store, [("bench", "bench")], VirtualClock(), 0.0)
+        actor = NamespacePowerActor(stage, "bench", strict=True)
         with pytest.raises(StaleSignal):
             actor.calibrated_dynamic_w()
 
@@ -230,11 +236,10 @@ class TestNamespacePowerActor:
         assert actor.actor_id == "ns.bench"
 
     def test_window_must_be_whole_seconds(self):
-        store = MetricStore()
-        clock = VirtualClock()
-        meter_sig = make_latest_value_signal(store, METER_GAUGE_METRIC, clock=clock)
         with pytest.raises(ValueError):
-            NamespacePowerActor(store, "bench", clock, meter_sig, window_ms=1500)
+            CalibrationStage(
+                MetricStore(), [("bench", "bench")], VirtualClock(), 0.0, window_ms=1500
+            )
 
 
 class TestIdleBaselineCapture:

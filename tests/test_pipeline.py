@@ -53,6 +53,32 @@ def leakage_config(**overrides):
     return ScenarioConfig(**base)
 
 
+def two_namespace_config(**overrides):
+    """Two namespace actors; "bench" holds two workloads."""
+    workloads = (
+        *leakage_config().workloads,
+        WorkloadSpec(
+            process_id="job2",
+            kind="batch",
+            namespace="bench",
+            idle_share_w=10.0,
+            dyn_coeff_w=3.0,
+            load_knob="batch_size",
+        ),
+        WorkloadSpec(
+            process_id="etl",
+            kind="batch",
+            namespace="etl",
+            idle_share_w=15.0,
+            dyn_coeff_w=1.5,
+            load_knob="batch_size",
+            leakage_lambda=0.1,
+        ),
+    )
+    actors = (NamespaceActorSpec("bench"), NamespaceActorSpec("etl"))
+    return leakage_config(workloads=workloads, actors=actors, **overrides)
+
+
 @pytest.fixture(scope="module")
 def leak_art(tmp_path_factory):
     out = tmp_path_factory.mktemp("leak")
@@ -86,13 +112,23 @@ class TestRunArtifacts:
         assert art.out_dir == tmp_path / "fromcfg"
         assert art.monitor_csv.exists()
 
-    def test_live_actor_matches_post_pass(self, leak_art):
-        # the calibrated CSV reconstructs exactly what the actor reported
-        col = {name: i for i, name in enumerate(leak_art.calibrated_header)}
-        for tick, row in zip(leak_art.monitor.ticks, leak_art.calibrated_rows):
-            assert tick.time_ms == row[0]
-            live = -tick.actor_powers["ns.bench"]
-            assert live == pytest.approx(row[col["ns.bench_dyn_w"]], rel=1e-9, abs=1e-12)
+    @pytest.mark.parametrize("interval_ms", [1000, 3000])
+    @pytest.mark.parametrize(
+        "make_config", [leakage_config, two_namespace_config], ids=["one-ns", "two-ns"]
+    )
+    def test_live_actor_matches_post_pass(self, tmp_path, make_config, interval_ms):
+        # the calibrated CSV holds exactly what each actor reported, also
+        # when signals collect less often than the engine ticks
+        cfg = make_config(signal_interval_ms=interval_ms)
+        art = pipeline.run(cfg, tmp_path)
+        col = {name: i for i, name in enumerate(art.calibrated_header)}
+        assert len(art.calibrated_rows) == len(art.monitor.ticks)
+        for spec in cfg.actors:
+            cells = [row[col[f"ns.{spec.namespace}_dyn_w"]] for row in art.calibrated_rows]
+            assert any(cell > 0 for cell in cells)
+            for tick, row, cell in zip(art.monitor.ticks, art.calibrated_rows, cells):
+                assert tick.time_ms == row[0]
+                assert -tick.actor_powers[spec.resolved_id] == cell
 
     def test_calibrated_csv_columns(self, leak_art):
         rows = read_csv(leak_art.calibrated_csv)
