@@ -27,12 +27,7 @@ def format_exposition(store: MetricStore) -> str:
         last = series.last()
         if last is None:
             continue
-        if series.labels:
-            body = ",".join(f'{k}="{v}"' for k, v in sorted(series.labels.items()))
-            name = f"{series.name}{{{body}}}"
-        else:
-            name = series.name
-        lines.append(f"{name} {last.value!r} {last.timestamp_ms}\n")
+        lines.append(f"{series.exposition_name} {last.value!r} {last.timestamp_ms}\n")
     return "".join(lines)
 
 

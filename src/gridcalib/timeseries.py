@@ -7,7 +7,15 @@ interpolation between the two nearest samples.
 
 Concurrency: one writer per series, any number of readers. Values are
 appended before timestamps and readers snapshot the timestamp count
-first, so a concurrent append is never half-visible.
+first, so a concurrent append is never half-visible. A store builds its
+read index when a series is created, under the creation lock: a
+key-sorted tuple of every series, in which each metric name's series
+are contiguous, and a frozenset of series per label pair. Creation
+publishes each as a new immutable object by swapping one reference and
+never changes one in place. Readers use only these snapshots and never
+iterate the mutable key-to-series dict, so a concurrent creation cannot
+break a read. Every append raises the store's watermark, the largest
+timestamp it holds, which never decreases.
 """
 
 from __future__ import annotations
@@ -16,8 +24,9 @@ import csv
 import math
 import re
 import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import IO, Mapping, NamedTuple
 
 from .errors import (
@@ -52,12 +61,36 @@ def _check_sample(timestamp_ms: int, value: float) -> tuple[int, float]:
     return ts, val
 
 
+class _Watermark:
+    """Largest timestamp appended to any series that shares this object."""
+
+    __slots__ = ("ms", "_lock")
+
+    def __init__(self) -> None:
+        self.ms = 0
+        self._lock = threading.Lock()
+
+    def advance(self, ts: int) -> None:
+        # Writers of different series may run on different threads (the
+        # meter listener and the scenario); the lock keeps a smaller
+        # timestamp from overwriting a larger one.
+        with self._lock:
+            if ts > self.ms:
+                self.ms = ts
+
+
+def _series_key(name: str, labels: Mapping[str, str] | None):
+    """Store key of a series: its name and its label pairs sorted by key."""
+    return (name, tuple(sorted((labels or {}).items())))
+
+
 class Series:
     """One metric stream with a fixed name, label set, and kind.
 
     max_samples turns the series into a ring buffer (oldest samples are
     evicted). Eviction shifts indices, so the cap should only be used
-    when no reader races the writer.
+    when no reader races the writer. A series made by a MetricStore
+    raises that store's watermark on append.
     """
 
     def __init__(
@@ -74,7 +107,12 @@ class Series:
         self.name = str(name)
         self.labels = dict(labels or {})
         self.kind = kind
+        self.key = _series_key(self.name, self.labels)
+        # The /metrics line prefix: NAME{K="V",...}, labels sorted by key.
+        body = ",".join(f'{k}="{v}"' for k, v in self.key[1])
+        self.exposition_name = f"{self.name}{{{body}}}" if body else self.name
         self._max_samples = max_samples
+        self._watermark = _Watermark()
         self._ts: list[int] = []
         self._values: list[float] = []
 
@@ -98,6 +136,8 @@ class Series:
         # Value first, timestamp last: readers key off len(_ts).
         self._values.append(val)
         self._ts.append(ts)
+        if ts > self._watermark.ms:
+            self._watermark.advance(ts)
         if self._max_samples is not None and len(self._ts) > self._max_samples:
             del self._ts[0]
             del self._values[0]
@@ -226,6 +266,9 @@ def parse_query(text: str) -> QueryExpr:
     )
 
 
+_KEY = attrgetter("key")
+
+
 class MetricStore:
     """Keyed collection of series; the key is (name, full label set)."""
 
@@ -233,26 +276,38 @@ class MetricStore:
         self._series: dict[tuple[str, tuple[tuple[str, str], ...]], Series] = {}
         self._max_samples = max_samples_per_series
         self._lock = threading.Lock()
-
-    @staticmethod
-    def _key(name: str, labels: Mapping[str, str] | None):
-        return (name, tuple(sorted((labels or {}).items())))
+        self._watermark = _Watermark()
+        # The read index. Creation replaces its immutable parts under _lock;
+        # readers only look them up.
+        self._ordered: tuple[Series, ...] = ()
+        self._postings: dict[tuple[str, str], frozenset[Series]] = {}
 
     def get_or_create(
         self, name: str, labels: Mapping[str, str] | None = None, kind: str = GAUGE
     ) -> Series:
-        key = self._key(name, labels)
+        key = _series_key(name, labels)
         series = self._series.get(key)
         if series is None:
             with self._lock:
                 series = self._series.get(key)
                 if series is None:
-                    series = Series(name, labels, kind, self._max_samples)
+                    series = self._create(name, labels, kind)
                     self._series[key] = series
         if series.kind != kind:
             raise KindMismatch(
                 f"{name}: series is a {series.kind}, appended as {kind}"
             )
+        return series
+
+    def _create(self, name: str, labels: Mapping[str, str] | None, kind: str) -> Series:
+        """Build a series and publish it to every read structure (under _lock)."""
+        series = Series(name, labels, kind, self._max_samples)
+        series._watermark = self._watermark
+        ordered = list(self._ordered)
+        insort(ordered, series, key=_KEY)
+        self._ordered = tuple(ordered)
+        for pair in series.key[1]:
+            self._postings[pair] = self._postings.get(pair, frozenset()) | {series}
         return series
 
     def append(
@@ -265,23 +320,37 @@ class MetricStore:
         self.get_or_create(name, labels, kind).append(sample)
 
     def get(self, name: str, labels: Mapping[str, str] | None = None) -> Series | None:
-        return self._series.get(self._key(name, labels))
+        return self._series.get(_series_key(name, labels))
 
     def series(self) -> list[Series]:
-        return [self._series[k] for k in sorted(self._series)]
+        """Every series, in key order."""
+        return list(self._ordered)
 
     def has_metric(self, name: str) -> bool:
-        return any(k[0] == name for k in self._series)
+        ordered = self._ordered
+        lo = bisect_left(ordered, (name,), key=_KEY)
+        return lo < len(ordered) and ordered[lo].name == name
+
+    def _named(self, name: str) -> tuple[Series, ...]:
+        """The key-sorted series with this name. Their keys sort after
+        (name,) and before (name + "\\0",), the next possible name."""
+        ordered = self._ordered
+        lo = bisect_left(ordered, (name,), key=_KEY)
+        return ordered[lo:bisect_left(ordered, (name + "\0",), lo, key=_KEY)]
 
     def match(self, name: str, labels: Mapping[str, str] | None = None) -> list[Series]:
-        """All series with this name whose labels contain every filter pair."""
-        filters = (labels or {}).items()
-        return [
-            self._series[k]
-            for k in sorted(self._series)
-            if k[0] == name
-            and all(self._series[k].labels.get(fk) == fv for fk, fv in filters)
-        ]
+        """All series with this name whose labels contain every filter pair,
+        in key order."""
+        named = self._named(name)
+        hits = None
+        for pair in (labels or {}).items():
+            posting = self._postings.get(pair)
+            if posting is None:
+                return []
+            hits = posting if hits is None else hits & posting
+        if hits is None:
+            return list(named)
+        return [series for series in named if series in hits]
 
     def latest(self, name: str, labels: Mapping[str, str] | None = None) -> float | None:
         series = self.get(name, labels)
@@ -292,12 +361,7 @@ class MetricStore:
 
     def current_time_ms(self) -> int:
         """Largest sample timestamp seen across all series (0 when empty)."""
-        latest = 0
-        for series in self._series.values():
-            ts = series.last_timestamp()
-            if ts is not None and ts > latest:
-                latest = ts
-        return latest
+        return self._watermark.ms
 
 
 def query(

@@ -22,7 +22,7 @@ from gridcalib.emulation import LoadSchedule, WorkloadSpec
 from gridcalib.errors import BindError, ConfigError, GridCalibError, MissingArtifact, StepError
 from gridcalib.microgrid import Monitor
 from gridcalib.server import format_exposition, serve_metrics
-from gridcalib.timeseries import GAUGE, MetricStore, query
+from gridcalib.timeseries import COUNTER, GAUGE, MetricStore, query
 from gridcalib.wire import METER_GAUGE_METRIC, NAMESPACE_LABEL, POWER_COUNTER_METRIC
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -357,6 +357,19 @@ class TestServer:
         store = MetricStore()
         store.append(METER_GAUGE_METRIC, {}, GAUGE, (1000, 231.5))
         assert format_exposition(store) == "socket_meter_watts 231.5 1000\n"
+
+    def test_labelled_lines_sorted_and_empty_series_skipped(self):
+        store = MetricStore()
+        store.append("e_joules", {"process": "p1", "mode": "idle", "ns": "a"}, COUNTER, (2000, 0.5))
+        store.append("e_joules", {"ns": "a", "process": "p0", "mode": "dynamic"}, COUNTER, (1000, 12.25))
+        store.append("e_joules", {"ns": "a", "process": "p0", "mode": "dynamic"}, COUNTER, (3000, 30.0))
+        store.get_or_create("e_joules", {"ns": "b", "mode": "dynamic"}, COUNTER)
+        store.append(METER_GAUGE_METRIC, {}, GAUGE, (3000, 1e-05))
+        assert format_exposition(store) == (
+            'e_joules{mode="dynamic",ns="a",process="p0"} 30.0 3000\n'
+            'e_joules{mode="idle",ns="a",process="p1"} 0.5 2000\n'
+            "socket_meter_watts 1e-05 3000\n"
+        )
 
     def test_exposition_line_format(self, served):
         _, base = served

@@ -1,6 +1,8 @@
 """Metric store, rate, and query tests."""
 
 import io
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,12 @@ from gridcalib.errors import (
     ParseError,
     UnknownMetric,
 )
+from gridcalib.server import format_exposition
 from gridcalib.timeseries import (
     COUNTER,
     GAUGE,
     MetricStore,
+    QueryExpr,
     Sample,
     Series,
     export_csv,
@@ -297,6 +301,130 @@ def test_query_matches_per_series_sum(n_series, n_windows):
             store.append("e", {"i": str(i)}, COUNTER, (t, slope * t / 1000))
     expected = sum(rate(store.get("e", {"i": str(i)}), now - 2000, now) for i in range(n_series))
     assert query(store, "sum(rate(e[2s]))", at_ms=now) == pytest.approx(expected, rel=1e-9)
+
+
+# store index: postings, key order and watermark
+
+def _key(series):
+    return (series.name, tuple(sorted(series.labels.items())))
+
+
+_label_maps = st.dictionaries(
+    st.sampled_from(["ns", "mode", "proc"]), st.sampled_from(["a", "b", "c"]), max_size=3
+)
+
+
+@given(
+    # names that prefix one another check the bounds of each name's run of keys
+    st.lists(st.tuples(st.sampled_from(["e", "e\0", "e_x", "f"]), _label_maps), max_size=30),
+    st.sampled_from(["e", "e\0", "e_x", "f", "g"]),
+    _label_maps,
+    st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=3, max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_index_agrees_with_brute_force_scan(created, name, filters, increments):
+    store = MetricStore()
+    made = {}
+    for i, (metric, labels) in enumerate(created):
+        series = store.get_or_create(metric, labels, COUNTER)
+        made[_key(series)] = series
+        if len(series) == 0:
+            # distinct per-series slopes make the sum depend on its order
+            cum = 0.0
+            for k, inc in enumerate(increments):
+                cum += inc * (i + 1) / 7.0
+                series.append((k * 1000, cum))
+    ordered = [made[k] for k in sorted(made)]
+    assert store.series() == ordered
+
+    brute = [
+        s for s in ordered
+        if s.name == name and all(s.labels.get(k) == v for k, v in filters.items())
+    ]
+    assert store.match(name, filters) == brute
+    assert store.has_metric(name) == any(s.name == name for s in ordered)
+
+    expr = QueryExpr(metric=name, labels=tuple(filters.items()), window_ms=1000, summed=True)
+    now = store.current_time_ms()
+    total = 0.0
+    for s in brute:
+        try:
+            total += rate(s, now - 1000, now)
+        except EmptyWindow:
+            continue
+    assert query(store, expr) == total  # bit-identical: same summation order
+
+
+def test_watermark_tracks_appends_both_ways():
+    store = MetricStore()
+    assert store.current_time_ms() == 0
+    handle = store.get_or_create("e", {"ns": "a"}, COUNTER)
+    handle.append((4000, 1.0))  # the emitter and meter path
+    assert store.current_time_ms() == 4000
+    store.append("e", {"ns": "b"}, COUNTER, (2500, 1.0))
+    assert store.current_time_ms() == 4000
+    store.append("e", {"ns": "b"}, COUNTER, (7000, 2.0))
+    assert store.current_time_ms() == 7000
+    with pytest.raises(NonMonotonicTimestamp):
+        handle.append((4000, 3.0))
+    handle.append((6000, 3.0))
+    assert store.current_time_ms() == max(s.last_timestamp() for s in store.series()) == 7000
+
+    alone = Series("e", {"ns": "a"}, COUNTER)
+    alone.append((9000, 1.0))
+    assert alone.last() == Sample(9000, 1.0)
+    assert store.current_time_ms() == 7000
+
+
+def test_reads_race_series_creation():
+    store = MetricStore()
+    expr = 'sum(rate(e{mode="dynamic"}[2s]))'
+    errors = []
+    stop = threading.Event()
+
+    def write():
+        try:
+            for t in range(1, 201):
+                for i in range(t % 7 + 1):
+                    labels = {"mode": "dynamic" if i % 2 else "idle", "proc": f"p{t}-{i}"}
+                    store.append("e", labels, COUNTER, (t * 1000, float(t)))
+                for series in store.series()[:20]:
+                    series.append((t * 1000 + 500, float(t) + 1.0))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+        finally:
+            stop.set()
+
+    def read():
+        last = 0
+        try:
+            while not stop.is_set():
+                store.series()
+                store.match("e", {"mode": "dynamic"})
+                query(store, expr)
+                store.has_metric("missing")
+                format_exposition(store)
+                now = store.current_time_ms()
+                assert now >= last, f"watermark fell from {last} to {now}"
+                last = now
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    readers = [threading.Thread(target=read) for _ in range(4)]
+    writer = threading.Thread(target=write)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in readers + [writer]:
+            thread.start()
+        for thread in [writer] + readers:
+            thread.join(timeout=60)
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in readers + [writer])
+    assert errors == []
+    assert store.current_time_ms() == 200_500
 
 
 # csv export
