@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 from .errors import DegenerateDenominator, EmptyWindow, StaleSignal, ZeroNodeIdle
 from .microgrid import Controller, ControllerView
 from .signals import Clock, make_collector_signal
-from .timeseries import MetricStore, rate
+from .timeseries import MetricStore, Series, rate
 from .wire import (
     METER_GAUGE_METRIC,
     MODE_DYNAMIC,
@@ -218,13 +218,14 @@ class CalibrationStage(Controller):
             self.namespaces[ns] = self.namespaces.get(ns, ()) + (i,)
         self._system = self.namespaces.get(SYSTEM_NAMESPACE, ())
         self._store = store
-        self._labels = [
-            {
-                mode: {NAMESPACE_LABEL: ns, PROCESS_LABEL: pid, MODE_LABEL: mode}
-                for mode in (MODE_DYNAMIC, MODE_IDLE)
-            }
+        # (name, labels) of the meter, then every process's dynamic and
+        # then idle counter; _series() resolves them to Series handles
+        self._wanted = [(METER_GAUGE_METRIC, None)] + [
+            (POWER_COUNTER_METRIC, {NAMESPACE_LABEL: ns, PROCESS_LABEL: pid, MODE_LABEL: mode})
+            for mode in (MODE_DYNAMIC, MODE_IDLE)
             for pid, ns in self.processes
         ]
+        self._handles: list[Series | None] = [None] * len(self._wanted)
         zeros = (0.0,) * len(self.processes)
         self.snapshot = CalibrationSnapshot(
             zeros, 0.0, 0.0, 0.0, m_idle_w, zeros, zeros, zeros
@@ -237,9 +238,19 @@ class CalibrationStage(Controller):
         """0 until the first successful collection."""
         return self._signal.last_collection_ms
 
-    def _rate(self, labels: Mapping[str, str], now_ms: int) -> float:
+    def _series(self) -> list[Series | None]:
+        """The wanted series; a handle is looked up until its series exists
+        and then kept, since a store never replaces a series."""
+        handles = self._handles
+        if None in handles:
+            handles = self._handles = [
+                series if series is not None else self._store.get(*wanted)
+                for series, wanted in zip(handles, self._wanted)
+            ]
+        return handles
+
+    def _rate(self, series: Series | None, now_ms: int) -> float:
         # a missing series or one that does not cover the window reads 0
-        series = self._store.get(POWER_COUNTER_METRIC, labels)
         if series is None:
             return 0.0
         try:
@@ -250,12 +261,15 @@ class CalibrationStage(Controller):
     def _collect(self) -> float:
         # the signal's value is the meter reading; the snapshot is
         # replaced only when the whole collection succeeds
-        m = self._store.latest(METER_GAUGE_METRIC)
-        if m is None:
+        meter, *counters = self._series()
+        last = None if meter is None else meter.last()
+        if last is None:
             raise LookupError("no meter samples yet")
+        m = last.value
         now = self._store.current_time_ms()
-        p_dyn = tuple(self._rate(labels[MODE_DYNAMIC], now) for labels in self._labels)
-        p_idle = tuple(self._rate(labels[MODE_IDLE], now) for labels in self._labels)
+        watts = [self._rate(series, now) for series in counters]
+        k = len(self.processes)
+        p_dyn, p_idle = tuple(watts[:k]), tuple(watts[k:])
         n_dyn = sum(p_dyn)
         s_dyn = member_sum(p_dyn, self._system)
         n_idle = sum(p_idle)

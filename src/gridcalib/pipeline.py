@@ -47,7 +47,6 @@ from .emulation import (
 from .errors import (
     ConfigError,
     DegenerateX,
-    EmptyWindow,
     GridCalibError,
     MissingArtifact,
     NoOverlap,
@@ -55,7 +54,7 @@ from .errors import (
 )
 from .microgrid import BenchmarkController, Microgrid, Monitor, StaticActor, TraceActor
 from .signals import VirtualClock, WallClock
-from .timeseries import MetricStore, rate
+from .timeseries import MetricStore, Series, rates
 from .validation import (
     PairedObservation,
     RegressionReport,
@@ -403,20 +402,9 @@ def _node_regression(
     gauge = store.get(METER_GAUGE_METRIC, None)
     if gauge is None or len(gauge) == 0:
         return None, "no meter samples", []
-    counters = store.match(POWER_COUNTER_METRIC, None)
-    interval = config.emission_interval_ms
-    xs: list[tuple[int, float]] = []
-    for ts, _ in ((s.timestamp_ms, s.value) for s in gauge.samples()):
-        total = 0.0
-        covered = True
-        for series in counters:
-            try:
-                total += rate(series, ts - interval, ts)
-            except EmptyWindow:
-                covered = False
-                break
-        if covered:
-            xs.append((ts, total))
+    xs = _regression_x(
+        gauge, store.match(POWER_COUNTER_METRIC, None), config.emission_interval_ms
+    )
     if len(xs) < 2:
         return None, "not enough aligned samples", []
     try:
@@ -425,6 +413,22 @@ def _node_regression(
     except (NoOverlap, TooFewPoints, DegenerateX) as exc:
         return None, str(exc), []
     return report, None, pairs
+
+
+def _regression_x(
+    gauge: Series, counters: list[Series], interval_ms: int
+) -> list[tuple[int, float]]:
+    """(meter timestamp, summed counter rate) wherever every counter
+    covers the interval ending at that timestamp; counters are summed in
+    the order given, which is key order for a store match."""
+    ts, _ = gauge.columns()
+    total = np.zeros(len(ts))
+    covered = np.ones(len(ts), dtype=bool)
+    for series in counters:
+        watts, ok = rates(series, ts, interval_ms)
+        total += watts
+        covered &= ok
+    return list(zip(ts[covered].tolist(), total[covered].tolist()))
 
 
 def _truth_csv(config: ScenarioConfig, runtime: _Runtime) -> bytes:

@@ -24,10 +24,13 @@ from .timeseries import MetricStore, query
 def format_exposition(store: MetricStore) -> str:
     lines = []
     for series in store.series():
-        last = series.last()
-        if last is None:
-            continue
-        lines.append(f"{series.exposition_name} {last.value!r} {last.timestamp_ms}\n")
+        # the last sample straight from the columns, timestamp count first
+        # as Series.last() does, without building a Sample per series
+        n = len(series._ts)
+        if n:
+            lines.append(
+                f"{series.exposition_name} {series._values[n - 1]!r} {series._ts[n - 1]}\n"
+            )
     return "".join(lines)
 
 

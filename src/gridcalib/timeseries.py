@@ -5,29 +5,44 @@ instantaneous watts. A rate over a window is the endpoint difference
 quotient in watts, with the boundary values obtained by linear
 interpolation between the two nearest samples.
 
-Concurrency: one writer per series, any number of readers. Values are
-appended before timestamps and readers snapshot the timestamp count
-first, so a concurrent append is never half-visible. A store builds its
-read index when a series is created, under the creation lock: a
-key-sorted tuple of every series, in which each metric name's series
-are contiguous, and a frozenset of series per label pair. Creation
-publishes each as a new immutable object by swapping one reference and
-never changes one in place. Readers use only these snapshots and never
-iterate the mutable key-to-series dict, so a concurrent creation cannot
-break a read. Every append raises the store's watermark, the largest
-timestamp it holds, which never decreases.
+Layout: a series is two typed columns of equal length, array("q") of
+int64 timestamps and array("d") of float64 values, 16 bytes a sample
+where two lists of Python objects cost about 40. Scalar reads (bisect,
+value_at, last) index the columns directly. Vectorised reads (rates)
+hand numpy a copy of a column prefix, ``series._ts[:n]``, never the
+live column: numpy over a live array exports its buffer, and while any
+export is alive the writer's next append raises BufferError ("cannot
+resize an array that is exporting buffers"), which would stop a live
+run.
+
+Concurrency: one writer per series, any number of readers. An append
+validates the sample before it touches either column, so a rejected
+sample leaves both unchanged. Values are appended before timestamps
+and readers snapshot the timestamp count first, so a concurrent append
+is never half-visible. A store builds its read index when a series is
+created, under the creation lock: a key-sorted tuple of every series,
+in which each metric name's series are contiguous, and a frozenset of
+series per label pair. Creation publishes each as a new immutable
+object by swapping one reference and never changes one in place.
+Readers use only these snapshots and never iterate the mutable
+key-to-series dict, so a concurrent creation cannot break a read. Every
+append raises the store's watermark, the largest timestamp it holds,
+which never decreases.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import re
 import threading
+from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from math import isfinite
 from operator import attrgetter
 from typing import IO, Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import (
     BadInterval,
@@ -45,20 +60,12 @@ GAUGE = "gauge"
 # Canonical smoothing window for monitoring-style rates.
 DEFAULT_WINDOW_MS = 2000
 
+_INT64_MAX = 2**63 - 1
+
 
 class Sample(NamedTuple):
     timestamp_ms: int
     value: float
-
-
-def _check_sample(timestamp_ms: int, value: float) -> tuple[int, float]:
-    ts = int(timestamp_ms)
-    val = float(value)
-    if ts < 0:
-        raise ValueError(f"timestamp must be >= 0, got {ts}")
-    if not math.isfinite(val):
-        raise ValueError(f"sample value must be finite, got {val!r}")
-    return ts, val
 
 
 class _Watermark:
@@ -107,14 +114,15 @@ class Series:
         self.name = str(name)
         self.labels = dict(labels or {})
         self.kind = kind
+        self._counter = kind == COUNTER
         self.key = _series_key(self.name, self.labels)
         # The /metrics line prefix: NAME{K="V",...}, labels sorted by key.
         body = ",".join(f'{k}="{v}"' for k, v in self.key[1])
         self.exposition_name = f"{self.name}{{{body}}}" if body else self.name
         self._max_samples = max_samples
         self._watermark = _Watermark()
-        self._ts: list[int] = []
-        self._values: list[float] = []
+        self._ts = array("q")
+        self._values = array("d")
 
     def __len__(self) -> int:
         return len(self._ts)
@@ -123,19 +131,30 @@ class Series:
         return f"Series({self.name!r}, {self.labels!r}, {self.kind}, n={len(self)})"
 
     def append(self, sample: Sample | tuple[int, float]) -> None:
-        ts, val = _check_sample(*sample)
-        n = len(self._ts)
-        if n and ts <= self._ts[n - 1]:
-            raise NonMonotonicTimestamp(
-                f"{self.name}: timestamp {ts} does not advance past {self._ts[n - 1]}"
-            )
-        if self.kind == COUNTER and n and val < self._values[n - 1]:
-            raise CounterRegression(
-                f"{self.name}: counter fell from {self._values[n - 1]} to {val}"
-            )
+        # Every check comes before the first write, so a rejected sample
+        # leaves both columns as they were.
+        timestamp_ms, value = sample
+        ts = int(timestamp_ms)
+        val = float(value)
+        if ts < 0:
+            raise ValueError(f"timestamp must be >= 0, got {ts}")
+        if ts > _INT64_MAX:
+            raise ValueError(f"timestamp must fit in int64, got {ts}")
+        if not isfinite(val):
+            raise ValueError(f"sample value must be finite, got {val!r}")
+        ts_col, values = self._ts, self._values
+        if ts_col:  # this is the only writer, so [-1] is the last sample
+            if ts <= ts_col[-1]:
+                raise NonMonotonicTimestamp(
+                    f"{self.name}: timestamp {ts} does not advance past {ts_col[-1]}"
+                )
+            if self._counter and val < values[-1]:
+                raise CounterRegression(
+                    f"{self.name}: counter fell from {values[-1]} to {val}"
+                )
         # Value first, timestamp last: readers key off len(_ts).
-        self._values.append(val)
-        self._ts.append(ts)
+        values.append(val)
+        ts_col.append(ts)
         if ts > self._watermark.ms:
             self._watermark.advance(ts)
         if self._max_samples is not None and len(self._ts) > self._max_samples:
@@ -144,7 +163,16 @@ class Series:
 
     def samples(self) -> list[Sample]:
         n = len(self._ts)
-        return [Sample(self._ts[i], self._values[i]) for i in range(n)]
+        return list(map(Sample, self._ts[:n], self._values[:n]))
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The timestamps and values as numpy arrays over copies of the
+        columns, so the writer can keep appending."""
+        n = len(self._ts)
+        return (
+            np.frombuffer(self._ts[:n], np.int64),
+            np.frombuffer(self._values[:n], np.float64),
+        )
 
     def last(self) -> Sample | None:
         n = len(self._ts)
@@ -164,13 +192,22 @@ class Series:
 
         Defined only inside the sampled range; raises EmptyWindow outside.
         """
-        n = len(self._ts)
-        if n == 0 or t_ms < self._ts[0] or t_ms > self._ts[n - 1]:
+        ts = self._ts
+        n = len(ts)
+        if n and t_ms == ts[n - 1]:  # the newest sample ends most rate windows
+            return self._values[n - 1]
+        # each column read boxes a new object, so the bounds come from i:
+        # t_ms is past the last sample when i == n, before the first when
+        # i == 0 and it is no exact hit
+        i = bisect_left(ts, t_ms, 0, n)
+        if i == n:
             raise EmptyWindow(f"{self.name}: no samples cover t={t_ms}")
-        i = bisect_left(self._ts, t_ms, 0, n)
-        if self._ts[i] == t_ms:
+        t1 = ts[i]
+        if t1 == t_ms:
             return self._values[i]
-        t0, t1 = self._ts[i - 1], self._ts[i]
+        if i == 0:
+            raise EmptyWindow(f"{self.name}: no samples cover t={t_ms}")
+        t0 = ts[i - 1]
         v0, v1 = self._values[i - 1], self._values[i]
         return v0 + (v1 - v0) * (t_ms - t0) / (t1 - t0)
 
@@ -188,6 +225,45 @@ def rate(series: Series, t1_ms: int, t2_ms: int) -> float:
     v1 = series.value_at(t1_ms)
     v2 = series.value_at(t2_ms)
     return (v2 - v1) / ((t2_ms - t1_ms) / 1000.0)
+
+
+def rates(
+    series: Series, t2_ms: np.ndarray, window_ms: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """rate() over [t - window_ms, t] for every t of the int64 array t2_ms.
+
+    Returns the rates and a mask of the windows the samples cover; an
+    uncovered entry reads 0.0 where rate() raises EmptyWindow. A covered
+    entry equals rate() bit for bit: exact timestamp hits are taken as
+    stored and the rest interpolated in value_at's operation order.
+    """
+    if window_ms <= 0:
+        raise BadInterval(f"window must be positive, got {window_ms}")
+    if series.kind != COUNTER:
+        raise KindMismatch(f"{series.name}: rate() needs a counter, got {series.kind}")
+    ts, values = series.columns()
+    t1_ms = t2_ms - window_ms
+    if len(ts):
+        covered = (t1_ms >= ts[0]) & (t2_ms <= ts[-1])
+    else:
+        covered = np.zeros(len(t2_ms), dtype=bool)
+    out = np.zeros(len(t2_ms))
+    v1 = _values_at(ts, values, t1_ms[covered])
+    v2 = _values_at(ts, values, t2_ms[covered])
+    out[covered] = (v2 - v1) / (window_ms / 1000.0)
+    return out, covered
+
+
+def _values_at(ts: np.ndarray, values: np.ndarray, t_ms: np.ndarray) -> np.ndarray:
+    """Series.value_at for each entry of t_ms; all lie in [ts[0], ts[-1]]."""
+    i = np.searchsorted(ts, t_ms)  # bisect_left
+    out = values[i]
+    between = ts[i] != t_ms
+    j = i[between]
+    t0, t1 = ts[j - 1], ts[j]
+    v0, v1 = values[j - 1], values[j]
+    out[between] = v0 + (v1 - v0) * (t_ms[between] - t0) / (t1 - t0)
+    return out
 
 
 def moving_average_rate(series: Series, window_ms: int, now_ms: int) -> float:

@@ -9,6 +9,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcalib import pipeline
 from gridcalib.config import (
@@ -19,10 +21,17 @@ from gridcalib.config import (
     StorageSpec,
 )
 from gridcalib.emulation import LoadSchedule, WorkloadSpec
-from gridcalib.errors import BindError, ConfigError, GridCalibError, MissingArtifact, StepError
+from gridcalib.errors import (
+    BindError,
+    ConfigError,
+    EmptyWindow,
+    GridCalibError,
+    MissingArtifact,
+    StepError,
+)
 from gridcalib.microgrid import Monitor
 from gridcalib.server import format_exposition, serve_metrics
-from gridcalib.timeseries import COUNTER, GAUGE, MetricStore, query
+from gridcalib.timeseries import COUNTER, GAUGE, MetricStore, query, rate
 from gridcalib.wire import METER_GAUGE_METRIC, NAMESPACE_LABEL, POWER_COUNTER_METRIC
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -226,6 +235,64 @@ class TestRunArtifacts:
         )
         with pytest.raises(StepError, match="never collected"):
             pipeline.run(cfg, tmp_path / "strict")
+
+
+def scalar_regression_x(gauge, counters, interval_ms):
+    """The regression x-series as one scalar rate() per meter sample and
+    counter, summed in the counters' order."""
+    xs = []
+    for ts, _ in gauge.samples():
+        total = 0.0
+        try:
+            for series in counters:
+                total += rate(series, ts - interval_ms, ts)
+        except EmptyWindow:
+            continue
+        xs.append((ts, total))
+    return xs
+
+
+class TestRegressionX:
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=12),  # first sample index: late starts
+                st.integers(min_value=0, max_value=12),  # sample count: 0, 1 or more
+                st.lists(st.floats(min_value=0.0, max_value=500.0), min_size=12, max_size=12),
+            ),
+            max_size=4,
+        ),
+        st.sampled_from([500, 1000, 1500]),  # counter spacing
+        st.sampled_from([700, 1000, 3000]),  # meter spacing
+        st.sampled_from([1000, 2000, 2500]),  # emission interval
+        st.integers(min_value=0, max_value=999),  # meter offset
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_vectorised_equals_scalar_rate_loop(self, counters, step, meter_step, interval, offset):
+        store = MetricStore()
+        for i, (start, count, watts) in enumerate(counters):
+            joules = 0.0
+            for k in range(start, min(start + count, 12)):
+                joules += watts[k]
+                store.append(POWER_COUNTER_METRIC, {"p": str(i)}, COUNTER, (k * step, joules))
+        gauge = store.get_or_create(METER_GAUGE_METRIC, None, GAUGE)
+        for t in range(offset, 12 * step + 2000, meter_step):
+            gauge.append((t, 100.0))
+        series = store.match(POWER_COUNTER_METRIC, None)
+        got = pipeline._regression_x(gauge, series, interval)
+        want = scalar_regression_x(gauge, series, interval)
+        assert got == want
+        assert all(type(t) is int and type(x) is float for t, x in got)
+
+    def test_store_takes_appends_after_the_regression_read(self, tmp_path):
+        config = leakage_config()
+        store = MetricStore()
+        pipeline.run(config, tmp_path / "r", store=store)
+        report, skipped, _ = pipeline._node_regression(config, store)
+        assert report is not None and skipped is None
+        t = store.current_time_ms() + 1000
+        for series in store.series():
+            series.append((t, series.last().value))
 
 
 class TestRegressionArtifacts:

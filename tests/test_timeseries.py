@@ -4,6 +4,7 @@ import io
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,7 @@ from gridcalib.timeseries import (
     parse_query,
     query,
     rate,
+    rates,
 )
 
 
@@ -90,7 +92,95 @@ def test_ring_buffer_cap_evicts_oldest():
     assert s.samples() == [Sample(2000, 2.0), Sample(3000, 3.0), Sample(4000, 4.0)]
 
 
+@pytest.mark.parametrize(
+    "sample, error",
+    [
+        ((2**63, 3.0), ValueError),
+        ((-1, 3.0), ValueError),
+        ((3000, float("nan")), ValueError),
+        ((3000, float("inf")), ValueError),
+        ((2000, 3.0), NonMonotonicTimestamp),
+        ((3000, 1.0), CounterRegression),
+    ],
+    ids=["past-int64", "negative", "nan", "inf", "non-monotonic", "counter-regression"],
+)
+def test_rejected_append_leaves_columns_unchanged(sample, error):
+    s = make_counter([(1000, 1.0), (2000, 2.0)])
+    with pytest.raises(error):
+        s.append(sample)
+    assert len(s) == len(s._ts) == len(s._values) == 2
+    assert s.last() == Sample(2000, 2.0)
+    s.append((3000, 3.0))
+    assert s.samples()[-1] == Sample(3000, 3.0)
+
+
+def test_int64_timestamp_limit_accepted():
+    s = make_counter([(2**63 - 1, 1.0)])
+    assert s.last() == Sample(2**63 - 1, 1.0)
+
+
 # rate
+
+counter_samples = st.lists(
+    st.tuples(
+        st.one_of(st.just(1000), st.integers(min_value=1, max_value=3000)),
+        st.floats(min_value=0.0, max_value=1e6),
+    ),
+    max_size=12,
+).map(
+    # (gap, increment) pairs to a monotone counter starting at t=2000
+    lambda steps: [
+        (2000 + sum(g for g, _ in steps[: i + 1]), sum(v for _, v in steps[: i + 1]))
+        for i in range(len(steps))
+    ]
+)
+
+
+@given(counter_samples, st.integers(min_value=1, max_value=5000), st.data())
+@settings(max_examples=200, deadline=None)
+def test_vectorised_rates_equal_scalar_rate(samples, window_ms, data):
+    # exact-hit, window-shifted and arbitrary end points, so windows are
+    # hit exactly, interpolated, and uncovered on either side; a series
+    # of zero or one sample covers no window
+    series = make_counter(samples)
+    stamps = [t for t, _ in samples]
+    points = st.integers(min_value=0, max_value=40_000)
+    if stamps:
+        shifted = stamps + [t + window_ms for t in stamps]
+        points = st.one_of(points, st.sampled_from(shifted))
+    ends = data.draw(st.lists(points, max_size=30))
+    got, covered = rates(series, np.array(ends, dtype=np.int64), window_ms)
+    for t, value, ok in zip(ends, got.tolist(), covered.tolist()):
+        try:
+            want = rate(series, t - window_ms, t)
+        except EmptyWindow:
+            assert not ok and value == 0.0
+        else:
+            assert ok and value == want
+
+
+def test_vectorised_rates_reject_what_rate_rejects():
+    s = make_counter([(0, 0.0), (4000, 400.0)])
+    with pytest.raises(BadInterval):
+        rates(s, np.array([3000]), 0)
+    g = Series("w", {}, GAUGE)
+    g.append((0, 1.0))
+    with pytest.raises(KindMismatch):
+        rates(g, np.array([3000]), 1000)
+
+
+def test_append_after_reads():
+    # reads hand numpy copies only: a live column that exported its
+    # buffer would make this append raise BufferError
+    store = MetricStore()
+    for t in range(0, 5001, 1000):
+        store.append("e", {"i": "0"}, COUNTER, (t, float(t)))
+    series = store.get("e", {"i": "0"})
+    ts, values = series.columns()
+    rates(series, ts, 2000)
+    query(store, "sum(rate(e[2s]))")
+    series.append((6000, 6000.0))
+    assert len(series) == 7 and len(ts) == len(values) == 6
 
 def test_rate_difference_quotient():
     # (160 - 100) J over 2 s -> 30.0 W
@@ -400,7 +490,10 @@ def test_reads_race_series_creation():
         try:
             while not stop.is_set():
                 store.series()
-                store.match("e", {"mode": "dynamic"})
+                for series in store.match("e", {"mode": "dynamic"})[:20]:
+                    ts, values = series.columns()
+                    assert len(ts) == len(values)
+                    rates(series, ts, 2000)
                 query(store, expr)
                 store.has_metric("missing")
                 format_exposition(store)
