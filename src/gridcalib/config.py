@@ -1,17 +1,23 @@
 """Scenario configuration: a strict JSON schema, file loading, and presets.
 
-The parser rejects unknown fields at every nesting level and reports
-problems with the full field path ("workloads[0].kind: ..."), so typos
-in a scenario sweep fail loudly instead of silently running defaults.
+The spec dataclasses are the schema. One walker reads their fields both
+ways: parse_config checks a JSON object against them, config_to_dict
+writes a config back. The parser rejects unknown fields at every nesting
+level and reports problems with the full field path ("workloads[0].kind:
+..."), so typos in a scenario sweep fail loudly instead of silently
+running defaults.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+import types
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any
 
 from .emulation import (
     DEFAULT_SYSTEM_BASELINE_W,
@@ -99,6 +105,9 @@ class StorageSpec:
     max_discharge_rate_w: float | None = None
     efficiency: float = 1.0
 
+    def __post_init__(self):
+        self.build()
+
     def build(self) -> SimpleBattery:
         return SimpleBattery(
             capacity_j=self.capacity_j,
@@ -139,7 +148,7 @@ class ScenarioConfig:
     schedule: LoadSchedule | None = None
     schedule_knob: str | None = None
     meter: MeterSpec | None = None
-    approximation: ApproximationParams = field(default_factory=ApproximationParams)
+    approximation: ApproximationParams | None = None
     actors: tuple[ActorSpec, ...] = ()
     storage: StorageSpec | None = None
     outputs: str | None = None
@@ -205,6 +214,8 @@ class ScenarioConfig:
                 )
         if self.meter is None:
             object.__setattr__(self, "meter", MeterSpec(seed=self.seed))
+        if self.approximation is None:
+            object.__setattr__(self, "approximation", ApproximationParams())
         seen_ids: set[str] = set()
         for spec in self.actors:
             if isinstance(spec, NamespaceActorSpec) and not self.workloads:
@@ -217,7 +228,38 @@ class ScenarioConfig:
             seen_ids.add(spec.resolved_id)
 
 
-# --- strict walker helpers ---------------------------------------------------
+# --- the schema walker -------------------------------------------------------
+#
+# A field without a default is required, and its annotation decides which
+# JSON values it accepts. Two JSON shapes differ from their dataclass: an
+# actor is tagged by "type" (a namespace actor omits a None actor_id), and
+# the schedule object carries the scenario's knob and has values only for
+# kind custom.
+
+_ACTOR_TYPES = {
+    "namespace": NamespaceActorSpec,
+    "static": StaticActorSpec,
+    "trace": TraceActorSpec,
+}
+_ACTOR_TAGS = {cls: tag for tag, cls in _ACTOR_TYPES.items()}
+
+_SCALARS = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
+@functools.cache
+def _schema(cls: type) -> tuple[tuple[str, Any, bool], ...]:
+    """(name, annotation, required) per field, resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    )
+
 
 def _where(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
@@ -229,276 +271,89 @@ def _mapping(value: Any, path: str) -> dict:
     return dict(value)
 
 
-def _reject_unknown(leftover: Mapping[str, Any], path: str) -> None:
-    if leftover:
-        key = sorted(leftover)[0]
-        raise ConfigError(f"{_where(path, key)}: unknown field")
+def _value(tp: Any, value: Any, where: str) -> Any:
+    """Decode one JSON value as annotation tp."""
+    if tp == ActorSpec:  # the one union that is not X | None: tagged by "type"
+        return _actor(value, where)
+    args = typing.get_args(tp)
+    if isinstance(tp, types.UnionType):  # X | None
+        return None if value is None else _value(args[0], value, where)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
+        if args[-1] is Ellipsis:
+            return tuple(_value(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+        if len(value) != len(args):
+            raise ConfigError(f"{where}: expected {len(args)} items, got {len(value)}")
+        return tuple(_value(a, v, where) for a, v in zip(args, value))
+    if is_dataclass(tp):
+        return _build(tp, _mapping(value, where), where)
+    accepted, expected = _SCALARS[tp]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and tp is not bool):
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+    return float(value) if tp is float else value
 
 
-def _as_int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_num(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _as_str(value: Any, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where}: expected a string, got {value!r}")
-    return value
-
-
-def _as_bool(value: Any, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}: expected true or false, got {value!r}")
-    return value
-
-
-def _as_list(value: Any, where: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
-    return value
-
-
-def _parse_workload(data: Any, path: str) -> WorkloadSpec:
-    d = _mapping(data, path)
-    if "process_id" not in d:
-        raise ConfigError(f"{_where(path, 'process_id')}: required")
-    kwargs: dict[str, Any] = {
-        "process_id": _as_str(d.pop("process_id"), _where(path, "process_id"))
-    }
-    for key in ("kind", "namespace", "load_knob"):
-        if key in d:
-            kwargs[key] = _as_str(d.pop(key), _where(path, key))
-    for key in ("idle_share_w", "dyn_coeff_w", "noise_sigma_w", "leakage_lambda"):
-        if key in d:
-            kwargs[key] = _as_num(d.pop(key), _where(path, key))
-    _reject_unknown(d, path)
+def _build(cls: type, d: dict, path: str, **given: Any) -> Any:
+    """Construct cls from the JSON object d; fields in given skip the JSON."""
+    schema = [entry for entry in _schema(cls) if entry[0] not in given]
+    for name, _, required in schema:
+        if required and name not in d:
+            raise ConfigError(f"{_where(path, name)}: required")
+    kwargs = dict(given)
+    for name, tp, _ in schema:
+        if name in d:
+            kwargs[name] = _value(tp, d.pop(name), _where(path, name))
+    if d:
+        raise ConfigError(f"{_where(path, sorted(d)[0])}: unknown field")
     try:
-        return WorkloadSpec(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _parse_schedule(data: Any, path: str) -> tuple[LoadSchedule, str | None]:
-    d = _mapping(data, path)
-    if "kind" not in d:
-        raise ConfigError(f"{_where(path, 'kind')}: required")
-    kind = _as_str(d.pop("kind"), _where(path, "kind"))
-    if kind not in SCHEDULE_KINDS:
-        raise ConfigError(
-            f"{_where(path, 'kind')}: must be one of {SCHEDULE_KINDS}, got {kind!r}"
-        )
-    runtime_ms = None
-    if "runtime_ms" in d:
-        runtime_ms = _as_int(d.pop("runtime_ms"), _where(path, "runtime_ms"))
-        if runtime_ms <= 0:
-            raise ConfigError(
-                f"{_where(path, 'runtime_ms')}: must be positive, got {runtime_ms}"
-            )
-    knob = None
-    if "knob" in d:
-        knob = _as_str(d.pop("knob"), _where(path, "knob"))
-        if knob not in LOAD_KNOBS:
-            raise ConfigError(
-                f"{_where(path, 'knob')}: must be one of {LOAD_KNOBS}, got {knob!r}"
-            )
-    if kind == "custom":
-        if "values" not in d:
-            raise ConfigError(f"{_where(path, 'values')}: required for kind custom")
-        raw = _as_list(d.pop("values"), _where(path, "values"))
-        values = tuple(
-            _as_num(v, f"{_where(path, 'values')}[{i}]") for i, v in enumerate(raw)
-        )
-        if knob is None:
-            raise ConfigError(f"{_where(path, 'knob')}: required for kind custom")
-        _reject_unknown(d, path)
-        try:
-            schedule = LoadSchedule("custom", values, runtime_ms or 600_000)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-        return schedule, knob
-    if "values" in d:
-        raise ConfigError(
-            f"{_where(path, 'values')}: only allowed with kind custom "
-            f"(the {kind} sequence is fixed)"
-        )
-    _reject_unknown(d, path)
-    schedule = builtin_schedule(kind)
-    if runtime_ms is not None:
-        schedule = replace(schedule, runtime_ms=runtime_ms)
-    return schedule, knob
-
-
-def _parse_meter(data: Any, path: str, default_seed: int) -> MeterSpec:
-    d = _mapping(data, path)
-    kwargs: dict[str, Any] = {"seed": default_seed}
-    for key in ("voltage_v", "relative_error_v", "relative_error_i", "relative_error_phi"):
-        if key in d:
-            kwargs[key] = _as_num(d.pop(key), _where(path, key))
-    if "sample_interval_ms" in d:
-        kwargs["sample_interval_ms"] = _as_int(
-            d.pop("sample_interval_ms"), _where(path, "sample_interval_ms")
-        )
-    if "seed" in d:
-        kwargs["seed"] = _as_int(d.pop("seed"), _where(path, "seed"))
-    _reject_unknown(d, path)
-    try:
-        return MeterSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_approximation(data: Any, path: str) -> ApproximationParams:
-    d = _mapping(data, path)
-    kwargs: dict[str, Any] = {}
-    for key in ("gain", "bias_w", "sigma_w"):
-        if key in d:
-            kwargs[key] = _as_num(d.pop(key), _where(path, key))
-    _reject_unknown(d, path)
-    try:
-        return ApproximationParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_actor(data: Any, path: str) -> ActorSpec:
-    d = _mapping(data, path)
+def _actor(value: Any, where: str) -> ActorSpec:
+    d = _mapping(value, where)
     if "type" not in d:
-        raise ConfigError(f"{_where(path, 'type')}: required")
-    kind = _as_str(d.pop("type"), _where(path, "type"))
-    try:
-        if kind == "namespace":
-            if "namespace" not in d:
-                raise ConfigError(f"{_where(path, 'namespace')}: required")
-            namespace = _as_str(d.pop("namespace"), _where(path, "namespace"))
-            actor_id = None
-            if "actor_id" in d:
-                actor_id = _as_str(d.pop("actor_id"), _where(path, "actor_id"))
-            _reject_unknown(d, path)
-            return NamespaceActorSpec(namespace, actor_id)
-        if kind == "static":
-            for key in ("actor_id", "power_w"):
-                if key not in d:
-                    raise ConfigError(f"{_where(path, key)}: required")
-            actor_id = _as_str(d.pop("actor_id"), _where(path, "actor_id"))
-            power_w = _as_num(d.pop("power_w"), _where(path, "power_w"))
-            _reject_unknown(d, path)
-            return StaticActorSpec(actor_id, power_w)
-        if kind == "trace":
-            for key in ("actor_id", "points"):
-                if key not in d:
-                    raise ConfigError(f"{_where(path, key)}: required")
-            actor_id = _as_str(d.pop("actor_id"), _where(path, "actor_id"))
-            raw = _as_list(d.pop("points"), _where(path, "points"))
-            points = []
-            for i, entry in enumerate(raw):
-                spot = f"{_where(path, 'points')}[{i}]"
-                if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                    raise ConfigError(f"{spot}: expected [time_ms, power_w]")
-                points.append((_as_int(entry[0], spot), _as_num(entry[1], spot)))
-            _reject_unknown(d, path)
-            return TraceActorSpec(actor_id, tuple(points))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    raise ConfigError(
-        f"{_where(path, 'type')}: must be namespace, static, or trace, got {kind!r}"
-    )
+        raise ConfigError(f"{where}.type: required")
+    tag = _value(str, d.pop("type"), f"{where}.type")
+    if tag not in _ACTOR_TYPES:
+        raise ConfigError(
+            f"{where}.type: must be namespace, static, or trace, got {tag!r}"
+        )
+    if d.get("actor_id", "") is None:  # a None actor_id is omitted, never null
+        raise ConfigError(f"{where}.actor_id: expected a string, got None")
+    return _build(_ACTOR_TYPES[tag], d, where)
 
 
-def _parse_storage(data: Any, path: str) -> StorageSpec:
-    d = _mapping(data, path)
-    if "capacity_j" not in d:
-        raise ConfigError(f"{_where(path, 'capacity_j')}: required")
-    kwargs: dict[str, Any] = {
-        "capacity_j": _as_num(d.pop("capacity_j"), _where(path, "capacity_j"))
-    }
-    for key in ("charge_j", "efficiency"):
-        if key in d:
-            kwargs[key] = _as_num(d.pop(key), _where(path, key))
-    for key in ("max_charge_rate_w", "max_discharge_rate_w"):
-        if key in d:
-            value = d.pop(key)
-            if value is not None:
-                value = _as_num(value, _where(path, key))
-            kwargs[key] = value
-    _reject_unknown(d, path)
-    spec = StorageSpec(**kwargs)
-    try:
-        spec.build()  # surface battery invariant violations at parse time
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return spec
+def _schedule(value: Any) -> tuple[LoadSchedule, str | None]:
+    d = _mapping(value, "schedule")
+    knob = _value(str, d.pop("knob"), "schedule.knob") if "knob" in d else None
+    kind = _value(str, d["kind"], "schedule.kind") if "kind" in d else None
+    if kind is not None and kind not in SCHEDULE_KINDS:
+        raise ConfigError(
+            f"schedule.kind: must be one of {SCHEDULE_KINDS}, got {kind!r}"
+        )
+    given = {}
+    if kind in SCHEDULE_KNOBS:  # a builtin kind: its values are fixed
+        if "values" in d:
+            raise ConfigError(
+                f"schedule.values: only allowed with kind custom "
+                f"(the {kind} sequence is fixed)"
+            )
+        given["values"] = builtin_schedule(kind).values
+    return _build(LoadSchedule, d, "schedule", **given), knob
 
 
 def parse_config(data: Any, source: str = "") -> ScenarioConfig:
     """Validate a decoded JSON object into a ScenarioConfig."""
     d = _mapping(data, source or "config")
-    for key in ("duration_ms", "seed"):
-        if key not in d:
-            raise ConfigError(f"{key}: required")
-    kwargs: dict[str, Any] = {
-        "duration_ms": _as_int(d.pop("duration_ms"), "duration_ms"),
-        "seed": _as_int(d.pop("seed"), "seed"),
-    }
-    for key in (
-        "dt_ms",
-        "warmup_ms",
-        "emission_interval_ms",
-        "signal_interval_ms",
-        "query_window_ms",
-    ):
-        if key in d:
-            kwargs[key] = _as_int(d.pop(key), key)
-    for key in ("m_idle_capture", "idle_split"):
-        if key in d:
-            kwargs[key] = _as_str(d.pop(key), key)
-    if "strict_signals" in d:
-        kwargs["strict_signals"] = _as_bool(d.pop("strict_signals"), "strict_signals")
-    if "system_baseline_w" in d:
-        kwargs["system_baseline_w"] = _as_num(
-            d.pop("system_baseline_w"), "system_baseline_w"
-        )
-    if "workloads" in d:
-        raw = _as_list(d.pop("workloads"), "workloads")
-        kwargs["workloads"] = tuple(
-            _parse_workload(w, f"workloads[{i}]") for i, w in enumerate(raw)
-        )
-    if "schedule" in d:
-        raw = d.pop("schedule")
-        if raw is not None:
-            kwargs["schedule"], kwargs["schedule_knob"] = _parse_schedule(
-                raw, "schedule"
-            )
-    if "meter" in d:
-        raw = d.pop("meter")
-        if raw is not None:
-            kwargs["meter"] = _parse_meter(raw, "meter", kwargs["seed"])
-    if "approximation" in d:
-        raw = d.pop("approximation")
-        if raw is not None:
-            kwargs["approximation"] = _parse_approximation(raw, "approximation")
-    if "actors" in d:
-        raw = _as_list(d.pop("actors"), "actors")
-        kwargs["actors"] = tuple(
-            _parse_actor(a, f"actors[{i}]") for i, a in enumerate(raw)
-        )
-    if "storage" in d:
-        raw = d.pop("storage")
-        if raw is not None:
-            kwargs["storage"] = _parse_storage(raw, "storage")
-    if "outputs" in d:
-        raw = d.pop("outputs")
-        if raw is not None:
-            raw = _as_str(raw, "outputs")
-        kwargs["outputs"] = raw
-    _reject_unknown(d, "")
-    return ScenarioConfig(**kwargs)
+    meter = d.get("meter")
+    if isinstance(meter, dict) and "seed" not in meter:
+        d["meter"] = {**meter, "seed": d.get("seed")}
+    schedule = d.pop("schedule", None)
+    schedule, knob = (None, None) if schedule is None else _schedule(schedule)
+    return _build(ScenarioConfig, d, "", schedule=schedule, schedule_knob=knob)
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -515,84 +370,27 @@ def load_config(path: str | Path) -> ScenarioConfig:
     return parse_config(data, str(path))
 
 
+def _dump(value: Any) -> Any:
+    if isinstance(value, tuple):
+        return [_dump(v) for v in value]
+    if not is_dataclass(value):
+        return value
+    return {f.name: _dump(getattr(value, f.name)) for f in fields(value)}
+
+
 def config_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
     """Canonical JSON-ready form; parse_config round-trips it."""
-    schedule = None
-    if cfg.schedule is not None:
-        schedule = {
-            "kind": cfg.schedule.kind,
-            "runtime_ms": cfg.schedule.runtime_ms,
-            "knob": cfg.schedule_knob,
-        }
-        if cfg.schedule.kind == "custom":
-            schedule["values"] = list(cfg.schedule.values)
-    actors = []
-    for spec in cfg.actors:
-        if isinstance(spec, NamespaceActorSpec):
-            entry: dict[str, Any] = {"type": "namespace", "namespace": spec.namespace}
-            if spec.actor_id is not None:
-                entry["actor_id"] = spec.actor_id
-        elif isinstance(spec, StaticActorSpec):
-            entry = {"type": "static", "actor_id": spec.actor_id, "power_w": spec.power_w}
-        else:
-            entry = {
-                "type": "trace",
-                "actor_id": spec.actor_id,
-                "points": [[t, w] for t, w in spec.points],
-            }
-        actors.append(entry)
-    storage = None
-    if cfg.storage is not None:
-        storage = {
-            "capacity_j": cfg.storage.capacity_j,
-            "charge_j": cfg.storage.charge_j,
-            "max_charge_rate_w": cfg.storage.max_charge_rate_w,
-            "max_discharge_rate_w": cfg.storage.max_discharge_rate_w,
-            "efficiency": cfg.storage.efficiency,
-        }
-    return {
-        "duration_ms": cfg.duration_ms,
-        "dt_ms": cfg.dt_ms,
-        "seed": cfg.seed,
-        "warmup_ms": cfg.warmup_ms,
-        "emission_interval_ms": cfg.emission_interval_ms,
-        "signal_interval_ms": cfg.signal_interval_ms,
-        "query_window_ms": cfg.query_window_ms,
-        "m_idle_capture": cfg.m_idle_capture,
-        "strict_signals": cfg.strict_signals,
-        "idle_split": cfg.idle_split,
-        "system_baseline_w": cfg.system_baseline_w,
-        "workloads": [
-            {
-                "process_id": w.process_id,
-                "kind": w.kind,
-                "namespace": w.namespace,
-                "idle_share_w": w.idle_share_w,
-                "dyn_coeff_w": w.dyn_coeff_w,
-                "load_knob": w.load_knob,
-                "noise_sigma_w": w.noise_sigma_w,
-                "leakage_lambda": w.leakage_lambda,
-            }
-            for w in cfg.workloads
-        ],
-        "schedule": schedule,
-        "meter": {
-            "voltage_v": cfg.meter.voltage_v,
-            "relative_error_v": cfg.meter.relative_error_v,
-            "relative_error_i": cfg.meter.relative_error_i,
-            "relative_error_phi": cfg.meter.relative_error_phi,
-            "sample_interval_ms": cfg.meter.sample_interval_ms,
-            "seed": cfg.meter.seed,
-        },
-        "approximation": {
-            "gain": cfg.approximation.gain,
-            "bias_w": cfg.approximation.bias_w,
-            "sigma_w": cfg.approximation.sigma_w,
-        },
-        "actors": actors,
-        "storage": storage,
-        "outputs": cfg.outputs,
-    }
+    out = _dump(cfg)
+    knob = out.pop("schedule_knob")
+    if out["schedule"] is not None:
+        out["schedule"]["knob"] = knob
+        if cfg.schedule.kind != "custom":
+            del out["schedule"]["values"]
+    for spec, entry in zip(cfg.actors, out["actors"]):
+        entry["type"] = _ACTOR_TAGS[type(spec)]
+        if entry["actor_id"] is None:
+            del entry["actor_id"]
+    return out
 
 
 # --- presets -----------------------------------------------------------------

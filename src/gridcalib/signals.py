@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from typing import Callable, Mapping
+from typing import Callable
 
 from .timeseries import MetricStore, QueryExpr, parse_query, query
 
@@ -192,24 +192,3 @@ def make_query_signal(
     parsed = parse_query(expr) if isinstance(expr, str) else expr
     return make_collector_signal(lambda: query(store, parsed), interval_ms, clock)
 
-
-def make_latest_value_signal(
-    store: MetricStore,
-    name: str,
-    labels: Mapping[str, str] | None = None,
-    interval_ms: int | None = None,
-    clock: Clock | None = None,
-) -> Signal:
-    """Signal tracking the latest sample of one series (gauge-style read).
-
-    While the series has no samples the collector raises, which the
-    signal counts as an error and keeps its previous value.
-    """
-
-    def collect() -> float:
-        value = store.latest(name, labels)
-        if value is None:
-            raise LookupError(f"no samples yet for {name!r} {dict(labels or {})!r}")
-        return value
-
-    return make_collector_signal(collect, interval_ms, clock)

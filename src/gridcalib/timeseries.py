@@ -428,13 +428,6 @@ class MetricStore:
             return list(named)
         return [series for series in named if series in hits]
 
-    def latest(self, name: str, labels: Mapping[str, str] | None = None) -> float | None:
-        series = self.get(name, labels)
-        if series is None:
-            return None
-        last = series.last()
-        return None if last is None else last.value
-
     def current_time_ms(self) -> int:
         """Largest sample timestamp seen across all series (0 when empty)."""
         return self._watermark.ms

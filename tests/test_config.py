@@ -1,10 +1,19 @@
 """Config schema: strict parsing, field paths, presets, round trips."""
 
+import copy
+import dataclasses
 import json
+import re
+import typing
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcalib.config import (
+    IDLE_SPLIT_MODES,
+    M_IDLE_CAPTURE_MODES,
     PRESETS,
     NamespaceActorSpec,
     ScenarioConfig,
@@ -18,7 +27,16 @@ from gridcalib.config import (
     preset_names,
     resolve_config,
 )
-from gridcalib.emulation import ApproximationParams, WorkloadSpec, builtin_schedule
+from gridcalib.emulation import (
+    LOAD_KNOBS,
+    SCHEDULE_KNOBS,
+    WORKLOAD_KINDS,
+    ApproximationParams,
+    LoadSchedule,
+    MeterSpec,
+    WorkloadSpec,
+    builtin_schedule,
+)
 from gridcalib.errors import ConfigError
 
 
@@ -338,3 +356,215 @@ def test_storage_spec_none_rates_unlimited():
 
 def test_approximation_defaults():
     assert parse_config(minimal_dict()).approximation == ApproximationParams()
+
+
+def test_readme_json_blocks_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        parse_config(json.loads(block))
+
+
+# --- the walker: a round trip over random configs, and a wrong-type table ---
+
+names = st.text(alphabet="abcdefgh", min_size=1, max_size=6)
+watts = st.floats(min_value=0.0, max_value=1e6)
+signed_watts = st.floats(min_value=-1e6, max_value=1e6)
+
+
+@st.composite
+def scenario_configs(draw):
+    pids = draw(st.lists(names, max_size=3, unique=True))
+    workloads = tuple(
+        WorkloadSpec(
+            process_id=pid,
+            kind=draw(st.sampled_from(WORKLOAD_KINDS)),
+            namespace=draw(names),
+            idle_share_w=draw(watts),
+            dyn_coeff_w=draw(watts),
+            load_knob=draw(st.sampled_from(LOAD_KNOBS)),
+            noise_sigma_w=draw(watts),
+            leakage_lambda=draw(st.floats(min_value=0.0, max_value=0.99)),
+        )
+        for pid in pids
+    )
+    schedule = knob = None
+    runtime_ms = draw(st.integers(min_value=1, max_value=10**7))
+    shape = draw(st.sampled_from(["none", "builtin", "custom"] if workloads else ["none"]))
+    if shape == "builtin":
+        kind = draw(st.sampled_from(sorted(SCHEDULE_KNOBS)))
+        schedule = LoadSchedule(kind, builtin_schedule(kind).values, runtime_ms)
+        knob = draw(st.none() | st.sampled_from(LOAD_KNOBS))
+    elif shape == "custom":
+        values = draw(st.lists(watts, min_size=1, max_size=4))
+        schedule = LoadSchedule("custom", tuple(values), runtime_ms)
+        knob = draw(st.sampled_from(LOAD_KNOBS))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    meter = draw(
+        st.none()
+        | st.builds(
+            MeterSpec,
+            voltage_v=st.floats(min_value=1.0, max_value=400.0),
+            relative_error_v=st.floats(min_value=0.0, max_value=0.01),
+            relative_error_i=st.floats(min_value=0.0, max_value=0.015),
+            relative_error_phi=st.floats(min_value=0.0, max_value=0.01),
+            sample_interval_ms=st.integers(min_value=1, max_value=5000),
+            seed=st.just(seed) | st.integers(min_value=0, max_value=2**32),
+        )
+    )
+    approximation = draw(
+        st.none()
+        | st.builds(
+            ApproximationParams,
+            gain=st.floats(min_value=0.1, max_value=10.0),
+            bias_w=signed_watts,
+            sigma_w=watts,
+        )
+    )
+    actor_kinds = [
+        st.builds(StaticActorSpec, actor_id=names, power_w=signed_watts),
+        st.builds(
+            TraceActorSpec,
+            actor_id=names,
+            points=st.lists(
+                st.tuples(st.integers(min_value=0, max_value=10**9), signed_watts),
+                min_size=1,
+                max_size=3,
+            ).map(tuple),
+        ),
+    ]
+    if workloads:
+        actor_kinds.append(
+            st.builds(
+                NamespaceActorSpec,
+                namespace=st.sampled_from(sorted({w.namespace for w in workloads})),
+                actor_id=st.none() | names,
+            )
+        )
+    actors = draw(
+        st.lists(st.one_of(actor_kinds), max_size=4, unique_by=lambda a: a.resolved_id)
+    )
+    storage = None
+    if draw(st.booleans()):
+        capacity = draw(watts)
+        storage = StorageSpec(
+            capacity_j=capacity,
+            charge_j=capacity * draw(st.floats(min_value=0.0, max_value=1.0)),
+            max_charge_rate_w=draw(st.none() | watts),
+            max_discharge_rate_w=draw(st.none() | watts),
+            efficiency=draw(st.floats(min_value=0.01, max_value=1.0)),
+        )
+    dt_ms = draw(st.sampled_from([1, 250, 1000]))
+    return ScenarioConfig(
+        duration_ms=dt_ms * draw(st.integers(min_value=1, max_value=10**4)),
+        seed=seed,
+        dt_ms=dt_ms,
+        warmup_ms=draw(st.integers(min_value=0, max_value=10**6)),
+        emission_interval_ms=draw(st.integers(min_value=1, max_value=10**4)),
+        signal_interval_ms=draw(st.integers(min_value=1, max_value=10**4)),
+        query_window_ms=1000 * draw(st.integers(min_value=1, max_value=10)),
+        m_idle_capture=draw(st.sampled_from(M_IDLE_CAPTURE_MODES)),
+        strict_signals=draw(st.booleans()),
+        idle_split=draw(st.sampled_from(IDLE_SPLIT_MODES)),
+        system_baseline_w=draw(watts),
+        workloads=workloads,
+        schedule=schedule,
+        schedule_knob=knob,
+        meter=meter,
+        approximation=approximation,
+        actors=tuple(actors),
+        storage=storage,
+        outputs=draw(st.none() | names),
+    )
+
+
+def _integral_as_int(value):
+    # -0.0 has no integer spelling
+    if isinstance(value, float) and value.is_integer() and repr(value) != "-0.0":
+        return int(value)
+    if isinstance(value, list):
+        return [_integral_as_int(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _integral_as_int(v) for k, v in value.items()}
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario_configs())
+def test_json_round_trip(cfg):
+    text = json.dumps(config_to_dict(cfg), sort_keys=True)
+    data = json.loads(text)
+    assert parse_config(data) == cfg
+    # a float field written as an integer still reads, and writes, as a float
+    rewritten = config_to_dict(parse_config(_integral_as_int(data)))
+    assert json.dumps(rewritten, sort_keys=True) == text
+    if cfg.meter.seed == cfg.seed:
+        # a meter without a seed takes the scenario's
+        del data["meter"]["seed"]
+        assert parse_config(data) == cfg
+
+
+# One valid config that holds every spec class, and where each class sits.
+FULL_CONFIG = {
+    "duration_ms": 10_000,
+    "seed": 7,
+    "workloads": [{"process_id": "svc"}],
+    "schedule": {"kind": "custom", "values": [1.0], "knob": "rps"},
+    "meter": {},
+    "approximation": {},
+    "actors": [
+        {"type": "namespace", "namespace": "bench"},
+        {"type": "static", "actor_id": "s", "power_w": 1.0},
+        {"type": "trace", "actor_id": "t", "points": [[0, 1.0]]},
+    ],
+    "storage": {"capacity_j": 10.0},
+}
+SPEC_PATHS = {
+    ScenarioConfig: "",
+    WorkloadSpec: "workloads[0]",
+    LoadSchedule: "schedule",
+    MeterSpec: "meter",
+    ApproximationParams: "approximation",
+    NamespaceActorSpec: "actors[0]",
+    StaticActorSpec: "actors[1]",
+    TraceActorSpec: "actors[2]",
+    StorageSpec: "storage",
+}
+# the one field whose JSON key sits elsewhere: ScenarioConfig.schedule_knob
+JSON_KEYS = {(ScenarioConfig, "schedule_knob"): ("schedule", "knob")}
+
+
+def _wrong_type_cases():
+    for cls, path in SPEC_PATHS.items():
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            obj_path, key = JSON_KEYS.get((cls, f.name), (path, f.name))
+            tp = hints[f.name]
+            if type(None) in typing.get_args(tp):
+                tp = typing.get_args(tp)[0]
+            wrong = 5 if tp is str else "x"
+            full = f"{obj_path}.{key}" if obj_path else key
+            yield pytest.param(obj_path, key, wrong, full, id=f"{cls.__name__}.{f.name}")
+
+
+def _at(data, path):
+    for part in filter(None, path.split(".")):
+        name, _, index = part.partition("[")
+        data = data[name]
+        if index:
+            data = data[int(index.rstrip("]"))]
+    return data
+
+
+def test_full_config_is_valid():
+    parse_config(FULL_CONFIG)
+
+
+@pytest.mark.parametrize("obj_path, key, wrong, full", list(_wrong_type_cases()))
+def test_wrong_type_names_the_field(obj_path, key, wrong, full):
+    data = copy.deepcopy(FULL_CONFIG)
+    _at(data, obj_path)[key] = wrong
+    with pytest.raises(ConfigError) as err:
+        parse_config(data)
+    assert str(err.value).startswith(f"{full}: expected ")

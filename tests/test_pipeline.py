@@ -462,20 +462,23 @@ class TestServer:
         _, base = served
         with pytest.raises(urllib.error.HTTPError) as err:
             self.get(base + "/query?expr=oops(")
-        assert err.value.code == 400
-        assert "error" in json.loads(err.value.read())
+        with err.value:
+            assert err.value.code == 400
+            assert "error" in json.loads(err.value.read())
 
     def test_missing_expr_400(self, served):
         _, base = served
         with pytest.raises(urllib.error.HTTPError) as err:
             self.get(base + "/query")
-        assert err.value.code == 400
+        with err.value:
+            assert err.value.code == 400
 
     def test_unknown_path_404(self, served):
         _, base = served
         with pytest.raises(urllib.error.HTTPError) as err:
             self.get(base + "/shutdown")
-        assert err.value.code == 404
+        with err.value:
+            assert err.value.code == 404
 
     def test_bind_error(self):
         blocker = socket.socket()

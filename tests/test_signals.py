@@ -14,10 +14,9 @@ from gridcalib.signals import (
     VirtualClock,
     WallClock,
     make_collector_signal,
-    make_latest_value_signal,
     make_query_signal,
 )
-from gridcalib.timeseries import COUNTER, GAUGE, MetricStore
+from gridcalib.timeseries import COUNTER, MetricStore
 
 
 def test_initial_value_is_zero_before_first_firing():
@@ -200,26 +199,6 @@ class TestQuerySignal:
         clock = VirtualClock()
         with pytest.raises(ParseError):
             make_query_signal(store, "sum(rate(broken[2s])", clock=clock)
-
-
-class TestLatestValueSignal:
-    def test_tracks_latest_gauge_sample(self):
-        store = MetricStore()
-        clock = VirtualClock()
-        series = store.get_or_create("socket_meter_watts", {}, GAUGE)
-        sig = make_latest_value_signal(store, "socket_meter_watts", clock=clock)
-        series.append((500, 231.5))
-        clock.advance(1000)
-        assert sig.now() == 231.5
-
-    def test_empty_series_counts_error_and_keeps_zero(self):
-        store = MetricStore()
-        clock = VirtualClock()
-        store.get_or_create("socket_meter_watts", {}, GAUGE)
-        sig = make_latest_value_signal(store, "socket_meter_watts", clock=clock)
-        clock.advance(2000)
-        assert sig.now() == 0.0
-        assert sig.error_count == 2
 
 
 class TestWallClock:
