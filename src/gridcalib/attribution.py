@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import EmptyProcessSet, ZeroProcesses, ZeroTotalRequest
 
@@ -110,12 +110,3 @@ def split_idle_requested(
     return {
         p.process_id: node.idle * p.requested / node.total_requested for p in procs
     }
-
-
-def merge_shares(*shares: Mapping[str, float]) -> dict[str, float]:
-    """Sum per-process shares across resource classes."""
-    merged: dict[str, float] = {}
-    for share_map in shares:
-        for pid, watts in share_map.items():
-            merged[pid] = merged.get(pid, 0.0) + watts
-    return merged

@@ -231,7 +231,7 @@ class CalibrationStage(Controller):
             zeros, 0.0, 0.0, 0.0, m_idle_w, zeros, zeros, zeros
         )
         self.log: list[tuple[int, CalibrationSnapshot]] = []
-        self._signal = make_collector_signal(self._collect, interval_ms, clock)
+        self._signal = make_collector_signal(self._collect, interval_ms, clock=clock)
 
     @property
     def last_collection_ms(self) -> int:

@@ -104,7 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--wall-clock",
         action="store_true",
-        help="run in real time with live periodic tasks and the TCP meter feed",
+        help=(
+            "run the virtual schedule paced to real time on one thread, samples "
+            "stamped at their scheduled instants; only the TCP meter listener "
+            "runs beside it"
+        ),
     )
     run_p.set_defaults(func=_cmd_run)
 

@@ -17,6 +17,7 @@ import io
 import csv
 import json
 import os
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -86,6 +87,10 @@ ARTIFACT_NAMES = [
     CONFIG_JSON,
 ]
 
+# how long a live run waits for the meter listener to store a reading
+# that has already been published over TCP
+METER_WAIT_S = 5.0
+
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
@@ -103,7 +108,6 @@ class RunArtifacts:
     monitor: Monitor
     events: list[tuple[str, float, int]]
     truth_log: list
-    approx_log: list
     regression: RegressionReport | None
     regression_skipped: str | None
     pairs: list[PairedObservation]
@@ -190,6 +194,7 @@ class _Runtime:
                 self.meter = MeterEmitter(store, config.meter, truth, clock)
         if config.warmup_ms:
             clock.advance(config.warmup_ms)
+        self.await_meter()
         self.m_idle_w = capture_idle_baseline(
             store,
             clock.now_ms(),
@@ -235,6 +240,21 @@ class _Runtime:
             )
             self.engine.add_controller(self.benchmark)
 
+    def await_meter(self) -> None:
+        """Live mode: wait until the listener has stored the last reading
+        the meter published, so the store holds what a virtual run's would."""
+        if self.listener is None or not self.meter.samples:
+            return
+        last_ms = self.meter.samples[-1][0]
+        gauge = self.store.get(METER_GAUGE_METRIC, None)
+        deadline = time.monotonic() + METER_WAIT_S
+        while (gauge.last_timestamp() or 0) < last_ms:
+            if time.monotonic() > deadline:
+                raise GridCalibError(
+                    f"meter reading at {last_ms} ms never reached the store"
+                )
+            time.sleep(0.001)
+
     def close(self) -> None:
         if self.stage is not None:
             self.stage.close()
@@ -269,9 +289,10 @@ def run(
 
     clock = WallClock() if wall_clock else VirtualClock()
     runtime = _Runtime(config, clock, store if store is not None else MetricStore())
-    runtime.build(wall_clock)
     try:
+        runtime.build(wall_clock)
         runtime.engine.run(config.duration_ms)
+        runtime.await_meter()
     finally:
         runtime.close()
     return _write_artifacts(runtime, out)
@@ -316,7 +337,6 @@ def _write_artifacts(runtime: _Runtime, out: Path) -> RunArtifacts:
         monitor=monitor,
         events=events,
         truth_log=list(runtime.emitter.truth_log) if runtime.emitter else [],
-        approx_log=list(runtime.emitter.approx_log) if runtime.emitter else [],
         regression=report,
         regression_skipped=skipped,
         pairs=pairs,

@@ -1,17 +1,17 @@
 """Periodic collection signals with a non-blocking read.
 
 A signal owns one collector function. A clock fires the collector every
-interval; now() returns the last collected value without touching the
-collector, so a slow scrape never blocks the simulation loop. Under a
-virtual clock, due firings run synchronously inside advance(), in
-registration order for equal due times, which makes long scenarios
-deterministic and fast to replay.
+interval; now() returns the last collected value and never calls the
+collector. There is one scheduler: due firings run synchronously inside
+the clock's advance(), on the thread that advances it, in registration
+order for equal due times. VirtualClock moves time only through
+advance(), which makes long scenarios deterministic and fast to replay;
+WallClock runs the same schedule paced to real time.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 import time
 from typing import Callable
 
@@ -69,58 +69,32 @@ class VirtualClock:
         self._now = target
 
 
-class _WallTaskHandle:
-    __slots__ = ("stop", "thread")
+class WallClock(VirtualClock):
+    """The virtual clock's schedule, paced to real time.
 
-    def __init__(self, stop: threading.Event, thread: threading.Thread):
-        self.stop = stop
-        self.thread = thread
-
-
-class WallClock:
-    """Monotonic real-time clock; scheduled tasks run on daemon threads."""
+    advance() sleeps until each due instant and then fires the due tasks
+    on the caller's thread, in the same (time, registration) order as a
+    virtual run; now_ms() is the scheduled instant, not a wall reading.
+    A firing that overruns delays the ones after it but skips none.
+    """
 
     def __init__(self):
+        super().__init__()
         self._t0 = time.monotonic()
-        self._pace_target_s = 0.0
 
-    def now_ms(self) -> int:
-        return int((time.monotonic() - self._t0) * 1000)
-
-    def advance(self, delta_ms: int) -> None:
-        """Pacing for stepped callers: sleep until the next step boundary."""
-        self._pace_target_s += delta_ms / 1000.0
-        wait = self._t0 + self._pace_target_s - time.monotonic()
+    def _sleep_until(self, instant_ms: int) -> None:
+        wait = self._t0 + instant_ms / 1000.0 - time.monotonic()
         if wait > 0:
             time.sleep(wait)
 
-    def schedule(self, interval_ms: int, fire: Callable[[], None]) -> _WallTaskHandle:
-        if interval_ms <= 0:
-            raise ValueError(f"interval must be positive, got {interval_ms}")
-        stop = threading.Event()
-        t0 = time.monotonic()
-        interval_s = interval_ms / 1000.0
-
-        def loop() -> None:
-            k = 1
-            while True:
-                due = t0 + k * interval_s
-                wait = due - time.monotonic()
-                if wait > 0 and stop.wait(wait):
-                    return
-                if stop.is_set():
-                    return
-                fire()
-                # skip intervals missed by a slow collector, no catch-up bursts
-                elapsed = time.monotonic() - t0
-                k = max(k + 1, int(elapsed / interval_s) + 1)
-
-        thread = threading.Thread(target=loop, daemon=True, name="gridcalib-signal")
-        thread.start()
-        return _WallTaskHandle(stop, thread)
-
-    def cancel(self, handle: _WallTaskHandle) -> None:
-        handle.stop.set()
+    def advance(self, delta_ms: int) -> None:
+        target = self._now + int(delta_ms)
+        while True:
+            instant = min(self._due[0][0], target) if self._due else target
+            self._sleep_until(instant)
+            super().advance(instant - self._now)
+            if instant == target:
+                return
 
 
 Clock = VirtualClock | WallClock
@@ -129,11 +103,12 @@ Clock = VirtualClock | WallClock
 class Signal:
     """Latest-value holder refreshed by a scheduled collector.
 
-    current_value starts at 0.0 and changes only at collection instants.
-    A collector failure keeps the previous value and increments
-    error_count. last_collection_ms stays 0 until the first successful
-    collection, so callers that cannot tolerate the initial zero can
-    gate on it.
+    The collector runs inside the clock's advance(), on the thread that
+    advances it; now() only reads the stored value. current_value starts
+    at 0.0 and changes only at collection instants. A collector failure
+    keeps the previous value and increments error_count.
+    last_collection_ms stays 0 until the first successful collection, so
+    callers that cannot tolerate the initial zero can gate on it.
     """
 
     def __init__(
@@ -172,17 +147,19 @@ class Signal:
 def make_collector_signal(
     collector: Callable[[], float],
     interval_ms: int | None = None,
-    clock: Clock | None = None,
+    *,
+    clock: Clock,
 ) -> Signal:
     """Signal over an arbitrary collector; interval defaults to 1000 ms."""
-    return Signal(collector, interval_ms, clock if clock is not None else WallClock())
+    return Signal(collector, interval_ms, clock)
 
 
 def make_query_signal(
     store: MetricStore,
     expr: QueryExpr | str,
     interval_ms: int | None = None,
-    clock: Clock | None = None,
+    *,
+    clock: Clock,
 ) -> Signal:
     """Signal whose collector evaluates a rate query against the store.
 
@@ -190,5 +167,5 @@ def make_query_signal(
     fast instead of surfacing as silent collection errors.
     """
     parsed = parse_query(expr) if isinstance(expr, str) else expr
-    return make_collector_signal(lambda: query(store, parsed), interval_ms, clock)
+    return make_collector_signal(lambda: query(store, parsed), interval_ms, clock=clock)
 

@@ -32,7 +32,6 @@ which never decreases.
 
 from __future__ import annotations
 
-import csv
 import re
 import threading
 from array import array
@@ -40,7 +39,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from math import isfinite
 from operator import attrgetter
-from typing import IO, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -179,9 +178,6 @@ class Series:
         if n == 0:
             return None
         return Sample(self._ts[n - 1], self._values[n - 1])
-
-    def first_timestamp(self) -> int | None:
-        return self._ts[0] if self._ts else None
 
     def last_timestamp(self) -> int | None:
         n = len(self._ts)
@@ -457,11 +453,3 @@ def query(
         except EmptyWindow:
             continue
     return total
-
-
-def export_csv(series: Series, out: IO[str]) -> None:
-    """Write one series as RFC 4180 CSV with header ``timestamp_ms,value``."""
-    writer = csv.writer(out)
-    writer.writerow(["timestamp_ms", "value"])
-    for ts, val in series.samples():
-        writer.writerow([ts, repr(val)])

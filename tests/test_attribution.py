@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gridcalib.attribution import (
     NodePower,
     ProcessUtilization,
-    merge_shares,
     split_dynamic,
     split_idle_even,
     split_idle_requested,
@@ -181,9 +180,3 @@ class TestSplitIdleRequested:
         ps = [ProcessUtilization(f"p{i}", 0.0, requested=r) for i, r in enumerate(reqs)]
         shares = split_idle_requested(node, ps)
         assert sum(shares.values()) == pytest.approx(idle, rel=1e-9, abs=1e-12)
-
-
-def test_merge_shares_sums_per_resource_splits():
-    cpu = {"a": 10.0, "b": 5.0}
-    dram = {"a": 1.5, "c": 2.0}
-    assert merge_shares(cpu, dram) == {"a": 11.5, "b": 5.0, "c": 2.0}

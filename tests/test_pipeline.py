@@ -20,7 +20,7 @@ from gridcalib.config import (
     StaticActorSpec,
     StorageSpec,
 )
-from gridcalib.emulation import LoadSchedule, WorkloadSpec
+from gridcalib.emulation import LoadSchedule, MeterListener, WorkloadSpec
 from gridcalib.errors import (
     BindError,
     ConfigError,
@@ -505,3 +505,33 @@ class TestWallClock:
         assert gauge is not None and len(gauge) >= 1
         # meter readings traveled the TCP line protocol into the store
         assert all(s.value == pytest.approx(25.0) for s in gauge.samples())
+
+    def test_live_run_equals_virtual_run(self, tmp_path):
+        # noiseless meter and constant load: the live run must compute
+        # exactly what the virtual run computes, only paced to real time
+        cfg = ScenarioConfig(
+            duration_ms=2000,
+            seed=5,
+            warmup_ms=1000,
+            workloads=(WorkloadSpec(process_id="svc", idle_share_w=20.0),),
+            actors=(NamespaceActorSpec("bench"),),
+        )
+        live = pipeline.run(cfg, tmp_path / "live", wall_clock=True)
+        virtual = pipeline.run(cfg, tmp_path / "virtual")
+        assert live.m_idle_w == virtual.m_idle_w == 25.0
+        for name in pipeline.ARTIFACT_NAMES:
+            assert (live.out_dir / name).read_bytes() == (
+                virtual.out_dir / name
+            ).read_bytes(), name
+
+    def test_live_run_fails_when_meter_reading_never_lands(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "METER_WAIT_S", 0.05)
+        monkeypatch.setattr(MeterListener, "ingest", lambda self, ts_ms, power_w: None)
+        cfg = ScenarioConfig(
+            duration_ms=1000,
+            seed=5,
+            warmup_ms=1000,
+            workloads=(WorkloadSpec(process_id="svc"),),
+        )
+        with pytest.raises(GridCalibError, match="meter reading at 1000 ms"):
+            pipeline.run(cfg, tmp_path / "live", wall_clock=True)

@@ -202,57 +202,56 @@ class TestQuerySignal:
 
 
 class TestWallClock:
-    def test_now_does_not_block_on_slow_collector(self):
+    def test_advance_fires_on_calling_thread_at_interval_multiples(self):
         clock = WallClock()
-        release = threading.Event()
-
-        def slow() -> float:
-            release.wait(5.0)
-            return 99.0
-
-        sig = make_collector_signal(slow, interval_ms=10, clock=clock)
-        try:
-            time.sleep(0.05)  # collector is now stuck inside its first firing
-            t0 = time.monotonic()
-            value = sig.now()
-            elapsed = time.monotonic() - t0
-            assert value == 0.0
-            assert elapsed < 0.5
-        finally:
-            release.set()
-            sig.close()
-
-    def test_collects_in_real_time(self):
-        clock = WallClock()
-        sig = make_collector_signal(lambda: 5.0, interval_ms=20, clock=clock)
-        try:
-            deadline = time.monotonic() + 2.0
-            while sig.now() == 0.0 and time.monotonic() < deadline:
-                time.sleep(0.005)
-            assert sig.now() == 5.0
-        finally:
-            sig.close()
-
-    def test_no_catch_up_burst_after_slow_collection(self):
-        clock = WallClock()
-        fired: list[float] = []
-        t0 = time.monotonic()
+        fired: list[tuple[int, int]] = []
 
         def collector() -> float:
-            fired.append(time.monotonic() - t0)
-            if len(fired) == 1:
-                time.sleep(0.25)  # miss several 50 ms intervals
-            return float(len(fired))
+            fired.append((threading.get_ident(), clock.now_ms()))
+            return 0.0
 
-        sig = make_collector_signal(collector, interval_ms=50, clock=clock)
-        try:
-            time.sleep(0.6)
-        finally:
-            sig.close()
-        # a catch-up burst would fire back-to-back; gaps must stay near the interval
-        gaps = [b - a for a, b in zip(fired, fired[1:])]
-        assert gaps, "expected at least two firings"
-        assert all(g > 0.03 for g in gaps)
+        make_collector_signal(collector, interval_ms=20, clock=clock)
+        clock.advance(50)
+        clock.advance(50)
+        assert fired == [(threading.get_ident(), t) for t in (20, 40, 60, 80, 100)]
+        assert clock.now_ms() == 100
+
+    def test_fires_in_the_virtual_clocks_order(self):
+        def firings(clock) -> list[tuple[str, int]]:
+            order: list[tuple[str, int]] = []
+            for name, interval in (("a", 30), ("b", 20), ("c", 60)):
+                clock.schedule(interval, lambda name=name: order.append((name, clock.now_ms())))
+            clock.advance(70)
+            clock.advance(50)
+            return order
+
+        assert firings(WallClock()) == firings(VirtualClock())
+
+    def test_schedule_starts_no_thread(self):
+        before = threading.active_count()
+        clock = WallClock()
+        fired: list[int] = []
+        make_collector_signal(lambda: fired.append(1) or 0.0, interval_ms=10, clock=clock)
+        time.sleep(0.05)
+        # nothing fires until someone advances the clock
+        assert fired == []
+        assert threading.active_count() == before
+
+    def test_slow_firing_delays_later_firings_but_skips_none(self):
+        clock = WallClock()
+        stamps: list[int] = []
+
+        def collector() -> float:
+            stamps.append(clock.now_ms())
+            if len(stamps) == 1:
+                time.sleep(0.25)  # overruns several 50 ms intervals
+            return float(len(stamps))
+
+        make_collector_signal(collector, interval_ms=50, clock=clock)
+        t0 = time.monotonic()
+        clock.advance(300)
+        assert stamps == [50, 100, 150, 200, 250, 300]
+        assert time.monotonic() - t0 >= 0.3
 
     def test_advance_paces_real_time(self):
         clock = WallClock()

@@ -1,6 +1,5 @@
 """Metric store, rate, and query tests."""
 
-import io
 import sys
 import threading
 
@@ -26,7 +25,6 @@ from gridcalib.timeseries import (
     QueryExpr,
     Sample,
     Series,
-    export_csv,
     moving_average_rate,
     parse_query,
     query,
@@ -518,12 +516,3 @@ def test_reads_race_series_creation():
     assert not any(thread.is_alive() for thread in readers + [writer])
     assert errors == []
     assert store.current_time_ms() == 200_500
-
-
-# csv export
-
-def test_export_csv_format():
-    s = make_counter([(0, 0.0), (1000, 1.5)])
-    buf = io.StringIO()
-    export_csv(s, buf)
-    assert buf.getvalue() == "timestamp_ms,value\r\n0,0.0\r\n1000,1.5\r\n"
