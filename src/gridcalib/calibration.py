@@ -18,14 +18,13 @@ serialises the same snapshots, so the two agree by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import DegenerateDenominator, EmptyWindow, StaleSignal, ZeroNodeIdle
 from .microgrid import Controller, ControllerView
-from .signals import Clock, make_collector_signal
+from .signals import Clock, Signal
 from .timeseries import MetricStore, Series, rate
 from .wire import (
     METER_GAUGE_METRIC,
@@ -42,48 +41,8 @@ from .wire import (
 # means calibration is undefined, not merely large
 DENOMINATOR_GUARD_W = 1e-6
 
-# relative slack for the p_dyn <= n_dyn and s_dyn <= n_dyn input checks
-CONSISTENCY_TOLERANCE = 1e-6
-
 DEFAULT_QUERY_WINDOW_MS = 2000
 DEFAULT_M_IDLE_WINDOW_MS = 30_000
-
-
-def _checked(value: float, what: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value < 0:
-        raise ValueError(f"{what} must be finite and non-negative, got {value!r}")
-    return value
-
-
-@dataclass(frozen=True)
-class CalibrationInputs:
-    """One coherent snapshot of every quantity calibration consumes.
-
-    p_* refer to the observed process or namespace, n_* to the whole
-    node, s_dyn to system processes, and m/m_idle to the meter.
-    """
-
-    p_dyn: float
-    n_dyn: float
-    s_dyn: float
-    m: float
-    m_idle: float
-    p_idle: float = 0.0
-    n_idle: float = 0.0
-
-    def __post_init__(self):
-        for name in ("p_dyn", "n_dyn", "s_dyn", "m", "m_idle", "p_idle", "n_idle"):
-            object.__setattr__(self, name, _checked(getattr(self, name), name))
-        slack = CONSISTENCY_TOLERANCE * self.n_dyn
-        if self.p_dyn > self.n_dyn + slack:
-            raise ValueError(
-                f"p_dyn {self.p_dyn} exceeds n_dyn {self.n_dyn}: inconsistent inputs"
-            )
-        if self.s_dyn > self.n_dyn + slack:
-            raise ValueError(
-                f"s_dyn {self.s_dyn} exceeds n_dyn {self.n_dyn}: inconsistent inputs"
-            )
 
 
 @dataclass(frozen=True)
@@ -129,8 +88,6 @@ def capture_idle_baseline(
     now_ms: int,
     mode: str = "averaged",
     window_ms: int = DEFAULT_M_IDLE_WINDOW_MS,
-    metric: str = METER_GAUGE_METRIC,
-    labels: Mapping[str, str] | None = None,
 ) -> float:
     """Read the meter's idle level from the store at construction time.
 
@@ -140,7 +97,7 @@ def capture_idle_baseline(
     """
     if mode not in ("averaged", "single"):
         raise ValueError(f"unknown m_idle capture mode {mode!r}")
-    series = store.get(metric, labels)
+    series = store.get(METER_GAUGE_METRIC)
     if series is None:
         return 0.0
     samples = series.samples()
@@ -231,7 +188,7 @@ class CalibrationStage(Controller):
             zeros, 0.0, 0.0, 0.0, m_idle_w, zeros, zeros, zeros
         )
         self.log: list[tuple[int, CalibrationSnapshot]] = []
-        self._signal = make_collector_signal(self._collect, interval_ms, clock=clock)
+        self._signal = Signal(self._collect, interval_ms, clock)
 
     @property
     def last_collection_ms(self) -> int:
@@ -298,9 +255,6 @@ class CalibrationStage(Controller):
 
     def step(self, view: ControllerView) -> None:
         self.log.append((view.time_ms, self.snapshot))
-
-    def close(self) -> None:
-        self._signal.close()
 
 
 class NamespacePowerActor:

@@ -441,7 +441,7 @@ class PowerModelEmitter:
         self.truth_log: list[GroundTruth] = []
         self.approx_log: list[ApproximationSnapshot] = []
         self.latest_truth = self._sample_truth(self._last_emit_ms)
-        self._task = clock.schedule(self.emission_interval_ms, self._fire)
+        clock.schedule(self.emission_interval_ms, self._fire)
 
     def _sample_truth(self, time_ms: int) -> GroundTruth:
         dynamic: dict[str, float] = {}
@@ -478,9 +478,6 @@ class PowerModelEmitter:
         self.truth_log.append(truth)
         self.approx_log.append(approx)
 
-    def close(self) -> None:
-        self._clock.cancel(self._task)
-
 
 class MeterEmitter:
     """Periodic task: measure the current true node draw.
@@ -509,7 +506,7 @@ class MeterEmitter:
             else None
         )
         self.samples: list[tuple[int, float]] = []
-        self._task = clock.schedule(meter.sample_interval_ms, self._fire)
+        clock.schedule(meter.sample_interval_ms, self._fire)
 
     def _fire(self) -> None:
         now_ms = self._clock.now_ms()
@@ -519,9 +516,6 @@ class MeterEmitter:
             self._series.append((now_ms, measured))
         if self._publish is not None:
             self._publish(measured, now_ms)
-
-    def close(self) -> None:
-        self._clock.cancel(self._task)
 
 
 class MeterPublisher:
@@ -573,8 +567,8 @@ class MeterListener(socketserver.ThreadingTCPServer):
         with self._lock:
             try:
                 self._gauge.append((ts_ms, power_w))
-            except NonMonotonicTimestamp:
-                pass  # late or duplicate sample: drop
+            except (NonMonotonicTimestamp, ValueError):
+                pass  # late, duplicate, non-finite or out-of-range sample: drop
 
     def serve_in_background(self) -> threading.Thread:
         thread = threading.Thread(target=self.serve_forever, daemon=True)

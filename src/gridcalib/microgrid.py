@@ -14,7 +14,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -82,7 +81,6 @@ class SimpleBattery:
     max_charge_rate_w: float = math.inf
     max_discharge_rate_w: float = math.inf
     efficiency: float = 1.0
-    policy: str = "battery-first"
 
     def __post_init__(self):
         if not math.isfinite(self.capacity_j) or self.capacity_j < 0:
@@ -95,8 +93,6 @@ class SimpleBattery:
             raise ValueError("rate limits must be non-negative")
         if not 0 < self.efficiency <= 1:
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
-        if self.policy != "battery-first":
-            raise ValueError(f"unknown storage policy {self.policy!r}")
 
     def snapshot(self) -> "SimpleBattery":
         return replace(self)
@@ -178,15 +174,6 @@ class Controller:
         raise NotImplementedError
 
 
-class _CallableController(Controller):
-    def __init__(self, fn: Callable[[ControllerView], None], controller_id: str):
-        self._fn = fn
-        self.controller_id = controller_id
-
-    def step(self, view: ControllerView) -> None:
-        self._fn(view)
-
-
 MONITOR_COLUMNS = [
     "t",
     "time_ms",
@@ -208,24 +195,12 @@ class Monitor:
     def record(self, tick: MicrogridTick) -> None:
         self.ticks.append(tick)
 
-    def to_csv(self, out) -> None:
-        """Write the log to a path or text file object."""
-        if isinstance(out, (str, Path)):
-            with open(out, "w", newline="") as fh:
-                self._write(fh)
-        else:
-            self._write(out)
-
     def csv_bytes(self) -> bytes:
-        buf = io.StringIO(newline="")
-        self._write(buf)
-        return buf.getvalue().encode()
-
-    def _write(self, fh) -> None:
         actor_ids = self.actor_ids
         if not actor_ids and self.ticks:
             actor_ids = list(self.ticks[0].actor_powers)
-        writer = csv.writer(fh)
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
         writer.writerow(MONITOR_COLUMNS + [f"actor.{a}_w" for a in actor_ids])
         for tick in self.ticks:
             row = [
@@ -239,6 +214,7 @@ class Monitor:
             ]
             row += [repr(tick.actor_powers.get(a, 0.0)) for a in actor_ids]
             writer.writerow(row)
+        return buf.getvalue().encode()
 
 
 class Microgrid:
@@ -267,13 +243,7 @@ class Microgrid:
         self.actors.append(actor)
         self.monitor.actor_ids.append(actor.actor_id)
 
-    def add_controller(self, controller) -> None:
-        if not isinstance(controller, Controller):
-            if not callable(controller):
-                raise TypeError("controller must be a Controller or a callable")
-            controller = _CallableController(
-                controller, f"controller{len(self.controllers)}"
-            )
+    def add_controller(self, controller: Controller) -> None:
         self.controllers.append(controller)
 
     def step(self) -> MicrogridTick:

@@ -256,12 +256,6 @@ class _Runtime:
             time.sleep(0.001)
 
     def close(self) -> None:
-        if self.stage is not None:
-            self.stage.close()
-        if self.meter is not None:
-            self.meter.close()
-        if self.emitter is not None:
-            self.emitter.close()
         if self.publisher is not None:
             self.publisher.close()
         if self.listener is not None:

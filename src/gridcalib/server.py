@@ -17,7 +17,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from .errors import BindError, ParseError
+from .errors import BindError, KindMismatch, ParseError
 from .timeseries import MetricStore, query
 
 
@@ -50,7 +50,7 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             try:
                 value = query(self.server.store, exprs[0])
-            except ParseError as exc:
+            except (ParseError, KindMismatch) as exc:  # KindMismatch: rate() of a gauge
                 self._send_json(400, {"error": str(exc)})
                 return
             self._send_json(200, {"value_w": value})

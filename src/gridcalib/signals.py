@@ -6,7 +6,8 @@ collector. There is one scheduler: due firings run synchronously inside
 the clock's advance(), on the thread that advances it, in registration
 order for equal due times. VirtualClock moves time only through
 advance(), which makes long scenarios deterministic and fast to replay;
-WallClock runs the same schedule paced to real time.
+WallClock runs the same schedule paced to real time. Nothing cancels a
+scheduled task: it runs until its clock is dropped.
 """
 
 from __future__ import annotations
@@ -20,39 +21,24 @@ from .timeseries import MetricStore, QueryExpr, parse_query, query
 DEFAULT_SIGNAL_INTERVAL_MS = 1000
 
 
-class _ScheduledTask:
-    __slots__ = ("interval_ms", "fire", "seq", "cancelled")
-
-    def __init__(self, interval_ms: int, fire: Callable[[], None], seq: int):
-        self.interval_ms = interval_ms
-        self.fire = fire
-        self.seq = seq
-        self.cancelled = False
-
-
 class VirtualClock:
     """Deterministic clock; time moves only through advance()."""
 
     def __init__(self, start_ms: int = 0):
         self._now = int(start_ms)
-        self._tasks: list[_ScheduledTask] = []
-        self._due: list[tuple[int, int, _ScheduledTask]] = []
+        # (due, registration, interval_ms, fire), a min-heap
+        self._due: list[tuple[int, int, int, Callable[[], None]]] = []
         self._seq = 0
 
     def now_ms(self) -> int:
         return self._now
 
-    def schedule(self, interval_ms: int, fire: Callable[[], None]) -> _ScheduledTask:
+    def schedule(self, interval_ms: int, fire: Callable[[], None]) -> None:
         if interval_ms <= 0:
             raise ValueError(f"interval must be positive, got {interval_ms}")
-        task = _ScheduledTask(int(interval_ms), fire, self._seq)
+        interval_ms = int(interval_ms)
+        heapq.heappush(self._due, (self._now + interval_ms, self._seq, interval_ms, fire))
         self._seq += 1
-        self._tasks.append(task)
-        heapq.heappush(self._due, (self._now + task.interval_ms, task.seq, task))
-        return task
-
-    def cancel(self, task: _ScheduledTask) -> None:
-        task.cancelled = True
 
     def advance(self, delta_ms: int) -> None:
         """Move time forward, firing every due task in (time, registration) order."""
@@ -60,12 +46,10 @@ class VirtualClock:
             raise ValueError("cannot advance a clock backwards")
         target = self._now + int(delta_ms)
         while self._due and self._due[0][0] <= target:
-            due, seq, task = heapq.heappop(self._due)
-            if task.cancelled:
-                continue
+            due, seq, interval_ms, fire = heapq.heappop(self._due)
             self._now = due
-            task.fire()
-            heapq.heappush(self._due, (due + task.interval_ms, seq, task))
+            fire()
+            heapq.heappush(self._due, (due + interval_ms, seq, interval_ms, fire))
         self._now = target
 
 
@@ -125,7 +109,7 @@ class Signal:
         self.error_count = 0
         self._collector = collector
         self._clock = clock
-        self._task = clock.schedule(self.interval_ms, self._fire)
+        clock.schedule(self.interval_ms, self._fire)
 
     def _fire(self) -> None:
         try:
@@ -139,19 +123,6 @@ class Signal:
     def now(self) -> float:
         """The last collected value; never invokes the collector."""
         return self.current_value
-
-    def close(self) -> None:
-        self._clock.cancel(self._task)
-
-
-def make_collector_signal(
-    collector: Callable[[], float],
-    interval_ms: int | None = None,
-    *,
-    clock: Clock,
-) -> Signal:
-    """Signal over an arbitrary collector; interval defaults to 1000 ms."""
-    return Signal(collector, interval_ms, clock)
 
 
 def make_query_signal(
@@ -167,5 +138,5 @@ def make_query_signal(
     fast instead of surfacing as silent collection errors.
     """
     parsed = parse_query(expr) if isinstance(expr, str) else expr
-    return make_collector_signal(lambda: query(store, parsed), interval_ms, clock=clock)
+    return Signal(lambda: query(store, parsed), interval_ms, clock)
 

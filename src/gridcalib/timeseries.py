@@ -56,9 +56,6 @@ from .errors import (
 COUNTER = "counter"
 GAUGE = "gauge"
 
-# Canonical smoothing window for monitoring-style rates.
-DEFAULT_WINDOW_MS = 2000
-
 _INT64_MAX = 2**63 - 1
 
 
@@ -93,10 +90,8 @@ def _series_key(name: str, labels: Mapping[str, str] | None):
 class Series:
     """One metric stream with a fixed name, label set, and kind.
 
-    max_samples turns the series into a ring buffer (oldest samples are
-    evicted). Eviction shifts indices, so the cap should only be used
-    when no reader races the writer. A series made by a MetricStore
-    raises that store's watermark on append.
+    A series keeps every sample appended to it. A series made by a
+    MetricStore raises that store's watermark on append.
     """
 
     def __init__(
@@ -104,12 +99,9 @@ class Series:
         name: str,
         labels: Mapping[str, str] | None = None,
         kind: str = GAUGE,
-        max_samples: int | None = None,
     ):
         if kind not in (COUNTER, GAUGE):
             raise KindMismatch(f"unknown series kind {kind!r}")
-        if max_samples is not None and max_samples < 1:
-            raise ValueError("max_samples must be >= 1")
         self.name = str(name)
         self.labels = dict(labels or {})
         self.kind = kind
@@ -118,7 +110,6 @@ class Series:
         # The /metrics line prefix: NAME{K="V",...}, labels sorted by key.
         body = ",".join(f'{k}="{v}"' for k, v in self.key[1])
         self.exposition_name = f"{self.name}{{{body}}}" if body else self.name
-        self._max_samples = max_samples
         self._watermark = _Watermark()
         self._ts = array("q")
         self._values = array("d")
@@ -156,9 +147,6 @@ class Series:
         ts_col.append(ts)
         if ts > self._watermark.ms:
             self._watermark.advance(ts)
-        if self._max_samples is not None and len(self._ts) > self._max_samples:
-            del self._ts[0]
-            del self._values[0]
 
     def samples(self) -> list[Sample]:
         n = len(self._ts)
@@ -344,9 +332,8 @@ _KEY = attrgetter("key")
 class MetricStore:
     """Keyed collection of series; the key is (name, full label set)."""
 
-    def __init__(self, max_samples_per_series: int | None = None):
+    def __init__(self):
         self._series: dict[tuple[str, tuple[tuple[str, str], ...]], Series] = {}
-        self._max_samples = max_samples_per_series
         self._lock = threading.Lock()
         self._watermark = _Watermark()
         # The read index. Creation replaces its immutable parts under _lock;
@@ -373,7 +360,7 @@ class MetricStore:
 
     def _create(self, name: str, labels: Mapping[str, str] | None, kind: str) -> Series:
         """Build a series and publish it to every read structure (under _lock)."""
-        series = Series(name, labels, kind, self._max_samples)
+        series = Series(name, labels, kind)
         series._watermark = self._watermark
         ordered = list(self._ordered)
         insort(ordered, series, key=_KEY)

@@ -13,8 +13,7 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -157,20 +156,10 @@ def report_to_json(report: RegressionReport) -> str:
 def write_plot_csv(
     points: Sequence[PairedObservation], report: RegressionReport, out
 ) -> None:
-    """Plot-ready CSV: every pair with its fitted value and residual."""
-    rows = []
+    """Plot-ready CSV, written to a text file object: every pair with its
+    fitted value and residual."""
+    writer = csv.writer(out)
+    writer.writerow(["x_w", "y_w", "fitted_w", "residual_w"])
     for p in points:
         fitted = report.slope * p.x_w + report.intercept_w
-        rows.append((p.x_w, p.y_w, fitted, p.y_w - fitted))
-    if isinstance(out, (str, Path)):
-        with open(out, "w", newline="") as fh:
-            _write_plot(fh, rows)
-    else:
-        _write_plot(out, rows)
-
-
-def _write_plot(fh, rows: Iterable[tuple[float, float, float, float]]) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["x_w", "y_w", "fitted_w", "residual_w"])
-    for row in rows:
-        writer.writerow([repr(v) for v in row])
+        writer.writerow([repr(v) for v in (p.x_w, p.y_w, fitted, p.y_w - fitted)])

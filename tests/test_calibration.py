@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gridcalib.calibration import (
     CalibrationFactor,
-    CalibrationInputs,
     CalibrationStage,
     NamespacePowerActor,
     calibrate_dynamic,
@@ -132,36 +131,6 @@ class TestCalibrateDynamic:
         s = leak * true_power
         out = calibrate_dynamic(dynamic_factor(p, true_power, s), 400.0, 260.0)
         assert out == pytest.approx(140.0, rel=1e-9)
-
-
-class TestCalibrationInputs:
-    def test_valid_snapshot(self):
-        snap = CalibrationInputs(
-            p_dyn=30.0, n_dyn=100.0, s_dyn=20.0, m=400.0, m_idle=260.0,
-            p_idle=5.0, n_idle=50.0,
-        )
-        assert snap.p_dyn == 30.0
-
-    def test_process_exceeding_node_rejected(self):
-        with pytest.raises(ValueError):
-            CalibrationInputs(p_dyn=101.0, n_dyn=100.0, s_dyn=0.0, m=0.0, m_idle=0.0)
-
-    def test_system_exceeding_node_rejected(self):
-        with pytest.raises(ValueError):
-            CalibrationInputs(p_dyn=0.0, n_dyn=100.0, s_dyn=100.1, m=0.0, m_idle=0.0)
-
-    def test_tolerance_slack_accepted(self):
-        CalibrationInputs(
-            p_dyn=100.0 + 5e-5, n_dyn=100.0, s_dyn=0.0, m=0.0, m_idle=0.0
-        )
-
-    def test_negative_and_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            CalibrationInputs(p_dyn=-1.0, n_dyn=100.0, s_dyn=0.0, m=0.0, m_idle=0.0)
-        with pytest.raises(ValueError):
-            CalibrationInputs(
-                p_dyn=0.0, n_dyn=math.nan, s_dyn=0.0, m=0.0, m_idle=0.0
-            )
 
 
 def seed_dynamic_counter(store, namespace, joules_per_s, ticks=3):

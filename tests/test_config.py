@@ -366,6 +366,15 @@ def test_readme_json_blocks_parse():
         parse_config(json.loads(block))
 
 
+def test_readme_python_block_runs(tmp_path, monkeypatch):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 # --- the walker: a round trip over random configs, and a wrong-type table ---
 
 names = st.text(alphabet="abcdefgh", min_size=1, max_size=6)

@@ -533,3 +533,27 @@ class TestMeterWireProtocol:
         finally:
             listener.shutdown()
             listener.server_close()
+
+    def test_unstorable_line_skipped_and_stream_kept(self):
+        store = MetricStore()
+        listener = MeterListener(("127.0.0.1", 0), store)
+        listener.serve_in_background()
+        try:
+            host, port = listener.server_address
+            publisher = MeterPublisher(host, port)
+            publisher.send(260.0, 1000)
+            publisher.send(float("nan"), 2000)  # json.dumps writes NaN, json.loads reads it
+            publisher.send(300.0, 2**63)  # past int64
+            publisher.send(300.0, -1)
+            publisher.send(401.0, 3000)
+            publisher.close()
+            gauge = store.get(METER_GAUGE_METRIC, {})
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                if gauge.last_timestamp() == 3000:
+                    break
+                time.sleep(0.01)
+            assert gauge.samples() == [(1000, 260.0), (3000, 401.0)]
+        finally:
+            listener.shutdown()
+            listener.server_close()

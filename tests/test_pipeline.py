@@ -466,6 +466,15 @@ class TestServer:
             assert err.value.code == 400
             assert "error" in json.loads(err.value.read())
 
+    def test_rate_of_gauge_400(self, served):
+        _, base = served
+        expr = f"rate({METER_GAUGE_METRIC}[2s])"
+        with pytest.raises(urllib.error.HTTPError) as err:
+            self.get(base + "/query?" + urllib.parse.urlencode({"expr": expr}))
+        with err.value:
+            assert err.value.code == 400
+            assert "counter" in json.loads(err.value.read())["error"]
+
     def test_missing_expr_400(self, served):
         _, base = served
         with pytest.raises(urllib.error.HTTPError) as err:

@@ -13,7 +13,6 @@ from gridcalib.signals import (
     Signal,
     VirtualClock,
     WallClock,
-    make_collector_signal,
     make_query_signal,
 )
 from gridcalib.timeseries import COUNTER, MetricStore
@@ -21,7 +20,7 @@ from gridcalib.timeseries import COUNTER, MetricStore
 
 def test_initial_value_is_zero_before_first_firing():
     clock = VirtualClock()
-    sig = make_collector_signal(lambda: 42.0, interval_ms=1000, clock=clock)
+    sig = Signal(lambda: 42.0, interval_ms=1000, clock=clock)
     assert sig.now() == 0.0
     assert sig.last_collection_ms == 0
     clock.advance(999)
@@ -30,7 +29,7 @@ def test_initial_value_is_zero_before_first_firing():
 
 def test_collector_value_visible_after_one_interval():
     clock = VirtualClock()
-    sig = make_collector_signal(lambda: 42.0, interval_ms=1000, clock=clock)
+    sig = Signal(lambda: 42.0, interval_ms=1000, clock=clock)
     clock.advance(1000)
     assert sig.now() == 42.0
     assert sig.last_collection_ms == 1000
@@ -38,7 +37,7 @@ def test_collector_value_visible_after_one_interval():
 
 def test_interval_defaults_to_1000ms():
     clock = VirtualClock()
-    sig = make_collector_signal(lambda: 7.0, clock=clock)
+    sig = Signal(lambda: 7.0, None, clock)
     assert sig.interval_ms == DEFAULT_SIGNAL_INTERVAL_MS == 1000
     clock.advance(999)
     assert sig.now() == 0.0
@@ -49,7 +48,7 @@ def test_interval_defaults_to_1000ms():
 def test_value_constant_between_firings():
     clock = VirtualClock()
     values = iter([1.0, 2.0, 3.0])
-    sig = make_collector_signal(lambda: next(values), interval_ms=1000, clock=clock)
+    sig = Signal(lambda: next(values), interval_ms=1000, clock=clock)
     clock.advance(1500)
     assert sig.now() == 1.0
     clock.advance(400)
@@ -68,7 +67,7 @@ def test_failed_collection_retains_value_and_counts():
             raise RuntimeError("scrape failed")
         return float(calls["n"])
 
-    sig = make_collector_signal(collector, interval_ms=1000, clock=clock)
+    sig = Signal(collector, interval_ms=1000, clock=clock)
     clock.advance(1000)
     assert sig.now() == 1.0
     assert sig.error_count == 0
@@ -86,7 +85,7 @@ def test_firing_instant_is_clock_time_during_advance():
     # collectors observe the due instant, not the advance target
     clock = VirtualClock()
     seen: list[int] = []
-    sig = make_collector_signal(
+    sig = Signal(
         lambda: float(seen.append(clock.now_ms()) or len(seen)),
         interval_ms=1000,
         clock=clock,
@@ -100,28 +99,18 @@ def test_firing_instant_is_clock_time_during_advance():
 def test_same_instant_firing_follows_registration_order():
     clock = VirtualClock()
     order: list[str] = []
-    make_collector_signal(lambda: order.append("first") or 0.0, interval_ms=1000, clock=clock)
-    make_collector_signal(lambda: order.append("second") or 0.0, interval_ms=1000, clock=clock)
+    Signal(lambda: order.append("first") or 0.0, interval_ms=1000, clock=clock)
+    Signal(lambda: order.append("second") or 0.0, interval_ms=1000, clock=clock)
     clock.advance(2000)
     assert order == ["first", "second", "first", "second"]
-
-
-def test_close_stops_collection():
-    clock = VirtualClock()
-    values = iter([1.0, 2.0])
-    sig = make_collector_signal(lambda: next(values), interval_ms=1000, clock=clock)
-    clock.advance(1000)
-    sig.close()
-    clock.advance(5000)
-    assert sig.now() == 1.0
 
 
 def test_nonpositive_interval_rejected():
     clock = VirtualClock()
     with pytest.raises(ValueError):
-        make_collector_signal(lambda: 0.0, interval_ms=0, clock=clock)
+        Signal(lambda: 0.0, interval_ms=0, clock=clock)
     with pytest.raises(ValueError):
-        make_collector_signal(lambda: 0.0, interval_ms=-5, clock=clock)
+        Signal(lambda: 0.0, interval_ms=-5, clock=clock)
 
 
 @settings(max_examples=60, deadline=None)
@@ -137,7 +126,7 @@ def test_firing_count_is_floor_of_elapsed_over_interval(interval, total):
         fired["n"] += 1
         return 0.0
 
-    make_collector_signal(collector, interval_ms=interval, clock=clock)
+    Signal(collector, interval_ms=interval, clock=clock)
     clock.advance(total)
     assert fired["n"] == total // interval
 
@@ -151,7 +140,7 @@ def test_advance_split_fires_same_as_one_big_advance():
             fired["n"] += 1
             return 0.0
 
-        make_collector_signal(collector, interval_ms=700, clock=clock)
+        Signal(collector, interval_ms=700, clock=clock)
         for s in steps:
             clock.advance(s)
         return fired["n"]
@@ -210,7 +199,7 @@ class TestWallClock:
             fired.append((threading.get_ident(), clock.now_ms()))
             return 0.0
 
-        make_collector_signal(collector, interval_ms=20, clock=clock)
+        Signal(collector, interval_ms=20, clock=clock)
         clock.advance(50)
         clock.advance(50)
         assert fired == [(threading.get_ident(), t) for t in (20, 40, 60, 80, 100)]
@@ -231,7 +220,7 @@ class TestWallClock:
         before = threading.active_count()
         clock = WallClock()
         fired: list[int] = []
-        make_collector_signal(lambda: fired.append(1) or 0.0, interval_ms=10, clock=clock)
+        Signal(lambda: fired.append(1) or 0.0, interval_ms=10, clock=clock)
         time.sleep(0.05)
         # nothing fires until someone advances the clock
         assert fired == []
@@ -247,7 +236,7 @@ class TestWallClock:
                 time.sleep(0.25)  # overruns several 50 ms intervals
             return float(len(stamps))
 
-        make_collector_signal(collector, interval_ms=50, clock=clock)
+        Signal(collector, interval_ms=50, clock=clock)
         t0 = time.monotonic()
         clock.advance(300)
         assert stamps == [50, 100, 150, 200, 250, 300]

@@ -83,13 +83,6 @@ def test_gauge_may_decrease():
     assert [v for _, v in s.samples()] == [5.0, 3.0]
 
 
-def test_ring_buffer_cap_evicts_oldest():
-    s = Series("e", {}, COUNTER, max_samples=3)
-    for i in range(5):
-        s.append((i * 1000, float(i)))
-    assert s.samples() == [Sample(2000, 2.0), Sample(3000, 3.0), Sample(4000, 4.0)]
-
-
 @pytest.mark.parametrize(
     "sample, error",
     [
