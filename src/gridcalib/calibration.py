@@ -25,6 +25,7 @@ from typing import Sequence
 from .errors import DegenerateDenominator, EmptyWindow, StaleSignal, ZeroNodeIdle
 from .microgrid import Controller, ControllerView
 from .signals import Clock, Signal
+from .ticklog import TickLog
 from .timeseries import MetricStore, Series, rate
 from .wire import (
     METER_GAUGE_METRIC,
@@ -131,11 +132,15 @@ class CalibrationSnapshot:
     degenerate: str | None = None
 
 
-def member_sum(values: tuple[float, ...], members: tuple[int, ...]) -> float:
-    """Sum of the members' entries in process order; actors and the
-    calibrated table both total a namespace this way, so they agree
-    bit for bit."""
-    return sum((values[i] for i in members), 0.0)
+def member_sum(values: Sequence, members: Sequence[int]):
+    """Sum of the members' entries, added left to right from 0.0. Actors
+    total a namespace over floats and the calibrated table over numpy
+    columns this way, so they agree bit for bit; sum() is not used since
+    from Python 3.12 it compensates float rounding."""
+    total = 0.0
+    for i in members:
+        total = total + values[i]
+    return total
 
 
 class CalibrationStage(Controller):
@@ -145,7 +150,7 @@ class CalibrationStage(Controller):
     process's dynamic and idle counter rate over the trailing query
     window and the meter's latest reading, then applies the kernel per
     process. Namespace actors sum the latest snapshot; as a microgrid
-    controller the stage also logs the snapshot each engine tick saw.
+    controller the stage also logs the calibrated power each tick saw.
     The system pseudo-process keeps only its idle share: its dynamic
     power is exactly what calibration redistributes to the workloads.
     """
@@ -187,7 +192,8 @@ class CalibrationStage(Controller):
         self.snapshot = CalibrationSnapshot(
             zeros, 0.0, 0.0, 0.0, m_idle_w, zeros, zeros, zeros
         )
-        self.log: list[tuple[int, CalibrationSnapshot]] = []
+        names = [f"{pid}_{mode}_w" for mode in ("dyn", "idle") for pid, _ in self.processes]
+        self.log = TickLog(["time_ms", *names], int_columns=1)
         self._signal = Signal(self._collect, interval_ms, clock)
 
     @property
@@ -254,7 +260,7 @@ class CalibrationStage(Controller):
         return m
 
     def step(self, view: ControllerView) -> None:
-        self.log.append((view.time_ms, self.snapshot))
+        self.log.append([view.time_ms, *self.snapshot.cal_dyn, *self.snapshot.cal_idle])
 
 
 class NamespacePowerActor:

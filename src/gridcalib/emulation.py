@@ -27,6 +27,7 @@ from typing import Callable, Mapping, Sequence
 from .attribution import NodePower, ProcessUtilization, split_dynamic, split_idle_requested
 from .errors import NonMonotonicTimestamp, UnknownKind
 from .signals import Clock
+from .ticklog import TickLog
 from .timeseries import COUNTER, GAUGE, MetricStore, Series
 from .wire import (
     METER_GAUGE_METRIC,
@@ -380,7 +381,8 @@ class PowerModelEmitter:
     appends cumulative joules (watts integrated over the emission
     interval) to one counter series per process and mode, plus the
     system pseudo-process. Counters start at 0 at construction time so
-    rate windows have a left edge.
+    rate windows have a left edge. The `truth` tick log keeps each
+    firing's time, workload dynamic powers, idle powers and system power.
     """
 
     def __init__(
@@ -438,8 +440,8 @@ class PowerModelEmitter:
         self._last_emit_ms = clock.now_ms()
         for series in self._series.values():
             series.append((self._last_emit_ms, 0.0))
-        self.truth_log: list[GroundTruth] = []
-        self.approx_log: list[ApproximationSnapshot] = []
+        names = [f"{w.process_id}_true_{m}_w" for m in ("dyn", "idle") for w in self.workloads]
+        self.truth = TickLog(["time_ms", *names, "system_true_dyn_w"], int_columns=1)
         self.latest_truth = self._sample_truth(self._last_emit_ms)
         clock.schedule(self.emission_interval_ms, self._fire)
 
@@ -475,15 +477,26 @@ class PowerModelEmitter:
             series.append((now_ms, self._joules[key]))
         self._last_emit_ms = now_ms
         self.latest_truth = truth
-        self.truth_log.append(truth)
-        self.approx_log.append(approx)
+        dyn, idle = truth.process_dynamic_w.values(), truth.process_idle_w.values()
+        self.truth.append([now_ms, *dyn, *idle, truth.system_dynamic_w])
+
+    @property
+    def truth_log(self) -> list[GroundTruth]:
+        """Every firing's truth, built from the truth log when read."""
+        pids = [w.process_id for w in self.workloads]
+        k = len(pids)
+        return [
+            GroundTruth(t, dict(zip(pids, row[:k])), dict(zip(pids, row[k:])), system)
+            for t, *row, system in self.truth.rows()
+        ]
 
 
 class MeterEmitter:
     """Periodic task: measure the current true node draw.
 
     Samples go either into the store's meter gauge or to a publish
-    callback (the TCP line protocol in live mode).
+    callback (the TCP line protocol in live mode); last_ms is the last
+    sample's timestamp.
     """
 
     def __init__(
@@ -505,13 +518,13 @@ class MeterEmitter:
             if store is not None
             else None
         )
-        self.samples: list[tuple[int, float]] = []
+        self.last_ms: int | None = None
         clock.schedule(meter.sample_interval_ms, self._fire)
 
     def _fire(self) -> None:
         now_ms = self._clock.now_ms()
         measured = meter_sample(self._truth_source(), self.meter, self._rng)
-        self.samples.append((now_ms, measured))
+        self.last_ms = now_ms
         if self._series is not None:
             self._series.append((now_ms, measured))
         if self._publish is not None:

@@ -4,14 +4,12 @@ Each step runs a fixed order: sample every actor's signed power
 (producers positive, consumers negative), aggregate the net power,
 let controllers observe the aggregate plus the previous settlement,
 then settle the energy against storage and the public grid. The
-monitor records one tick per step and can serialize the run to CSV.
+monitor's tick log records one row per step and serializes to CSV.
 """
 
 from __future__ import annotations
 
 import bisect
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
 from types import MappingProxyType
@@ -19,6 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import StepError
 from .signals import Clock, VirtualClock
+from .ticklog import TickLog, csv_bytes
 
 DEFAULT_STEP_MS = 1000
 
@@ -136,20 +135,6 @@ def settle(
 
 
 @dataclass(frozen=True)
-class MicrogridTick:
-    """Everything recorded about one simulation step."""
-
-    t: int
-    time_ms: int
-    actor_powers: Mapping[str, float]
-    delta_p_w: float
-    e_last_j: float
-    storage_delta_j: float
-    grid_exchange_j: float
-    storage_charge_j: float
-
-
-@dataclass(frozen=True)
 class ControllerView:
     """Read-only snapshot handed to controllers.
 
@@ -186,35 +171,14 @@ MONITOR_COLUMNS = [
 
 
 class Monitor:
-    """Tick log with CSV export."""
+    """The engine's tick log: one row per step, MONITOR_COLUMNS and then
+    each actor's signed power in the order the actors were added."""
 
     def __init__(self):
-        self.ticks: list[MicrogridTick] = []
-        self.actor_ids: list[str] = []
-
-    def record(self, tick: MicrogridTick) -> None:
-        self.ticks.append(tick)
+        self.log = TickLog(MONITOR_COLUMNS, int_columns=2)
 
     def csv_bytes(self) -> bytes:
-        actor_ids = self.actor_ids
-        if not actor_ids and self.ticks:
-            actor_ids = list(self.ticks[0].actor_powers)
-        buf = io.StringIO(newline="")
-        writer = csv.writer(buf)
-        writer.writerow(MONITOR_COLUMNS + [f"actor.{a}_w" for a in actor_ids])
-        for tick in self.ticks:
-            row = [
-                tick.t,
-                tick.time_ms,
-                repr(tick.delta_p_w),
-                repr(tick.e_last_j),
-                repr(tick.storage_charge_j),
-                repr(tick.storage_delta_j),
-                repr(tick.grid_exchange_j),
-            ]
-            row += [repr(tick.actor_powers.get(a, 0.0)) for a in actor_ids]
-            writer.writerow(row)
-        return buf.getvalue().encode()
+        return csv_bytes(self.log.header, self.log.rows())
 
 
 class Microgrid:
@@ -238,15 +202,20 @@ class Microgrid:
         self._e_last_j = 0.0
 
     def add_actor(self, actor: Actor) -> None:
+        """Actors join before the first step, so every row of the tick
+        log has a column for each of them."""
+        if self._t:
+            raise ValueError(f"actor {actor.actor_id!r} added after the first step")
         if any(a.actor_id == actor.actor_id for a in self.actors):
             raise ValueError(f"duplicate actor_id {actor.actor_id!r}")
         self.actors.append(actor)
-        self.monitor.actor_ids.append(actor.actor_id)
+        header = self.monitor.log.header + (f"actor.{actor.actor_id}_w",)
+        self.monitor.log = TickLog(header, int_columns=2)
 
     def add_controller(self, controller: Controller) -> None:
         self.controllers.append(controller)
 
-    def step(self) -> MicrogridTick:
+    def step(self) -> None:
         # advance first: step k settles the interval ending at t0 + (k+1)*dt
         self.clock.advance(self.dt_ms)
         time_ms = self.clock.now_ms()
@@ -276,20 +245,13 @@ class Microgrid:
                     self._t, f"controller {controller.controller_id!r}: {exc}"
                 ) from exc
         storage_delta_j, grid_exchange_j = settle(self.storage, delta_p_w, self.dt_ms)
-        tick = MicrogridTick(
-            t=self._t,
-            time_ms=time_ms,
-            actor_powers=dict(powers),
-            delta_p_w=delta_p_w,
-            e_last_j=self._e_last_j,
-            storage_delta_j=storage_delta_j,
-            grid_exchange_j=grid_exchange_j,
-            storage_charge_j=self.storage.charge_j if self.storage is not None else 0.0,
-        )
-        self.monitor.record(tick)
+        charge_j = self.storage.charge_j if self.storage is not None else 0.0
+        self.monitor.log.append([
+            self._t, time_ms, delta_p_w, self._e_last_j, charge_j,
+            storage_delta_j, grid_exchange_j, *powers.values(),
+        ])
         self._e_last_j = delta_p_w * (self.dt_ms / 1000.0)
         self._t += 1
-        return tick
 
     def run(self, duration_ms: int) -> Monitor:
         if duration_ms <= 0 or duration_ms % self.dt_ms != 0:

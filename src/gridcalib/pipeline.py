@@ -5,15 +5,15 @@ metric store, one calibration stage turns it into per-process calibrated
 power once per collection, namespace actors report their share of it as
 microgrid consumers, the benchmark controller walks the load schedule,
 and a post-pass turns the run into CSV/JSON artifacts. The calibrated
-power table serialises the snapshots the stage logged on each tick, so
-it matches the monitor's actor powers by construction. Everything is
+power table serialises the columns the stage logged on each tick, so
+it matches the monitor's actor powers by construction. Every CSV goes
+through the one encoder, ticklog.csv_bytes. Everything is
 deterministic under virtual time: the same config and seed produce
 byte-identical files.
 """
 
 from __future__ import annotations
 
-import io
 import csv
 import json
 import os
@@ -39,6 +39,7 @@ from .config import (
 )
 from .emulation import (
     SYSTEM_PROCESS_ID,
+    GroundTruth,
     LoadBank,
     MeterEmitter,
     MeterListener,
@@ -55,15 +56,17 @@ from .errors import (
 )
 from .microgrid import BenchmarkController, Microgrid, Monitor, StaticActor, TraceActor
 from .signals import VirtualClock, WallClock
+from .ticklog import csv_bytes as _csv_bytes
 from .timeseries import MetricStore, Series, rates
 from .validation import (
+    PLOT_HEADER,
     PairedObservation,
     RegressionReport,
     compare_to_ideal,
     fit_ols,
     pair,
+    plot_rows,
     report_to_json,
-    write_plot_csv,
 )
 from .wire import METER_GAUGE_METRIC, POWER_COUNTER_METRIC, SYSTEM_NAMESPACE
 
@@ -107,13 +110,13 @@ class RunArtifacts:
     store: MetricStore
     monitor: Monitor
     events: list[tuple[str, float, int]]
-    truth_log: list
+    emitter: PowerModelEmitter | None
     regression: RegressionReport | None
     regression_skipped: str | None
     pairs: list[PairedObservation]
     m_idle_w: float
     calibrated_header: list[str]
-    calibrated_rows: list[list[float]]
+    calibrated_rows: list[tuple]
     energy_wh: dict[str, float] = field(default_factory=dict)
 
     monitor_csv = _artifact_path(MONITOR_CSV)
@@ -125,23 +128,17 @@ class RunArtifacts:
     events_csv = _artifact_path(EVENTS_CSV)
     config_json = _artifact_path(CONFIG_JSON)
 
+    @property
+    def truth_log(self) -> list[GroundTruth]:
+        """Every emission's ground truth, built when read."""
+        return self.emitter.truth_log if self.emitter is not None else []
+
 
 def _atomic_write(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
         fh.write(data)
     os.replace(tmp, path)
-
-
-def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(
-            [cell if isinstance(cell, (int, str)) else repr(cell) for cell in row]
-        )
-    return buf.getvalue().encode()
 
 
 class _Runtime:
@@ -243,9 +240,9 @@ class _Runtime:
     def await_meter(self) -> None:
         """Live mode: wait until the listener has stored the last reading
         the meter published, so the store holds what a virtual run's would."""
-        if self.listener is None or not self.meter.samples:
+        if self.listener is None or self.meter.last_ms is None:
             return
-        last_ms = self.meter.samples[-1][0]
+        last_ms = self.meter.last_ms
         gauge = self.store.get(METER_GAUGE_METRIC, None)
         deadline = time.monotonic() + METER_WAIT_S
         while (gauge.last_timestamp() or 0) < last_ms:
@@ -297,9 +294,7 @@ def _write_artifacts(runtime: _Runtime, out: Path) -> RunArtifacts:
     monitor = runtime.engine.monitor
 
     calibrated_header, calibrated_rows = _calibrated_table(runtime.stage)
-    energy_header, energy_rows, energy_wh = _energy_summary(
-        config, calibrated_header, calibrated_rows
-    )
+    energy_header, energy_rows, energy_wh = _energy_summary(config, runtime.stage)
     report, skipped, pairs = _node_regression(config, store)
     events = list(runtime.benchmark.events) if runtime.benchmark is not None else []
 
@@ -308,20 +303,14 @@ def _write_artifacts(runtime: _Runtime, out: Path) -> RunArtifacts:
     _atomic_write(out / ENERGY_CSV, _csv_bytes(energy_header, energy_rows))
     if report is not None:
         _atomic_write(out / REGRESSION_JSON, (report_to_json(report) + "\n").encode())
-        buf = io.StringIO(newline="")
-        write_plot_csv(pairs, report, buf)
-        _atomic_write(out / REGRESSION_CSV, buf.getvalue().encode())
+        plot = plot_rows(pairs, report)
     else:
         payload = json.dumps({"skipped": skipped}, sort_keys=True) + "\n"
         _atomic_write(out / REGRESSION_JSON, payload.encode())
-        _atomic_write(
-            out / REGRESSION_CSV, _csv_bytes(["x_w", "y_w", "fitted_w", "residual_w"], [])
-        )
+        plot = ()
+    _atomic_write(out / REGRESSION_CSV, _csv_bytes(PLOT_HEADER, plot))
     _atomic_write(out / TRUTH_CSV, _truth_csv(config, runtime))
-    _atomic_write(
-        out / EVENTS_CSV,
-        _csv_bytes(["action", "value", "time_ms"], [[a, v, t] for a, v, t in events]),
-    )
+    _atomic_write(out / EVENTS_CSV, _csv_bytes(["action", "value", "time_ms"], events))
     config_payload = json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
     _atomic_write(out / CONFIG_JSON, config_payload.encode())
 
@@ -330,7 +319,7 @@ def _write_artifacts(runtime: _Runtime, out: Path) -> RunArtifacts:
         store=store,
         monitor=monitor,
         events=events,
-        truth_log=list(runtime.emitter.truth_log) if runtime.emitter else [],
+        emitter=runtime.emitter,
         regression=report,
         regression_skipped=skipped,
         pairs=pairs,
@@ -350,48 +339,38 @@ def _process_table(config: ScenarioConfig) -> list[tuple[str, str]]:
     return rows
 
 
-def _calibrated_table(
-    stage: CalibrationStage | None,
-) -> tuple[list[str], list[list[float]]]:
+def _calibrated_table(stage: CalibrationStage | None) -> tuple[list[str], list[tuple]]:
     """Per-process and per-namespace calibrated power, one row per engine
-    tick: the snapshot the namespace actors read on that tick."""
-    header = ["time_ms"]
+    tick: the snapshot the namespace actors read on that tick, totalled
+    per namespace by the same member_sum."""
     if stage is None:
-        return header, []
-    for pid, _ in stage.processes:
-        header += [f"{pid}_dyn_w", f"{pid}_idle_w"]
-    for ns in stage.namespaces:
+        return ["time_ms"], []
+    logged = stage.log.columns()
+    pids = [pid for pid, _ in stage.processes]
+    header = ["time_ms", *(f"{p}_{mode}_w" for p in pids for mode in ("dyn", "idle"))]
+    columns = [logged[name] for name in header]
+    dyn, idle = [logged[f"{p}_dyn_w"] for p in pids], [logged[f"{p}_idle_w"] for p in pids]
+    for ns, members in stage.namespaces.items():
         header += [f"ns.{ns}_dyn_w", f"ns.{ns}_idle_w"]
-    rows: list[list[float]] = []
-    for time_ms, snap in stage.log:
-        row: list[float] = [time_ms]
-        for dyn, idle in zip(snap.cal_dyn, snap.cal_idle):
-            row += [dyn, idle]
-        for members in stage.namespaces.values():
-            row.append(member_sum(snap.cal_dyn, members))
-            row.append(member_sum(snap.cal_idle, members))
-        rows.append(row)
-    return header, rows
+        columns += [member_sum(dyn, members), member_sum(idle, members)]
+    return header, list(zip(*(column.tolist() for column in columns)))
 
 
 def _energy_summary(
-    config: ScenarioConfig,
-    calibrated_header: list[str],
-    calibrated_rows: list[list[float]],
+    config: ScenarioConfig, stage: CalibrationStage | None
 ) -> tuple[list[str], list[list], dict[str, float]]:
-    """Trapezoidal integration of each process's calibrated power."""
+    """Trapezoidal integration of each process's calibrated power, from
+    the stage's logged columns."""
     header = ["process", "namespace", "energy_wh", "share_pct"]
     processes = _process_table(config)
-    if not processes or len(calibrated_rows) == 0:
+    if not processes or len(stage.log) == 0:
         return header, [], {}
-    times_s = np.array([row[0] for row in calibrated_rows], dtype=float) / 1000.0
-    column = {name: i for i, name in enumerate(calibrated_header)}
+    logged = stage.log.columns()
+    times_s = logged["time_ms"] / 1000.0
     energy: dict[str, float] = {}
     for pid, _ in processes:
-        dyn = np.array([row[column[f"{pid}_dyn_w"]] for row in calibrated_rows])
-        idle = np.array([row[column[f"{pid}_idle_w"]] for row in calibrated_rows])
-        joules = float(_trapezoid(dyn + idle, times_s))
-        energy[pid] = joules / 3600.0
+        power = logged[f"{pid}_dyn_w"] + logged[f"{pid}_idle_w"]
+        energy[pid] = float(_trapezoid(power, times_s)) / 3600.0
     total = sum(energy.values())
     ns_of = dict(processes)
     ordered = sorted(processes, key=lambda item: (-energy[item[0]], item[0]))
@@ -446,21 +425,20 @@ def _regression_x(
 
 
 def _truth_csv(config: ScenarioConfig, runtime: _Runtime) -> bytes:
-    header = ["time_ms"]
-    for w in config.workloads:
-        header += [f"{w.process_id}_true_dyn_w", f"{w.process_id}_true_idle_w"]
-    header += ["system_true_dyn_w", "node_true_total_w"]
-    rows = []
-    if runtime.emitter is not None:
-        for truth in runtime.emitter.truth_log:
-            row: list[float] = [truth.time_ms]
-            for w in config.workloads:
-                row.append(truth.process_dynamic_w[w.process_id])
-                row.append(truth.process_idle_w[w.process_id])
-            row.append(truth.system_dynamic_w)
-            row.append(truth.node_total_w)
-            rows.append(row)
-    return _csv_bytes(header, rows)
+    """The emitter's truth log with each workload's columns side by side,
+    and the node total summed in GroundTruth.node_total_w's order."""
+    pids = [w.process_id for w in config.workloads]
+    header = ["time_ms", *(f"{p}_true_{mode}_w" for p in pids for mode in ("dyn", "idle"))]
+    header.append("system_true_dyn_w")
+    if runtime.emitter is None:
+        return _csv_bytes(header + ["node_true_total_w"], [])
+    logged = runtime.emitter.truth.columns()
+    dyn = [logged[f"{p}_true_dyn_w"] for p in pids]
+    idle = [logged[f"{p}_true_idle_w"] for p in pids]
+    every = range(len(pids))
+    total = member_sum(dyn, every) + logged["system_true_dyn_w"] + member_sum(idle, every)
+    columns = [logged[name] for name in header] + [total]
+    return _csv_bytes(header + ["node_true_total_w"], zip(*(c.tolist() for c in columns)))
 
 
 # --- artifact consumers --------------------------------------------------------

@@ -9,11 +9,10 @@ reported as absolute deviations from the fitted line.
 from __future__ import annotations
 
 import bisect
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -153,13 +152,14 @@ def report_to_json(report: RegressionReport) -> str:
     return json.dumps(asdict(report), sort_keys=True)
 
 
-def write_plot_csv(
-    points: Sequence[PairedObservation], report: RegressionReport, out
-) -> None:
-    """Plot-ready CSV, written to a text file object: every pair with its
-    fitted value and residual."""
-    writer = csv.writer(out)
-    writer.writerow(["x_w", "y_w", "fitted_w", "residual_w"])
+PLOT_HEADER = ["x_w", "y_w", "fitted_w", "residual_w"]
+
+
+def plot_rows(
+    points: Sequence[PairedObservation], report: RegressionReport
+) -> Iterator[tuple[float, float, float, float]]:
+    """Plot-ready rows under PLOT_HEADER: every pair with its fitted value
+    and residual."""
     for p in points:
         fitted = report.slope * p.x_w + report.intercept_w
-        writer.writerow([repr(v) for v in (p.x_w, p.y_w, fitted, p.y_w - fitted)])
+        yield p.x_w, p.y_w, fitted, p.y_w - fitted

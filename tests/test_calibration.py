@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from gridcalib.calibration import (
     calibrate_idle,
     capture_idle_baseline,
     dynamic_factor,
+    member_sum,
 )
 from gridcalib.errors import DegenerateDenominator, StaleSignal, ZeroNodeIdle
 from gridcalib.signals import VirtualClock
@@ -131,6 +133,26 @@ class TestCalibrateDynamic:
         s = leak * true_power
         out = calibrate_dynamic(dynamic_factor(p, true_power, s), 400.0, 260.0)
         assert out == pytest.approx(140.0, rel=1e-9)
+
+
+class TestMemberSum:
+    def test_adds_left_to_right(self):
+        # compensated summation (sum() from Python 3.12) would give 1.0
+        assert member_sum((1e16, 1.0, -1e16), (0, 1, 2)) == 0.0
+
+    @settings(max_examples=100)
+    @given(
+        rows=st.lists(
+            st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=4, max_size=4),
+            min_size=1,
+            max_size=20,
+        ),
+        members=st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
+    )
+    def test_columns_equal_per_row_sums(self, rows, members):
+        columns = [np.array(column) for column in zip(*rows)]
+        per_row = [member_sum(row, members) for row in rows]
+        assert member_sum(columns, members).tolist() == per_row
 
 
 def seed_dynamic_counter(store, namespace, joules_per_s, ticks=3):

@@ -381,7 +381,8 @@ class TestPowerModelEmitter:
             bank.set_level("rps", level)
             clock.advance(1000)
         dyn = store.get(POWER_COUNTER_METRIC, series_labels("bench", MODE_DYNAMIC, "svc"))
-        emitted = [snap.process_dynamic_w["svc"] for snap in emitter.approx_log]
+        # the rate over one emission interval is the watts emitted in it
+        emitted = [rate(dyn, t - 1000, t) for t in (1000, 2000, 3000, 4000)]
         assert rate(dyn, 0, 4000) == pytest.approx(sum(emitted) / 4.0, rel=1e-12)
 
     def test_counters_are_monotone(self):
@@ -423,9 +424,15 @@ class TestPowerModelEmitter:
         store, clock, bank, emitter = self.build(workloads=workloads, baseline=5.0)
         bank.set_level("rps", 900)
         clock.advance(10_000)
-        for snap in emitter.approx_log:
-            total = sum(snap.process_dynamic_w.values()) + snap.system_dynamic_w
-            assert total == pytest.approx(snap.node_dynamic_w, rel=1e-9)
+        dyn = [
+            store.get(POWER_COUNTER_METRIC, series_labels(ns, MODE_DYNAMIC, pid))
+            for ns, pid in (("bench", "a"), ("bench", "b"), (SYSTEM_NAMESPACE, "system"))
+        ]
+        # with gain 1 the approximated node dynamic power is the true one
+        for truth in emitter.truth_log:
+            t = truth.time_ms
+            total = sum(rate(series, t - 1000, t) for series in dyn)
+            assert total == pytest.approx(truth.node_dynamic_w, rel=1e-9)
 
     def test_seeded_determinism(self):
         def run():
@@ -479,7 +486,7 @@ class TestMeterEmitter:
         clock.advance(3000)
         gauge = store.get(METER_GAUGE_METRIC, {})
         assert gauge.samples() == [(1000, 460.0), (2000, 460.0), (3000, 460.0)]
-        assert emitter.samples == [(1000, 460.0), (2000, 460.0), (3000, 460.0)]
+        assert emitter.last_ms == 3000
 
     def test_noisy_meter_stays_in_bound(self):
         store = MetricStore()

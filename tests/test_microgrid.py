@@ -173,21 +173,29 @@ class RecordingController(Controller):
         self.views.append(view)
 
 
+def last_tick(grid):
+    """The monitor's newest row, by column name."""
+    log = grid.monitor.log
+    return dict(zip(log.header, list(log.rows())[-1]))
+
+
 class TestEngine:
     def test_single_consumer_passthrough(self):
         grid = Microgrid(dt_ms=1000)
         grid.add_actor(StaticActor("node", -260.0))
-        tick = grid.step()
-        assert tick.delta_p_w == -260.0
-        assert tick.grid_exchange_j == -260.0
-        assert tick.storage_delta_j == 0.0
-        assert tick.time_ms == 1000
+        assert grid.step() is None
+        tick = last_tick(grid)
+        assert tick["delta_p_w"] == -260.0
+        assert tick["grid_exchange_j"] == -260.0
+        assert tick["storage_delta_j"] == 0.0
+        assert tick["time_ms"] == 1000
 
     def test_zero_actors(self):
         grid = Microgrid(dt_ms=1000)
-        tick = grid.step()
-        assert tick.delta_p_w == 0.0
-        assert tick.grid_exchange_j == 0.0
+        grid.step()
+        tick = last_tick(grid)
+        assert tick["delta_p_w"] == 0.0
+        assert tick["grid_exchange_j"] == 0.0
 
     def test_battery_absorbs_surplus(self):
         grid = Microgrid(
@@ -195,11 +203,12 @@ class TestEngine:
         )
         grid.add_actor(StaticActor("pv", 500.0))
         grid.add_actor(StaticActor("node", -300.0))
-        tick = grid.step()
-        assert tick.delta_p_w == 200.0
-        assert tick.storage_delta_j == 200.0
-        assert tick.grid_exchange_j == 0.0
-        assert tick.storage_charge_j == 200.0
+        grid.step()
+        tick = last_tick(grid)
+        assert tick["delta_p_w"] == 200.0
+        assert tick["storage_delta_j"] == 200.0
+        assert tick["grid_exchange_j"] == 0.0
+        assert tick["storage_charge_j"] == 200.0
 
     def test_controller_sees_current_power_and_previous_settlement(self):
         recorder = RecordingController()
@@ -235,6 +244,15 @@ class TestEngine:
         grid.step()
         recorder.views[0].storage.charge_j = 999.0
         assert battery.charge_j == 100.0
+
+    def test_actor_added_after_first_step_rejected(self):
+        grid = Microgrid(dt_ms=1000)
+        grid.add_actor(StaticActor("a", 1.0))
+        grid.step()
+        with pytest.raises(ValueError, match="after the first step"):
+            grid.add_actor(StaticActor("b", 2.0))
+        assert [a.actor_id for a in grid.actors] == ["a"]
+        assert grid.monitor.log.header[-1] == "actor.a_w"
 
     def test_duplicate_actor_id_rejected(self):
         grid = Microgrid(dt_ms=1000)
@@ -285,12 +303,11 @@ class TestRun:
         grid = Microgrid(dt_ms=1000)
         grid.add_actor(StaticActor("node", -50.0))
         monitor = grid.run(10_000)
-        assert len(monitor.ticks) == 10
-        assert [tick.t for tick in monitor.ticks] == list(range(10))
-        assert [tick.time_ms for tick in monitor.ticks] == [
-            (k + 1) * 1000 for k in range(10)
-        ]
-        assert {tick.delta_p_w for tick in monitor.ticks} == {-50.0}
+        ticks = monitor.log.columns()
+        assert len(monitor.log) == 10
+        assert ticks["t"].tolist() == list(range(10))
+        assert ticks["time_ms"].tolist() == [(k + 1) * 1000 for k in range(10)]
+        assert set(ticks["delta_p_w"].tolist()) == {-50.0}
 
     def test_duration_must_be_positive_multiple_of_dt(self):
         grid = Microgrid(dt_ms=1000)
@@ -317,7 +334,7 @@ class TestRun:
         grid = Microgrid(dt_ms=1000)
         grid.add_actor(StaticActor("node", -260.0))
         monitor = grid.run(80 * 60 * 1000)
-        assert len(monitor.ticks) == 4800
+        assert len(monitor.log) == 4800
 
 
 class TestMonitorCsv:

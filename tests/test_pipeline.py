@@ -1,8 +1,10 @@
 """End-to-end pipeline runs, artifact formats, and the HTTP endpoint."""
 
 import csv
+import dataclasses
 import json
 import socket
+import tracemalloc
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -102,7 +104,7 @@ def read_csv(path):
 class TestRunArtifacts:
     def test_minimal_monitor_rows(self, tmp_path):
         art = pipeline.run(PRESETS["minimal"], tmp_path / "min")
-        assert len(art.monitor.ticks) == 10  # duration / dt
+        assert len(art.monitor.log) == 10  # duration / dt
         for name in pipeline.ARTIFACT_NAMES:
             assert (tmp_path / "min" / name).exists()
         assert art.regression is None
@@ -131,13 +133,17 @@ class TestRunArtifacts:
         cfg = make_config(signal_interval_ms=interval_ms)
         art = pipeline.run(cfg, tmp_path)
         col = {name: i for i, name in enumerate(art.calibrated_header)}
-        assert len(art.calibrated_rows) == len(art.monitor.ticks)
+        assert len(art.calibrated_rows) == len(art.monitor.log)
+        ticks = art.monitor.log.columns()
         for spec in cfg.actors:
             cells = [row[col[f"ns.{spec.namespace}_dyn_w"]] for row in art.calibrated_rows]
             assert any(cell > 0 for cell in cells)
-            for tick, row, cell in zip(art.monitor.ticks, art.calibrated_rows, cells):
-                assert tick.time_ms == row[0]
-                assert -tick.actor_powers[spec.resolved_id] == cell
+            powers = ticks[f"actor.{spec.resolved_id}_w"].tolist()
+            for time_ms, power, row, cell in zip(
+                ticks["time_ms"].tolist(), powers, art.calibrated_rows, cells
+            ):
+                assert time_ms == row[0]
+                assert -power == cell
 
     def test_calibrated_csv_columns(self, leak_art):
         rows = read_csv(leak_art.calibrated_csv)
@@ -220,9 +226,9 @@ class TestRunArtifacts:
             storage=StorageSpec(capacity_j=300.0),
         )
         art = pipeline.run(cfg, tmp_path / "bat")
-        charges = [t.storage_charge_j for t in art.monitor.ticks]
-        assert charges == [100.0, 200.0, 300.0, 300.0, 300.0]
-        assert art.monitor.ticks[-1].grid_exchange_j == 100.0
+        ticks = art.monitor.log.columns()
+        assert ticks["storage_charge_j"].tolist() == [100.0, 200.0, 300.0, 300.0, 300.0]
+        assert ticks["grid_exchange_j"][-1] == 100.0
 
     def test_strict_signals_surface_as_step_error(self, tmp_path):
         cfg = leakage_config(
@@ -500,6 +506,28 @@ class TestServer:
             blocker.close()
 
 
+class TestMemory:
+    # a run holds its store and three tick logs, and in the post-pass the
+    # artifact rows and text: about 1100 B a tick on preset "regression",
+    # where per-tick record objects took about 3300 B
+    BYTES_PER_TICK = 2000
+
+    def test_peak_grows_boundedly_per_tick(self, tmp_path):
+        def peak(ticks):
+            cfg = dataclasses.replace(PRESETS["regression"], duration_ms=ticks * 1000)
+            tracemalloc.start()
+            try:
+                pipeline.run(cfg, tmp_path / str(ticks))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # first-run allocations (caches, lazy imports) are not per tick
+        short = peak(1000)
+        growth = (peak(3000) - short) / 2000
+        assert growth < self.BYTES_PER_TICK, f"{growth:.0f} B a tick"
+
+
 class TestWallClock:
     def test_live_run_feeds_gauge_over_tcp(self, tmp_path):
         cfg = ScenarioConfig(
@@ -509,7 +537,7 @@ class TestWallClock:
             workloads=(WorkloadSpec(process_id="svc", idle_share_w=20.0),),
         )
         art = pipeline.run(cfg, tmp_path / "live", wall_clock=True)
-        assert len(art.monitor.ticks) == 2
+        assert len(art.monitor.log) == 2
         gauge = art.store.get(METER_GAUGE_METRIC, None)
         assert gauge is not None and len(gauge) >= 1
         # meter readings traveled the TCP line protocol into the store

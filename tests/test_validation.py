@@ -1,6 +1,5 @@
 """Pairing, least-squares fitting, and ideal-line comparison."""
 
-import io
 import json
 import math
 import random
@@ -8,15 +7,17 @@ import random
 import pytest
 
 from gridcalib.errors import DegenerateX, NoOverlap, TooFewPoints
+from gridcalib.ticklog import csv_bytes
 from gridcalib.timeseries import GAUGE, Series
 from gridcalib.validation import (
+    PLOT_HEADER,
     PairedObservation,
     RegressionReport,
     compare_to_ideal,
     fit_ols,
     pair,
+    plot_rows,
     report_to_json,
-    write_plot_csv,
 )
 
 
@@ -218,9 +219,7 @@ class TestSerialization:
     def test_plot_csv_layout(self):
         points = obs([(1, 6), (2, 7), (3, 8)])
         report = fit_ols(points)
-        buf = io.StringIO(newline="")
-        write_plot_csv(points, report, buf)
-        lines = buf.getvalue().split("\r\n")
+        lines = csv_bytes(PLOT_HEADER, plot_rows(points, report)).decode().split("\r\n")
         assert lines[0] == "x_w,y_w,fitted_w,residual_w"
         first = lines[1].split(",")
         assert float(first[0]) == 1.0
