@@ -381,8 +381,10 @@ class TestPowerModelEmitter:
             bank.set_level("rps", level)
             clock.advance(1000)
         dyn = store.get(POWER_COUNTER_METRIC, series_labels("bench", MODE_DYNAMIC, "svc"))
-        # the rate over one emission interval is the watts emitted in it
+        # the rate over one emission interval is the watts emitted in it:
+        # 0.05 W per rps, with no leakage and gain 1
         emitted = [rate(dyn, t - 1000, t) for t in (1000, 2000, 3000, 4000)]
+        assert emitted == pytest.approx([0.0, 20.0, 40.0, 60.0], rel=1e-12)
         assert rate(dyn, 0, 4000) == pytest.approx(sum(emitted) / 4.0, rel=1e-12)
 
     def test_counters_are_monotone(self):
