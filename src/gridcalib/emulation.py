@@ -28,7 +28,7 @@ from .attribution import NodePower, ProcessUtilization, split_dynamic, split_idl
 from .errors import NonMonotonicTimestamp, UnknownKind
 from .signals import Clock
 from .ticklog import TickLog
-from .timeseries import COUNTER, GAUGE, MetricStore, Series
+from .timeseries import COUNTER, GAUGE, MetricStore
 from .wire import (
     METER_GAUGE_METRIC,
     MODE_DYNAMIC,
@@ -379,10 +379,12 @@ class PowerModelEmitter:
     At every firing the emitter reads the load bank, evaluates each
     workload's true power, runs the approximation error model, and
     appends cumulative joules (watts integrated over the emission
-    interval) to one counter series per process and mode, plus the
-    system pseudo-process. Counters start at 0 at construction time so
-    rate windows have a left edge. The `truth` tick log keeps each
-    firing's time, workload dynamic powers, idle powers and system power.
+    interval) to one counter series per mode and process, the system
+    pseudo-process included. `processes` is the run's process table:
+    (process_id, namespace) of each workload in config order, then
+    system. Counters start at 0 at construction time so rate windows have
+    a left edge. The `truth` tick log keeps each firing's time, workload
+    dynamic powers, idle powers and system power.
     """
 
     def __init__(
@@ -414,33 +416,25 @@ class PowerModelEmitter:
             for w in self.workloads
         }
         self._approx_rng = random.Random(f"{seed}:approx")
-        self._series: dict[tuple[str, str], Series] = {}
-        for w in self.workloads:
-            for mode in (MODE_DYNAMIC, MODE_IDLE):
-                self._series[(w.process_id, mode)] = store.get_or_create(
-                    POWER_COUNTER_METRIC,
-                    {
-                        NAMESPACE_LABEL: w.namespace,
-                        MODE_LABEL: mode,
-                        PROCESS_LABEL: w.process_id,
-                    },
-                    COUNTER,
-                )
-        for mode in (MODE_DYNAMIC, MODE_IDLE):
-            self._series[(SYSTEM_PROCESS_ID, mode)] = store.get_or_create(
+        # (process_id, namespace): the workloads in config order, then system
+        self.processes = [(w.process_id, w.namespace) for w in self.workloads]
+        self.processes.append((SYSTEM_PROCESS_ID, SYSTEM_NAMESPACE))
+        self._pids = [pid for pid, _ in self.processes[:-1]]
+        # one joules counter per (mode, process), dynamic first
+        self._counters = [
+            store.get_or_create(
                 POWER_COUNTER_METRIC,
-                {
-                    NAMESPACE_LABEL: SYSTEM_NAMESPACE,
-                    MODE_LABEL: mode,
-                    PROCESS_LABEL: SYSTEM_PROCESS_ID,
-                },
+                {NAMESPACE_LABEL: ns, MODE_LABEL: mode, PROCESS_LABEL: pid},
                 COUNTER,
             )
-        self._joules = {key: 0.0 for key in self._series}
+            for mode in (MODE_DYNAMIC, MODE_IDLE)
+            for pid, ns in self.processes
+        ]
+        self._joules = [0.0] * len(self._counters)
         self._last_emit_ms = clock.now_ms()
-        for series in self._series.values():
+        for series in self._counters:
             series.append((self._last_emit_ms, 0.0))
-        names = [f"{w.process_id}_true_{m}_w" for m in ("dyn", "idle") for w in self.workloads]
+        names = [f"{pid}_true_{m}_w" for m in ("dyn", "idle") for pid in self._pids]
         self.truth = TickLog(["time_ms", *names, "system_true_dyn_w"], int_columns=1)
         self.latest_truth = self._sample_truth(self._last_emit_ms)
         clock.schedule(self.emission_interval_ms, self._fire)
@@ -466,15 +460,15 @@ class PowerModelEmitter:
             truth, self.workloads, self.params, self._approx_rng, self.idle_split
         )
         dt_s = (now_ms - self._last_emit_ms) / 1000.0
-        watts: dict[tuple[str, str], float] = {}
-        for w in self.workloads:
-            watts[(w.process_id, MODE_DYNAMIC)] = approx.process_dynamic_w[w.process_id]
-            watts[(w.process_id, MODE_IDLE)] = approx.process_idle_w[w.process_id]
-        watts[(SYSTEM_PROCESS_ID, MODE_DYNAMIC)] = approx.system_dynamic_w
-        watts[(SYSTEM_PROCESS_ID, MODE_IDLE)] = approx.process_idle_w[SYSTEM_PROCESS_ID]
-        for key, series in self._series.items():
-            self._joules[key] += watts[key] * dt_s
-            series.append((now_ms, self._joules[key]))
+        p_dyn, p_idle = approx.process_dynamic_w, approx.process_idle_w
+        watts = [p_dyn[pid] for pid in self._pids]
+        watts.append(approx.system_dynamic_w)
+        watts += [p_idle[pid] for pid in self._pids]
+        watts.append(p_idle[SYSTEM_PROCESS_ID])
+        joules = self._joules
+        for i, series in enumerate(self._counters):
+            joules[i] += watts[i] * dt_s
+            series.append((now_ms, joules[i]))
         self._last_emit_ms = now_ms
         self.latest_truth = truth
         dyn, idle = truth.process_dynamic_w.values(), truth.process_idle_w.values()
@@ -483,8 +477,7 @@ class PowerModelEmitter:
     @property
     def truth_log(self) -> list[GroundTruth]:
         """Every firing's truth, built from the truth log when read."""
-        pids = [w.process_id for w in self.workloads]
-        k = len(pids)
+        pids, k = self._pids, len(self._pids)
         return [
             GroundTruth(t, dict(zip(pids, row[:k])), dict(zip(pids, row[k:])), system)
             for t, *row, system in self.truth.rows()

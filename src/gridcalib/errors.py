@@ -71,10 +71,6 @@ class UnknownKind(GridCalibError):
 
 # validation
 
-class NoOverlap(GridCalibError):
-    """Pairing produced zero aligned observations."""
-
-
 class DegenerateX(GridCalibError):
     """All regression x values are identical."""
 

@@ -20,6 +20,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .config import (
     config_to_dict,
 )
 from .emulation import (
-    SYSTEM_PROCESS_ID,
     GroundTruth,
     LoadBank,
     MeterEmitter,
@@ -51,8 +51,6 @@ from .errors import (
     DegenerateX,
     GridCalibError,
     MissingArtifact,
-    NoOverlap,
-    TooFewPoints,
 )
 from .microgrid import BenchmarkController, Microgrid, Monitor, StaticActor, TraceActor
 from .signals import VirtualClock, WallClock
@@ -64,11 +62,10 @@ from .validation import (
     RegressionReport,
     compare_to_ideal,
     fit_ols,
-    pair,
     plot_rows,
     report_to_json,
 )
-from .wire import METER_GAUGE_METRIC, POWER_COUNTER_METRIC, SYSTEM_NAMESPACE
+from .wire import METER_GAUGE_METRIC, POWER_COUNTER_METRIC
 
 MONITOR_CSV = "monitor.csv"
 CALIBRATED_CSV = "calibrated_power.csv"
@@ -104,19 +101,18 @@ def _artifact_path(name: str) -> property:
 @dataclass
 class RunArtifacts:
     """Paths of everything run() wrote, plus live handles for callers
-    that want to inspect the run without re-reading the files."""
+    that want to inspect the run without re-reading the files. Per-tick
+    tables are built from the handles' tick logs when read."""
 
     out_dir: Path
     store: MetricStore
     monitor: Monitor
     events: list[tuple[str, float, int]]
     emitter: PowerModelEmitter | None
+    stage: CalibrationStage | None
     regression: RegressionReport | None
     regression_skipped: str | None
-    pairs: list[PairedObservation]
     m_idle_w: float
-    calibrated_header: list[str]
-    calibrated_rows: list[tuple]
     energy_wh: dict[str, float] = field(default_factory=dict)
 
     monitor_csv = _artifact_path(MONITOR_CSV)
@@ -132,6 +128,15 @@ class RunArtifacts:
     def truth_log(self) -> list[GroundTruth]:
         """Every emission's ground truth, built when read."""
         return self.emitter.truth_log if self.emitter is not None else []
+
+    @property
+    def calibrated_header(self) -> list[str]:
+        return _calibrated_table(self.stage)[0]
+
+    @property
+    def calibrated_rows(self) -> list[tuple]:
+        """The rows of calibrated_power.csv, built when read."""
+        return list(_calibrated_table(self.stage)[1])
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -206,7 +211,7 @@ class _Runtime:
         if config.workloads:
             self.stage = CalibrationStage(
                 store,
-                _process_table(config),
+                self.emitter.processes,
                 clock,
                 self.m_idle_w,
                 window_ms=config.query_window_ms,
@@ -294,8 +299,8 @@ def _write_artifacts(runtime: _Runtime, out: Path) -> RunArtifacts:
     monitor = runtime.engine.monitor
 
     calibrated_header, calibrated_rows = _calibrated_table(runtime.stage)
-    energy_header, energy_rows, energy_wh = _energy_summary(config, runtime.stage)
-    report, skipped, pairs = _node_regression(config, store)
+    energy_header, energy_rows, energy_wh = _energy_summary(runtime.stage)
+    report, skipped, points = _node_regression(config, store)
     events = list(runtime.benchmark.events) if runtime.benchmark is not None else []
 
     _atomic_write(out / MONITOR_CSV, monitor.csv_bytes())
@@ -303,13 +308,13 @@ def _write_artifacts(runtime: _Runtime, out: Path) -> RunArtifacts:
     _atomic_write(out / ENERGY_CSV, _csv_bytes(energy_header, energy_rows))
     if report is not None:
         _atomic_write(out / REGRESSION_JSON, (report_to_json(report) + "\n").encode())
-        plot = plot_rows(pairs, report)
+        plot = plot_rows(points, report)
     else:
         payload = json.dumps({"skipped": skipped}, sort_keys=True) + "\n"
         _atomic_write(out / REGRESSION_JSON, payload.encode())
         plot = ()
     _atomic_write(out / REGRESSION_CSV, _csv_bytes(PLOT_HEADER, plot))
-    _atomic_write(out / TRUTH_CSV, _truth_csv(config, runtime))
+    _atomic_write(out / TRUTH_CSV, _truth_csv(runtime.emitter))
     _atomic_write(out / EVENTS_CSV, _csv_bytes(["action", "value", "time_ms"], events))
     config_payload = json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
     _atomic_write(out / CONFIG_JSON, config_payload.encode())
@@ -320,31 +325,21 @@ def _write_artifacts(runtime: _Runtime, out: Path) -> RunArtifacts:
         monitor=monitor,
         events=events,
         emitter=runtime.emitter,
+        stage=runtime.stage,
         regression=report,
         regression_skipped=skipped,
-        pairs=pairs,
         m_idle_w=runtime.m_idle_w,
-        calibrated_header=calibrated_header,
-        calibrated_rows=calibrated_rows,
         energy_wh=energy_wh,
     )
 
 
-def _process_table(config: ScenarioConfig) -> list[tuple[str, str]]:
-    """(process_id, namespace) rows, config order, system last."""
-    if not config.workloads:
-        return []
-    rows = [(w.process_id, w.namespace) for w in config.workloads]
-    rows.append((SYSTEM_PROCESS_ID, SYSTEM_NAMESPACE))
-    return rows
-
-
-def _calibrated_table(stage: CalibrationStage | None) -> tuple[list[str], list[tuple]]:
+def _calibrated_table(stage: CalibrationStage | None) -> tuple[list[str], Iterator[tuple]]:
     """Per-process and per-namespace calibrated power, one row per engine
     tick: the snapshot the namespace actors read on that tick, totalled
-    per namespace by the same member_sum."""
+    per namespace by the same member_sum. The rows are built as they are
+    iterated."""
     if stage is None:
-        return ["time_ms"], []
+        return ["time_ms"], iter(())
     logged = stage.log.columns()
     pids = [pid for pid, _ in stage.processes]
     header = ["time_ms", *(f"{p}_{mode}_w" for p in pids for mode in ("dyn", "idle"))]
@@ -353,18 +348,18 @@ def _calibrated_table(stage: CalibrationStage | None) -> tuple[list[str], list[t
     for ns, members in stage.namespaces.items():
         header += [f"ns.{ns}_dyn_w", f"ns.{ns}_idle_w"]
         columns += [member_sum(dyn, members), member_sum(idle, members)]
-    return header, list(zip(*(column.tolist() for column in columns)))
+    return header, zip(*(column.tolist() for column in columns))
 
 
 def _energy_summary(
-    config: ScenarioConfig, stage: CalibrationStage | None
+    stage: CalibrationStage | None,
 ) -> tuple[list[str], list[list], dict[str, float]]:
     """Trapezoidal integration of each process's calibrated power, from
     the stage's logged columns."""
     header = ["process", "namespace", "energy_wh", "share_pct"]
-    processes = _process_table(config)
-    if not processes or len(stage.log) == 0:
+    if stage is None or len(stage.log) == 0:
         return header, [], {}
+    processes = stage.processes
     logged = stage.log.columns()
     times_s = logged["time_ms"] / 1000.0
     energy: dict[str, float] = {}
@@ -384,55 +379,52 @@ def _energy_summary(
 def _node_regression(
     config: ScenarioConfig, store: MetricStore
 ) -> tuple[RegressionReport | None, str | None, list[PairedObservation]]:
-    """Fit measured node power against the approximated node total.
-
-    The x series is reconstructed at each meter timestamp as the summed
-    counter rate over one emission interval, which recovers exactly the
-    watts the emitter integrated.
-    """
+    """Fit measured node power against the approximated node total."""
     if not config.workloads:
         return None, "no workloads", []
     gauge = store.get(METER_GAUGE_METRIC, None)
     if gauge is None or len(gauge) == 0:
         return None, "no meter samples", []
-    xs = _regression_x(
+    points = _regression_points(
         gauge, store.match(POWER_COUNTER_METRIC, None), config.emission_interval_ms
     )
-    if len(xs) < 2:
+    if len(points) < 2:
         return None, "not enough aligned samples", []
     try:
-        pairs = pair(xs, gauge)
-        report = fit_ols(pairs)
-    except (NoOverlap, TooFewPoints, DegenerateX) as exc:
+        report = fit_ols(points)
+    except DegenerateX as exc:
         return None, str(exc), []
-    return report, None, pairs
+    return report, None, points
 
 
-def _regression_x(
+def _regression_points(
     gauge: Series, counters: list[Series], interval_ms: int
-) -> list[tuple[int, float]]:
-    """(meter timestamp, summed counter rate) wherever every counter
-    covers the interval ending at that timestamp; counters are summed in
-    the order given, which is key order for a store match."""
-    ts, _ = gauge.columns()
+) -> list[PairedObservation]:
+    """One point per meter sample whose trailing interval every counter
+    covers: x is the summed counter rate over that interval, which
+    recovers exactly the watts the emitter integrated, and y is the
+    sample's reading. Counters are summed in the order given, which is
+    key order for a store match."""
+    ts, measured = gauge.columns()
     total = np.zeros(len(ts))
     covered = np.ones(len(ts), dtype=bool)
     for series in counters:
         watts, ok = rates(series, ts, interval_ms)
         total += watts
         covered &= ok
-    return list(zip(ts[covered].tolist(), total[covered].tolist()))
+    columns = (ts[covered].tolist(), total[covered].tolist(), measured[covered].tolist())
+    return [PairedObservation(t, x, y) for t, x, y in zip(*columns)]
 
 
-def _truth_csv(config: ScenarioConfig, runtime: _Runtime) -> bytes:
+def _truth_csv(emitter: PowerModelEmitter | None) -> bytes:
     """The emitter's truth log with each workload's columns side by side,
     and the node total summed in GroundTruth.node_total_w's order."""
-    pids = [w.process_id for w in config.workloads]
+    pids = [pid for pid, _ in emitter.processes[:-1]] if emitter is not None else []
     header = ["time_ms", *(f"{p}_true_{mode}_w" for p in pids for mode in ("dyn", "idle"))]
     header.append("system_true_dyn_w")
-    if runtime.emitter is None:
+    if emitter is None:
         return _csv_bytes(header + ["node_true_total_w"], [])
-    logged = runtime.emitter.truth.columns()
+    logged = emitter.truth.columns()
     dyn = [logged[f"{p}_true_dyn_w"] for p in pids]
     idle = [logged[f"{p}_true_idle_w"] for p in pids]
     every = range(len(pids))

@@ -16,8 +16,6 @@ import heapq
 import time
 from typing import Callable
 
-from .timeseries import MetricStore, QueryExpr, parse_query, query
-
 DEFAULT_SIGNAL_INTERVAL_MS = 1000
 
 
@@ -123,20 +121,3 @@ class Signal:
     def now(self) -> float:
         """The last collected value; never invokes the collector."""
         return self.current_value
-
-
-def make_query_signal(
-    store: MetricStore,
-    expr: QueryExpr | str,
-    interval_ms: int | None = None,
-    *,
-    clock: Clock,
-) -> Signal:
-    """Signal whose collector evaluates a rate query against the store.
-
-    The expression is parsed at construction, so a malformed query fails
-    fast instead of surfacing as silent collection errors.
-    """
-    parsed = parse_query(expr) if isinstance(expr, str) else expr
-    return Signal(lambda: query(store, parsed), interval_ms, clock)
-

@@ -8,7 +8,6 @@ reported as absolute deviations from the fitted line.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -16,10 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DegenerateX, NoOverlap, TooFewPoints
-
-# half the default meter sample interval
-DEFAULT_ALIGN_TOLERANCE_MS = 500
+from .errors import DegenerateX, TooFewPoints
 
 
 @dataclass(frozen=True)
@@ -57,47 +53,6 @@ class IdealComparison:
     @property
     def ok(self) -> bool:
         return self.slope_ok and self.intercept_ok and self.r2_ok
-
-
-def _samples(series) -> list[tuple[int, float]]:
-    if hasattr(series, "samples"):
-        return [(s.timestamp_ms, s.value) for s in series.samples()]
-    return [(int(t), float(v)) for t, v in series]
-
-
-def pair(
-    approx, measured, align_tolerance_ms: int = DEFAULT_ALIGN_TOLERANCE_MS
-) -> list[PairedObservation]:
-    """Nearest-timestamp pairing of two sample streams.
-
-    Each approximated sample is matched to the nearest measured sample
-    within the tolerance (ties break toward the earlier one); samples
-    without a close-enough partner are dropped. Accepts Series objects
-    or iterables of (timestamp_ms, value).
-    """
-    if align_tolerance_ms < 0:
-        raise ValueError(f"tolerance must be non-negative, got {align_tolerance_ms}")
-    xs = _samples(approx)
-    ys = _samples(measured)
-    if not xs or not ys:
-        raise ValueError("both sample streams must be non-empty")
-    y_times = [t for t, _ in ys]
-    pairs: list[PairedObservation] = []
-    for t, x in xs:
-        i = bisect.bisect_left(y_times, t)
-        best = None
-        for j in (i - 1, i):
-            if 0 <= j < len(ys):
-                distance = abs(y_times[j] - t)
-                if distance <= align_tolerance_ms and (best is None or distance < best[0]):
-                    best = (distance, j)
-        if best is not None:
-            pairs.append(PairedObservation(time_ms=t, x_w=x, y_w=ys[best[1]][1]))
-    if not pairs:
-        raise NoOverlap(
-            f"no samples within {align_tolerance_ms} ms of each other"
-        )
-    return pairs
 
 
 def fit_ols(points: Sequence[PairedObservation]) -> RegressionReport:
@@ -158,7 +113,7 @@ PLOT_HEADER = ["x_w", "y_w", "fitted_w", "residual_w"]
 def plot_rows(
     points: Sequence[PairedObservation], report: RegressionReport
 ) -> Iterator[tuple[float, float, float, float]]:
-    """Plot-ready rows under PLOT_HEADER: every pair with its fitted value
+    """Plot-ready rows under PLOT_HEADER: every point with its fitted value
     and residual."""
     for p in points:
         fitted = report.slope * p.x_w + report.intercept_w

@@ -22,7 +22,7 @@ from gridcalib.config import (
     StaticActorSpec,
     StorageSpec,
 )
-from gridcalib.emulation import LoadSchedule, MeterListener, WorkloadSpec
+from gridcalib.emulation import LoadSchedule, MeterListener, MeterSpec, WorkloadSpec
 from gridcalib.errors import (
     BindError,
     ConfigError,
@@ -34,6 +34,7 @@ from gridcalib.errors import (
 from gridcalib.microgrid import Monitor
 from gridcalib.server import format_exposition, serve_metrics
 from gridcalib.timeseries import COUNTER, GAUGE, MetricStore, query, rate
+from gridcalib.validation import PLOT_HEADER
 from gridcalib.wire import METER_GAUGE_METRIC, NAMESPACE_LABEL, POWER_COUNTER_METRIC
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -243,19 +244,20 @@ class TestRunArtifacts:
             pipeline.run(cfg, tmp_path / "strict")
 
 
-def scalar_regression_x(gauge, counters, interval_ms):
-    """The regression x-series as one scalar rate() per meter sample and
-    counter, summed in the counters' order."""
-    xs = []
-    for ts, _ in gauge.samples():
+def scalar_regression_points(gauge, counters, interval_ms):
+    """The regression points as (meter timestamp, x, meter reading), with x
+    one scalar rate() per meter sample and counter, summed in the
+    counters' order."""
+    points = []
+    for ts, measured in gauge.samples():
         total = 0.0
         try:
             for series in counters:
                 total += rate(series, ts - interval_ms, ts)
         except EmptyWindow:
             continue
-        xs.append((ts, total))
-    return xs
+        points.append((ts, total, measured))
+    return points
 
 
 class TestRegressionX:
@@ -283,12 +285,29 @@ class TestRegressionX:
                 store.append(POWER_COUNTER_METRIC, {"p": str(i)}, COUNTER, (k * step, joules))
         gauge = store.get_or_create(METER_GAUGE_METRIC, None, GAUGE)
         for t in range(offset, 12 * step + 2000, meter_step):
-            gauge.append((t, 100.0))
+            gauge.append((t, 100.0 + t / 7))
         series = store.match(POWER_COUNTER_METRIC, None)
-        got = pipeline._regression_x(gauge, series, interval)
-        want = scalar_regression_x(gauge, series, interval)
-        assert got == want
-        assert all(type(t) is int and type(x) is float for t, x in got)
+        got = pipeline._regression_points(gauge, series, interval)
+        want = scalar_regression_points(gauge, series, interval)
+        assert [(p.time_ms, p.x_w, p.y_w) for p in got] == want
+        assert all(
+            type(p.time_ms) is int and type(p.x_w) is float and type(p.y_w) is float
+            for p in got
+        )
+
+    def test_points_are_the_meters_own_samples(self, tmp_path):
+        config = PRESETS["regression"]
+        store = MetricStore()
+        pipeline.run(config, tmp_path / "r", store=store)
+        report, _, points = pipeline._node_regression(config, store)
+        gauge = store.get(METER_GAUGE_METRIC, None)
+        readings = {s.timestamp_ms: s.value for s in gauge.samples()}
+        assert all(p.time_ms in readings and p.y_w == readings[p.time_ms] for p in points)
+        covered = scalar_regression_points(
+            gauge, store.match(POWER_COUNTER_METRIC, None), config.emission_interval_ms
+        )
+        assert len(points) == len(covered) == report.n
+        assert len(points) > 100
 
     def test_store_takes_appends_after_the_regression_read(self, tmp_path):
         config = leakage_config()
@@ -299,6 +318,24 @@ class TestRegressionX:
         t = store.current_time_ms() + 1000
         for series in store.series():
             series.append((t, series.last().value))
+
+
+class TestRegressionSkipped:
+    @pytest.mark.parametrize(
+        "overrides, reason",
+        [
+            # the meter's first sample would come after the run ends
+            (dict(meter=MeterSpec(sample_interval_ms=100_000)), "no meter samples"),
+            (dict(duration_ms=1000, warmup_ms=0), "not enough aligned samples"),
+            # constant load and no approximation noise: every x is the same
+            (dict(schedule=None, schedule_knob=None), "all x values identical; slope undefined"),
+        ],
+    )
+    def test_skip_reason_in_the_artifacts(self, tmp_path, overrides, reason):
+        art = pipeline.run(leakage_config(**overrides), tmp_path / "r")
+        assert art.regression is None and art.regression_skipped == reason
+        assert json.loads(art.regression_json.read_text()) == {"skipped": reason}
+        assert art.regression_csv.read_bytes() == ",".join(PLOT_HEADER).encode() + b"\r\n"
 
 
 class TestRegressionArtifacts:
@@ -511,21 +548,33 @@ class TestMemory:
     # artifact rows and text: about 1100 B a tick on preset "regression",
     # where per-tick record objects took about 3300 B
     BYTES_PER_TICK = 2000
+    # a returned RunArtifacts holds the store and the tick logs, no
+    # per-tick rows: about 220 B a tick on preset "regression"
+    HELD_BYTES_PER_TICK = 400
+
+    @staticmethod
+    def traced(tmp_path, ticks):
+        """(memory held with the returned RunArtifacts alive, peak) of a run."""
+        cfg = dataclasses.replace(PRESETS["regression"], duration_ms=ticks * 1000)
+        tracemalloc.start()
+        try:
+            art = pipeline.run(cfg, tmp_path / str(ticks))  # alive while memory is read
+            assert art.regression is not None
+            return tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
 
     def test_peak_grows_boundedly_per_tick(self, tmp_path):
-        def peak(ticks):
-            cfg = dataclasses.replace(PRESETS["regression"], duration_ms=ticks * 1000)
-            tracemalloc.start()
-            try:
-                pipeline.run(cfg, tmp_path / str(ticks))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        peak(100)  # first-run allocations (caches, lazy imports) are not per tick
-        short = peak(1000)
-        growth = (peak(3000) - short) / 2000
+        self.traced(tmp_path, 100)  # first-run allocations (caches, lazy imports) are not per tick
+        short = self.traced(tmp_path, 1000)[1]
+        growth = (self.traced(tmp_path, 3000)[1] - short) / 2000
         assert growth < self.BYTES_PER_TICK, f"{growth:.0f} B a tick"
+
+    def test_returned_artifacts_hold_no_per_tick_rows(self, tmp_path):
+        self.traced(tmp_path, 100)
+        short = self.traced(tmp_path, 1000)[0]
+        growth = (self.traced(tmp_path, 3000)[0] - short) / 2000
+        assert growth < self.HELD_BYTES_PER_TICK, f"{growth:.0f} B a tick"
 
 
 class TestWallClock:

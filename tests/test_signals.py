@@ -7,15 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcalib.errors import ParseError
 from gridcalib.signals import (
     DEFAULT_SIGNAL_INTERVAL_MS,
     Signal,
     VirtualClock,
     WallClock,
-    make_query_signal,
 )
-from gridcalib.timeseries import COUNTER, MetricStore
 
 
 def test_initial_value_is_zero_before_first_firing():
@@ -146,48 +143,6 @@ def test_advance_split_fires_same_as_one_big_advance():
         return fired["n"]
 
     assert run([10000]) == run([3000, 3000, 4000]) == run([1] * 10000) == 10000 // 700
-
-
-class TestQuerySignal:
-    def test_tracks_counter_rate(self):
-        store = MetricStore()
-        clock = VirtualClock()
-        series = store.get_or_create(
-            "kepler_container_platform_joules_total",
-            {"container_namespace": "bench"},
-            COUNTER,
-        )
-        series.append((0, 0.0))
-
-        # emitter registered before the signal so it runs first at shared instants
-        joules = {"v": 0.0}
-
-        def emit() -> None:
-            joules["v"] += 10.0
-            series.append((clock.now_ms(), joules["v"]))
-
-        clock.schedule(1000, emit)
-        sig = make_query_signal(
-            store,
-            'sum(rate(kepler_container_platform_joules_total{container_namespace="bench"}[2s]))',
-            clock=clock,
-        )
-        clock.advance(2000)
-        assert sig.now() == pytest.approx(10.0, rel=1e-9)
-
-    def test_empty_selector_reads_zero(self):
-        store = MetricStore()
-        clock = VirtualClock()
-        sig = make_query_signal(store, "rate(no_such_metric[2s])", clock=clock)
-        clock.advance(3000)
-        assert sig.now() == 0.0
-        assert sig.error_count == 0
-
-    def test_malformed_expression_fails_at_construction(self):
-        store = MetricStore()
-        clock = VirtualClock()
-        with pytest.raises(ParseError):
-            make_query_signal(store, "sum(rate(broken[2s])", clock=clock)
 
 
 class TestWallClock:

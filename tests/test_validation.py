@@ -1,4 +1,4 @@
-"""Pairing, least-squares fitting, and ideal-line comparison."""
+"""Least-squares fitting and ideal-line comparison."""
 
 import json
 import math
@@ -6,16 +6,14 @@ import random
 
 import pytest
 
-from gridcalib.errors import DegenerateX, NoOverlap, TooFewPoints
+from gridcalib.errors import DegenerateX, TooFewPoints
 from gridcalib.ticklog import csv_bytes
-from gridcalib.timeseries import GAUGE, Series
 from gridcalib.validation import (
     PLOT_HEADER,
     PairedObservation,
     RegressionReport,
     compare_to_ideal,
     fit_ols,
-    pair,
     plot_rows,
     report_to_json,
 )
@@ -26,57 +24,6 @@ def obs(xy_pairs):
         PairedObservation(time_ms=i * 1000, x_w=float(x), y_w=float(y))
         for i, (x, y) in enumerate(xy_pairs)
     ]
-
-
-class TestPair:
-    def test_identical_timestamps_pair_everything(self):
-        approx = [(0, 1.0), (1000, 2.0), (2000, 3.0)]
-        measured = [(0, 10.0), (1000, 20.0), (2000, 30.0)]
-        pairs = pair(approx, measured, align_tolerance_ms=500)
-        assert [(p.x_w, p.y_w) for p in pairs] == [(1.0, 10.0), (2.0, 20.0), (3.0, 30.0)]
-        assert [p.time_ms for p in pairs] == [0, 1000, 2000]
-
-    def test_constant_offset_pairs_to_nearest(self):
-        approx = [(k * 1000, float(k)) for k in range(5)]
-        measured = [(k * 1000 + 100, 10.0 + k) for k in range(5)]
-        pairs = pair(approx, measured, align_tolerance_ms=500)
-        assert len(pairs) == 5
-        assert [(p.x_w, p.y_w) for p in pairs] == [(float(k), 10.0 + k) for k in range(5)]
-
-    def test_disjoint_ranges_raise(self):
-        with pytest.raises(NoOverlap):
-            pair([(0, 1.0)], [(10_000, 2.0)], align_tolerance_ms=500)
-
-    def test_out_of_tolerance_samples_dropped(self):
-        approx = [(0, 1.0), (5000, 2.0)]
-        measured = [(4900, 7.0)]
-        pairs = pair(approx, measured, align_tolerance_ms=200)
-        assert [(p.time_ms, p.x_w, p.y_w) for p in pairs] == [(5000, 2.0, 7.0)]
-
-    def test_tie_breaks_toward_earlier_sample(self):
-        approx = [(1000, 1.0)]
-        measured = [(900, 5.0), (1100, 6.0)]
-        pairs = pair(approx, measured, align_tolerance_ms=500)
-        assert pairs[0].y_w == 5.0
-
-    def test_accepts_series_objects(self):
-        a = Series("a", {}, GAUGE)
-        b = Series("b", {}, GAUGE)
-        for k in range(3):
-            a.append((k * 1000, float(k)))
-            b.append((k * 1000, float(10 * k)))
-        pairs = pair(a, b)
-        assert len(pairs) == 3
-
-    def test_empty_stream_rejected(self):
-        with pytest.raises(ValueError):
-            pair([], [(0, 1.0)])
-        with pytest.raises(ValueError):
-            pair([(0, 1.0)], [])
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            pair([(0, 1.0)], [(0, 1.0)], align_tolerance_ms=-1)
 
 
 class TestFitOls:
