@@ -27,16 +27,7 @@ from .microgrid import Controller, ControllerView
 from .signals import Clock, Signal
 from .ticklog import TickLog
 from .timeseries import MetricStore, Series, rate
-from .wire import (
-    METER_GAUGE_METRIC,
-    MODE_DYNAMIC,
-    MODE_IDLE,
-    MODE_LABEL,
-    NAMESPACE_LABEL,
-    POWER_COUNTER_METRIC,
-    PROCESS_LABEL,
-    SYSTEM_NAMESPACE,
-)
+from .wire import SYSTEM_NAMESPACE
 
 # denominator guard: approximated system power this close to the node total
 # means calibration is undefined, not merely large
@@ -85,12 +76,12 @@ def calibrate_dynamic(
 
 
 def capture_idle_baseline(
-    store: MetricStore,
+    gauge: Series,
     now_ms: int,
     mode: str = "averaged",
     window_ms: int = DEFAULT_M_IDLE_WINDOW_MS,
 ) -> float:
-    """Read the meter's idle level from the store at construction time.
+    """Read the meter's idle level from its gauge at construction time.
 
     "averaged" takes the mean of the gauge samples in the trailing
     window; "single" takes the latest sample. Returns 0.0 when the gauge
@@ -98,18 +89,11 @@ def capture_idle_baseline(
     """
     if mode not in ("averaged", "single"):
         raise ValueError(f"unknown m_idle capture mode {mode!r}")
-    series = store.get(METER_GAUGE_METRIC)
-    if series is None:
-        return 0.0
-    samples = series.samples()
-    if not samples:
-        return 0.0
-    if mode == "single":
-        return samples[-1].value
-    window = [s.value for s in samples if now_ms - window_ms <= s.timestamp_ms <= now_ms]
-    if not window:
-        return samples[-1].value
-    return fmean(window)
+    ts, values = gauge.columns()
+    window = values[(now_ms - window_ms <= ts) & (ts <= now_ms)].tolist()
+    if mode == "averaged" and window:
+        return fmean(window)
+    return float(values[-1]) if len(values) else 0.0
 
 
 @dataclass(frozen=True)
@@ -149,8 +133,11 @@ class CalibrationStage(Controller):
     One scheduled collection reads, at the collection instant, each
     process's dynamic and idle counter rate over the trailing query
     window and the meter's latest reading, then applies the kernel per
-    process. Namespace actors sum the latest snapshot; as a microgrid
-    controller the stage also logs the calibrated power each tick saw.
+    process. The stage is handed the series it reads: `counters` holds
+    every process's dynamic counter and then every idle counter, in
+    process order, and `gauge` is the meter's. Namespace actors sum the
+    latest snapshot; as a microgrid controller the stage also logs the
+    calibrated power each tick saw.
     The system pseudo-process keeps only its idle share: its dynamic
     power is exactly what calibration redistributes to the workloads.
     """
@@ -161,6 +148,8 @@ class CalibrationStage(Controller):
         self,
         store: MetricStore,
         processes: Sequence[tuple[str, str]],
+        counters: Sequence[Series],
+        gauge: Series,
         clock: Clock,
         m_idle_w: float,
         *,
@@ -173,21 +162,21 @@ class CalibrationStage(Controller):
             )
         self.window_ms = window_ms
         self.processes = list(processes)
+        if len(counters) != 2 * len(self.processes):
+            raise ValueError(
+                f"need a dynamic and an idle counter for each of {len(self.processes)} "
+                f"processes, got {len(counters)} counters"
+            )
         self.m_idle_w = m_idle_w
         # namespace -> indices of its processes, in first-seen order
         self.namespaces: dict[str, tuple[int, ...]] = {}
         for i, (_, ns) in enumerate(self.processes):
             self.namespaces[ns] = self.namespaces.get(ns, ()) + (i,)
         self._system = self.namespaces.get(SYSTEM_NAMESPACE, ())
+        # the store only gives the collection instant, its watermark
         self._store = store
-        # (name, labels) of the meter, then every process's dynamic and
-        # then idle counter; _series() resolves them to Series handles
-        self._wanted = [(METER_GAUGE_METRIC, None)] + [
-            (POWER_COUNTER_METRIC, {NAMESPACE_LABEL: ns, PROCESS_LABEL: pid, MODE_LABEL: mode})
-            for mode in (MODE_DYNAMIC, MODE_IDLE)
-            for pid, ns in self.processes
-        ]
-        self._handles: list[Series | None] = [None] * len(self._wanted)
+        self._counters = list(counters)
+        self._gauge = gauge
         zeros = (0.0,) * len(self.processes)
         self.snapshot = CalibrationSnapshot(
             zeros, 0.0, 0.0, 0.0, m_idle_w, zeros, zeros, zeros
@@ -201,36 +190,21 @@ class CalibrationStage(Controller):
         """0 until the first successful collection."""
         return self._signal.last_collection_ms
 
-    def _series(self) -> list[Series | None]:
-        """The wanted series; a handle is looked up until its series exists
-        and then kept, since a store never replaces a series."""
-        handles = self._handles
-        if None in handles:
-            handles = self._handles = [
-                series if series is not None else self._store.get(*wanted)
-                for series, wanted in zip(handles, self._wanted)
-            ]
-        return handles
-
-    def _rate(self, series: Series | None, now_ms: int) -> float:
-        # a missing series or one that does not cover the window reads 0
-        if series is None:
-            return 0.0
+    def _rate(self, series: Series, now_ms: int) -> float:
+        # a counter that does not cover the window reads 0
         try:
             return rate(series, now_ms - self.window_ms, now_ms)
         except EmptyWindow:
             return 0.0
 
-    def _collect(self) -> float:
-        # the signal's value is the meter reading; the snapshot is
-        # replaced only when the whole collection succeeds
-        meter, *counters = self._series()
-        last = None if meter is None else meter.last()
+    def _collect(self) -> None:
+        # the snapshot is replaced only when the whole collection succeeds
+        last = self._gauge.last()
         if last is None:
             raise LookupError("no meter samples yet")
         m = last.value
         now = self._store.current_time_ms()
-        watts = [self._rate(series, now) for series in counters]
+        watts = [self._rate(series, now) for series in self._counters]
         k = len(self.processes)
         p_dyn, p_idle = tuple(watts[:k]), tuple(watts[k:])
         n_dyn = sum(p_dyn)
@@ -257,7 +231,6 @@ class CalibrationStage(Controller):
             p_dyn, n_dyn, s_dyn, m, self.m_idle_w,
             tuple(factor), tuple(cal_dyn), tuple(cal_idle), degenerate,
         )
-        return m
 
     def step(self, view: ControllerView) -> None:
         self.log.append([view.time_ms, *self.snapshot.cal_dyn, *self.snapshot.cal_idle])

@@ -28,9 +28,8 @@ from .attribution import NodePower, ProcessUtilization, split_dynamic, split_idl
 from .errors import NonMonotonicTimestamp, UnknownKind
 from .signals import Clock
 from .ticklog import TickLog
-from .timeseries import COUNTER, GAUGE, MetricStore
+from .timeseries import COUNTER, MetricStore, Series
 from .wire import (
-    METER_GAUGE_METRIC,
     MODE_DYNAMIC,
     MODE_IDLE,
     MODE_LABEL,
@@ -382,9 +381,11 @@ class PowerModelEmitter:
     interval) to one counter series per mode and process, the system
     pseudo-process included. `processes` is the run's process table:
     (process_id, namespace) of each workload in config order, then
-    system. Counters start at 0 at construction time so rate windows have
-    a left edge. The `truth` tick log keeps each firing's time, workload
-    dynamic powers, idle powers and system power.
+    system. `counters` holds those series, every process's dynamic
+    counter and then every idle counter, in process order. Counters start
+    at 0 at construction time so rate windows have a left edge. The
+    `truth` tick log keeps each firing's time, workload dynamic powers,
+    idle powers and system power.
     """
 
     def __init__(
@@ -421,7 +422,7 @@ class PowerModelEmitter:
         self.processes.append((SYSTEM_PROCESS_ID, SYSTEM_NAMESPACE))
         self._pids = [pid for pid, _ in self.processes[:-1]]
         # one joules counter per (mode, process), dynamic first
-        self._counters = [
+        self.counters = [
             store.get_or_create(
                 POWER_COUNTER_METRIC,
                 {NAMESPACE_LABEL: ns, MODE_LABEL: mode, PROCESS_LABEL: pid},
@@ -430,9 +431,9 @@ class PowerModelEmitter:
             for mode in (MODE_DYNAMIC, MODE_IDLE)
             for pid, ns in self.processes
         ]
-        self._joules = [0.0] * len(self._counters)
+        self._joules = [0.0] * len(self.counters)
         self._last_emit_ms = clock.now_ms()
-        for series in self._counters:
+        for series in self.counters:
             series.append((self._last_emit_ms, 0.0))
         names = [f"{pid}_true_{m}_w" for m in ("dyn", "idle") for pid in self._pids]
         self.truth = TickLog(["time_ms", *names, "system_true_dyn_w"], int_columns=1)
@@ -466,7 +467,7 @@ class PowerModelEmitter:
         watts += [p_idle[pid] for pid in self._pids]
         watts.append(p_idle[SYSTEM_PROCESS_ID])
         joules = self._joules
-        for i, series in enumerate(self._counters):
+        for i, series in enumerate(self.counters):
             joules[i] += watts[i] * dt_s
             series.append((now_ms, joules[i]))
         self._last_emit_ms = now_ms
@@ -487,30 +488,23 @@ class PowerModelEmitter:
 class MeterEmitter:
     """Periodic task: measure the current true node draw.
 
-    Samples go either into the store's meter gauge or to a publish
-    callback (the TCP line protocol in live mode); last_ms is the last
-    sample's timestamp.
+    Each sample goes to `publish` as a (timestamp_ms, watts) tuple: the
+    meter gauge's append in a virtual run, the TCP publisher's send in
+    live mode. last_ms is the last sample's timestamp.
     """
 
     def __init__(
         self,
-        store: MetricStore | None,
         meter: MeterSpec,
         truth_source: Callable[[], float],
         clock: Clock,
-        *,
-        publish: Callable[[float, int], None] | None = None,
+        publish: Callable[[tuple[int, float]], None],
     ):
         self.meter = meter
         self._truth_source = truth_source
         self._clock = clock
         self._rng = random.Random(f"{meter.seed}:meter")
         self._publish = publish
-        self._series = (
-            store.get_or_create(METER_GAUGE_METRIC, {}, GAUGE)
-            if store is not None
-            else None
-        )
         self.last_ms: int | None = None
         clock.schedule(meter.sample_interval_ms, self._fire)
 
@@ -518,20 +512,19 @@ class MeterEmitter:
         now_ms = self._clock.now_ms()
         measured = meter_sample(self._truth_source(), self.meter, self._rng)
         self.last_ms = now_ms
-        if self._series is not None:
-            self._series.append((now_ms, measured))
-        if self._publish is not None:
-            self._publish(measured, now_ms)
+        self._publish((now_ms, measured))
 
 
 class MeterPublisher:
-    """Client side of the meter line protocol: one JSON object per line."""
+    """Client side of the meter line protocol: one JSON object per line.
+    send() takes a (timestamp_ms, watts) sample, as Series.append does."""
 
     def __init__(self, host: str, port: int, timeout_s: float = 5.0):
         self._sock = socket.create_connection((host, port), timeout=timeout_s)
         self._file = self._sock.makefile("w", encoding="utf-8", newline="\n")
 
-    def send(self, power_w: float, ts_ms: int) -> None:
+    def send(self, sample: tuple[int, float]) -> None:
+        ts_ms, power_w = sample
         self._file.write(json.dumps({"power_w": float(power_w), "ts_ms": int(ts_ms)}) + "\n")
         self._file.flush()
 
@@ -558,15 +551,14 @@ class _MeterIngestHandler(socketserver.StreamRequestHandler):
 
 
 class MeterListener(socketserver.ThreadingTCPServer):
-    """Accepts meter publisher connections and feeds the store's gauge."""
+    """Accepts meter publisher connections and feeds the meter gauge."""
 
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, bind: tuple[str, int], store: MetricStore):
+    def __init__(self, bind: tuple[str, int], gauge: Series):
         super().__init__(bind, _MeterIngestHandler)
-        self._store = store
-        self._gauge = store.get_or_create(METER_GAUGE_METRIC, {}, GAUGE)
+        self._gauge = gauge
         self._lock = threading.Lock()
 
     def ingest(self, ts_ms: int, power_w: float) -> None:

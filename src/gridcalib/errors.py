@@ -31,10 +31,6 @@ class ParseError(GridCalibError):
     """Query text does not match the query grammar."""
 
 
-class UnknownMetric(GridCalibError):
-    """Strict query referenced a metric name the store has never seen."""
-
-
 # attribution
 
 class EmptyProcessSet(GridCalibError):

@@ -55,7 +55,7 @@ from .errors import (
 from .microgrid import BenchmarkController, Microgrid, Monitor, StaticActor, TraceActor
 from .signals import VirtualClock, WallClock
 from .ticklog import csv_bytes as _csv_bytes
-from .timeseries import MetricStore, Series, rates
+from .timeseries import GAUGE, MetricStore, Series, rates
 from .validation import (
     PLOT_HEADER,
     PairedObservation,
@@ -155,6 +155,8 @@ class _Runtime:
         self.store = store
         self.bank = LoadBank()
         self.emitter: PowerModelEmitter | None = None
+        # the meter's gauge, resolved once; None when there are no workloads
+        self.gauge: Series | None = None
         self.meter: MeterEmitter | None = None
         self.listener: MeterListener | None = None
         self.publisher: MeterPublisher | None = None
@@ -178,40 +180,41 @@ class _Runtime:
                 seed=config.seed,
             )
             emitter = self.emitter
+            self.gauge = gauge = store.get_or_create(METER_GAUGE_METRIC, {}, GAUGE)
 
             def truth() -> float:
                 return emitter.latest_truth.node_total_w
 
+            publish = gauge.append
             if wall_clock:
                 # live mode pushes meter readings over the TCP line
-                # protocol; the listener feeds the store's gauge
-                self.listener = MeterListener(("127.0.0.1", 0), store)
+                # protocol; the listener feeds the gauge
+                self.listener = MeterListener(("127.0.0.1", 0), gauge)
                 self.listener.serve_in_background()
                 host, port = self.listener.server_address[:2]
                 self.publisher = MeterPublisher(host, port)
-                self.meter = MeterEmitter(
-                    None, config.meter, truth, clock, publish=self.publisher.send
-                )
-            else:
-                self.meter = MeterEmitter(store, config.meter, truth, clock)
+                publish = self.publisher.send
+            self.meter = MeterEmitter(config.meter, truth, clock, publish)
         if config.warmup_ms:
             clock.advance(config.warmup_ms)
         self.await_meter()
-        self.m_idle_w = capture_idle_baseline(
-            store,
-            clock.now_ms(),
-            mode=config.m_idle_capture,
-            window_ms=config.warmup_ms or DEFAULT_M_IDLE_WINDOW_MS,
-        )
         self.engine = Microgrid(
             clock=clock,
             dt_ms=config.dt_ms,
             storage=config.storage.build() if config.storage is not None else None,
         )
         if config.workloads:
+            self.m_idle_w = capture_idle_baseline(
+                self.gauge,
+                clock.now_ms(),
+                mode=config.m_idle_capture,
+                window_ms=config.warmup_ms or DEFAULT_M_IDLE_WINDOW_MS,
+            )
             self.stage = CalibrationStage(
                 store,
                 self.emitter.processes,
+                self.emitter.counters,
+                self.gauge,
                 clock,
                 self.m_idle_w,
                 window_ms=config.query_window_ms,
@@ -244,13 +247,12 @@ class _Runtime:
 
     def await_meter(self) -> None:
         """Live mode: wait until the listener has stored the last reading
-        the meter published, so the store holds what a virtual run's would."""
+        the meter published, so the gauge holds what a virtual run's would."""
         if self.listener is None or self.meter.last_ms is None:
             return
         last_ms = self.meter.last_ms
-        gauge = self.store.get(METER_GAUGE_METRIC, None)
         deadline = time.monotonic() + METER_WAIT_S
-        while (gauge.last_timestamp() or 0) < last_ms:
+        while (self.gauge.last_timestamp() or 0) < last_ms:
             if time.monotonic() > deadline:
                 raise GridCalibError(
                     f"meter reading at {last_ms} ms never reached the store"
@@ -295,33 +297,23 @@ def run(
 
 
 def _write_artifacts(runtime: _Runtime, out: Path) -> RunArtifacts:
-    config, store = runtime.config, runtime.store
-    monitor = runtime.engine.monitor
-
-    calibrated_header, calibrated_rows = _calibrated_table(runtime.stage)
-    energy_header, energy_rows, energy_wh = _energy_summary(runtime.stage)
-    report, skipped, points = _node_regression(config, store)
-    events = list(runtime.benchmark.events) if runtime.benchmark is not None else []
-
+    """Build, encode and write each artifact in turn, so no table is
+    held while the next one is built."""
+    config, monitor = runtime.config, runtime.engine.monitor
     _atomic_write(out / MONITOR_CSV, monitor.csv_bytes())
-    _atomic_write(out / CALIBRATED_CSV, _csv_bytes(calibrated_header, calibrated_rows))
+    _atomic_write(out / CALIBRATED_CSV, _csv_bytes(*_calibrated_table(runtime.stage)))
+    energy_header, energy_rows, energy_wh = _energy_summary(runtime.stage)
     _atomic_write(out / ENERGY_CSV, _csv_bytes(energy_header, energy_rows))
-    if report is not None:
-        _atomic_write(out / REGRESSION_JSON, (report_to_json(report) + "\n").encode())
-        plot = plot_rows(points, report)
-    else:
-        payload = json.dumps({"skipped": skipped}, sort_keys=True) + "\n"
-        _atomic_write(out / REGRESSION_JSON, payload.encode())
-        plot = ()
-    _atomic_write(out / REGRESSION_CSV, _csv_bytes(PLOT_HEADER, plot))
+    report, skipped = _write_regression(runtime, out)
     _atomic_write(out / TRUTH_CSV, _truth_csv(runtime.emitter))
+    events = list(runtime.benchmark.events) if runtime.benchmark is not None else []
     _atomic_write(out / EVENTS_CSV, _csv_bytes(["action", "value", "time_ms"], events))
     config_payload = json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
     _atomic_write(out / CONFIG_JSON, config_payload.encode())
 
     return RunArtifacts(
         out_dir=out,
-        store=store,
+        store=runtime.store,
         monitor=monitor,
         events=events,
         emitter=runtime.emitter,
@@ -331,6 +323,23 @@ def _write_artifacts(runtime: _Runtime, out: Path) -> RunArtifacts:
         m_idle_w=runtime.m_idle_w,
         energy_wh=energy_wh,
     )
+
+
+def _write_regression(
+    runtime: _Runtime, out: Path
+) -> tuple[RegressionReport | None, str | None]:
+    """Fit and write the regression report and its points; the points
+    are dropped when this returns."""
+    report, skipped, points = _node_regression(runtime.config, runtime.gauge, runtime.store)
+    if report is not None:
+        _atomic_write(out / REGRESSION_JSON, (report_to_json(report) + "\n").encode())
+        plot = plot_rows(points, report)
+    else:
+        payload = json.dumps({"skipped": skipped}, sort_keys=True) + "\n"
+        _atomic_write(out / REGRESSION_JSON, payload.encode())
+        plot = ()
+    _atomic_write(out / REGRESSION_CSV, _csv_bytes(PLOT_HEADER, plot))
+    return report, skipped
 
 
 def _calibrated_table(stage: CalibrationStage | None) -> tuple[list[str], Iterator[tuple]]:
@@ -377,13 +386,12 @@ def _energy_summary(
 
 
 def _node_regression(
-    config: ScenarioConfig, store: MetricStore
+    config: ScenarioConfig, gauge: Series | None, store: MetricStore
 ) -> tuple[RegressionReport | None, str | None, list[PairedObservation]]:
     """Fit measured node power against the approximated node total."""
     if not config.workloads:
         return None, "no workloads", []
-    gauge = store.get(METER_GAUGE_METRIC, None)
-    if gauge is None or len(gauge) == 0:
+    if len(gauge) == 0:
         return None, "no meter samples", []
     points = _regression_points(
         gauge, store.match(POWER_COUNTER_METRIC, None), config.emission_interval_ms

@@ -1,13 +1,13 @@
-"""Periodic collection signals with a non-blocking read.
+"""Periodic collection signals and the clocks that fire them.
 
 A signal owns one collector function. A clock fires the collector every
-interval; now() returns the last collected value and never calls the
-collector. There is one scheduler: due firings run synchronously inside
-the clock's advance(), on the thread that advances it, in registration
-order for equal due times. VirtualClock moves time only through
-advance(), which makes long scenarios deterministic and fast to replay;
-WallClock runs the same schedule paced to real time. Nothing cancels a
-scheduled task: it runs until its clock is dropped.
+interval; the signal records when the last collection succeeded and how
+many failed. There is one scheduler: due firings run synchronously
+inside the clock's advance(), on the thread that advances it, in
+registration order for equal due times. VirtualClock moves time only
+through advance(), which makes long scenarios deterministic and fast to
+replay; WallClock runs the same schedule paced to real time. Nothing
+cancels a scheduled task: it runs until its clock is dropped.
 """
 
 from __future__ import annotations
@@ -83,26 +83,24 @@ Clock = VirtualClock | WallClock
 
 
 class Signal:
-    """Latest-value holder refreshed by a scheduled collector.
+    """A collector run on a schedule, with its collection record.
 
     The collector runs inside the clock's advance(), on the thread that
-    advances it; now() only reads the stored value. current_value starts
-    at 0.0 and changes only at collection instants. A collector failure
-    keeps the previous value and increments error_count.
-    last_collection_ms stays 0 until the first successful collection, so
-    callers that cannot tolerate the initial zero can gate on it.
+    advances it, and keeps whatever it collects itself. A collector
+    failure increments error_count. last_collection_ms stays 0 until the
+    first successful collection, so callers that cannot use a value
+    that was never collected can gate on it.
     """
 
     def __init__(
         self,
-        collector: Callable[[], float],
+        collector: Callable[[], None],
         interval_ms: int | None,
         clock: Clock,
     ):
         self.interval_ms = DEFAULT_SIGNAL_INTERVAL_MS if interval_ms is None else int(interval_ms)
         if self.interval_ms <= 0:
             raise ValueError(f"interval must be positive, got {self.interval_ms}")
-        self.current_value = 0.0
         self.last_collection_ms = 0
         self.error_count = 0
         self._collector = collector
@@ -111,13 +109,8 @@ class Signal:
 
     def _fire(self) -> None:
         try:
-            value = float(self._collector())
+            self._collector()
         except Exception:
             self.error_count += 1
             return
-        self.current_value = value
         self.last_collection_ms = self._clock.now_ms()
-
-    def now(self) -> float:
-        """The last collected value; never invokes the collector."""
-        return self.current_value

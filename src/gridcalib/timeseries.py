@@ -50,7 +50,6 @@ from .errors import (
     KindMismatch,
     NonMonotonicTimestamp,
     ParseError,
-    UnknownMetric,
 )
 
 COUNTER = "counter"
@@ -385,11 +384,6 @@ class MetricStore:
         """Every series, in key order."""
         return list(self._ordered)
 
-    def has_metric(self, name: str) -> bool:
-        ordered = self._ordered
-        lo = bisect_left(ordered, (name,), key=_KEY)
-        return lo < len(ordered) and ordered[lo].name == name
-
     def _named(self, name: str) -> tuple[Series, ...]:
         """The key-sorted series with this name. Their keys sort after
         (name,) and before (name + "\\0",), the next possible name."""
@@ -416,23 +410,15 @@ class MetricStore:
         return self._watermark.ms
 
 
-def query(
-    store: MetricStore,
-    expr: QueryExpr | str,
-    at_ms: int | None = None,
-    strict: bool = False,
-) -> float:
-    """Evaluate a rate query as of at_ms (default: the store's current time).
+def query(store: MetricStore, expr: QueryExpr | str) -> float:
+    """Evaluate a rate query at the store's current time.
 
     Matching series whose samples do not cover the window contribute 0.0,
-    and a selector matching nothing sums to 0.0. In strict mode an unknown
-    metric name raises UnknownMetric instead.
+    and a selector matching nothing sums to 0.0.
     """
     if isinstance(expr, str):
         expr = parse_query(expr)
-    if strict and not store.has_metric(expr.metric):
-        raise UnknownMetric(f"no series named {expr.metric!r}")
-    now = store.current_time_ms() if at_ms is None else int(at_ms)
+    now = store.current_time_ms()
     total = 0.0
     for series in store.match(expr.metric, expr.label_map()):
         try:

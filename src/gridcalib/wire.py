@@ -1,8 +1,9 @@
-"""Metric and label names shared by the emulated exporter and its consumers.
+"""Metric and label names of the emulated exporter.
 
 These strings are the compatibility surface of the per-process power
-exporter being emulated; queries in the calibration layer must match the
-emitter byte for byte.
+exporter being emulated: `/query` selectors and the regression's store
+match read the counters by them. The calibration stage reads none of
+them; the run hands it the emitter's counter and meter gauge handles.
 """
 
 POWER_COUNTER_METRIC = "kepler_container_platform_joules_total"

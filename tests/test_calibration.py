@@ -2,6 +2,7 @@
 
 import math
 import random
+from statistics import fmean
 
 import numpy as np
 import pytest
@@ -20,15 +21,7 @@ from gridcalib.calibration import (
 )
 from gridcalib.errors import DegenerateDenominator, StaleSignal, ZeroNodeIdle
 from gridcalib.signals import VirtualClock
-from gridcalib.timeseries import COUNTER, GAUGE, MetricStore
-from gridcalib.wire import (
-    METER_GAUGE_METRIC,
-    MODE_DYNAMIC,
-    MODE_LABEL,
-    NAMESPACE_LABEL,
-    POWER_COUNTER_METRIC,
-    PROCESS_LABEL,
-)
+from gridcalib.timeseries import COUNTER, GAUGE, MetricStore, Series
 
 
 class TestCalibrateIdle:
@@ -155,32 +148,39 @@ class TestMemberSum:
         assert member_sum(columns, members).tolist() == per_row
 
 
-def seed_dynamic_counter(store, namespace, joules_per_s, ticks=3):
-    # one process per namespace, named after it
-    series = store.get_or_create(
-        POWER_COUNTER_METRIC,
-        {NAMESPACE_LABEL: namespace, MODE_LABEL: MODE_DYNAMIC, PROCESS_LABEL: namespace},
-        COUNTER,
-    )
-    for k in range(ticks):
-        series.append((k * 1000, joules_per_s * k))
-    return series
+def stage_series(store, processes):
+    """A dynamic and an idle counter per process, dynamic first, and a
+    meter gauge. The stage reads the handles, whatever their labels."""
+    counters = [
+        store.get_or_create("joules_total", {"process": pid, "mode": mode}, COUNTER)
+        for mode in ("dynamic", "idle")
+        for pid, _ in processes
+    ]
+    return counters, store.get_or_create("meter_watts", {}, GAUGE)
+
+
+def make_stage(processes, clock=None, m_idle_w=0.0, **kwargs):
+    store = MetricStore()
+    counters, gauge = stage_series(store, processes)
+    clock = clock if clock is not None else VirtualClock()
+    return CalibrationStage(store, processes, counters, gauge, clock, m_idle_w, **kwargs)
 
 
 class TestNamespacePowerActor:
     def build(self, rates, meter_before=260.0, meter_after=400.0, strict=False, **kwargs):
+        # one process per namespace, named after it; idle counters stay empty
         store = MetricStore()
         clock = VirtualClock()
-        meter_series = store.get_or_create(METER_GAUGE_METRIC, {}, GAUGE)
-        meter_series.append((0, meter_before))
-        m_idle = capture_idle_baseline(store, clock.now_ms())
-        stage = CalibrationStage(
-            store, [(ns, ns) for ns in rates], clock, m_idle, **kwargs
-        )
+        processes = [(ns, ns) for ns in rates]
+        counters, gauge = stage_series(store, processes)
+        gauge.append((0, meter_before))
+        m_idle = capture_idle_baseline(gauge, clock.now_ms())
+        stage = CalibrationStage(store, processes, counters, gauge, clock, m_idle, **kwargs)
         actor = NamespacePowerActor(stage, "bench", strict=strict)
-        for namespace, rate in rates.items():
-            seed_dynamic_counter(store, namespace, rate)
-        meter_series.append((2000, meter_after))
+        for dynamic, joules_per_s in zip(counters, rates.values()):
+            for k in range(3):
+                dynamic.append((k * 1000, joules_per_s * k))
+        gauge.append((2000, meter_after))
         clock.advance(2000)
         return actor
 
@@ -216,8 +216,7 @@ class TestNamespacePowerActor:
             actor.power()
 
     def test_strict_mode_flags_never_collected_signals(self):
-        store = MetricStore()
-        stage = CalibrationStage(store, [("bench", "bench")], VirtualClock(), 0.0)
+        stage = make_stage([("bench", "bench")])
         actor = NamespacePowerActor(stage, "bench", strict=True)
         with pytest.raises(StaleSignal):
             actor.calibrated_dynamic_w()
@@ -228,41 +227,77 @@ class TestNamespacePowerActor:
 
     def test_window_must_be_whole_seconds(self):
         with pytest.raises(ValueError):
+            make_stage([("bench", "bench")], window_ms=1500)
+
+    @pytest.mark.parametrize("n_counters", [0, 1, 3, 5])
+    def test_counters_must_be_two_per_process(self, n_counters):
+        processes = [("bench", "bench"), ("system", "system")]
+        store = MetricStore()
+        counters, gauge = stage_series(store, processes)
+        extra = store.get_or_create("joules_total", {"process": "extra"}, COUNTER)
+        with pytest.raises(ValueError, match="counter"):
             CalibrationStage(
-                MetricStore(), [("bench", "bench")], VirtualClock(), 0.0, window_ms=1500
+                store, processes, (counters + [extra])[:n_counters], gauge, VirtualClock(), 0.0
             )
+
+
+def idle_baseline_reference(samples, now_ms, mode="averaged", window_ms=30_000):
+    """capture_idle_baseline over (timestamp, value) pairs, written out."""
+    if not samples:
+        return 0.0
+    window = [v for t, v in samples if now_ms - window_ms <= t <= now_ms]
+    if mode == "single" or not window:
+        return samples[-1][1]
+    return fmean(window)
 
 
 class TestIdleBaselineCapture:
     def seed_meter(self, samples):
-        store = MetricStore()
-        series = store.get_or_create(METER_GAUGE_METRIC, {}, GAUGE)
+        gauge = Series("meter_watts", kind=GAUGE)
         for s in samples:
-            series.append(s)
-        return store
+            gauge.append(s)
+        return gauge
 
     def test_averaged_mean_over_window(self):
-        store = self.seed_meter([(0, 100.0), (5000, 200.0)])
-        assert capture_idle_baseline(store, now_ms=5000) == 150.0
+        gauge = self.seed_meter([(0, 100.0), (5000, 200.0)])
+        assert capture_idle_baseline(gauge, now_ms=5000) == 150.0
 
     def test_averaged_ignores_samples_outside_window(self):
-        store = self.seed_meter([(0, 100.0), (5000, 200.0)])
-        value = capture_idle_baseline(store, now_ms=5000, window_ms=3000)
+        gauge = self.seed_meter([(0, 100.0), (5000, 200.0)])
+        value = capture_idle_baseline(gauge, now_ms=5000, window_ms=3000)
         assert value == 200.0
 
     def test_single_takes_latest(self):
-        store = self.seed_meter([(0, 100.0), (5000, 200.0)])
-        assert capture_idle_baseline(store, now_ms=5000, mode="single") == 200.0
+        gauge = self.seed_meter([(0, 100.0), (5000, 200.0)])
+        assert capture_idle_baseline(gauge, now_ms=5000, mode="single") == 200.0
 
     def test_empty_gauge_reads_zero(self):
-        store = MetricStore()
-        assert capture_idle_baseline(store, now_ms=0) == 0.0
+        assert capture_idle_baseline(self.seed_meter([]), now_ms=0) == 0.0
 
     def test_stale_window_falls_back_to_latest(self):
-        store = self.seed_meter([(0, 100.0)])
-        assert capture_idle_baseline(store, now_ms=50_000) == 100.0
+        gauge = self.seed_meter([(0, 100.0)])
+        assert capture_idle_baseline(gauge, now_ms=50_000) == 100.0
 
     def test_unknown_mode_rejected(self):
-        store = MetricStore()
         with pytest.raises(ValueError):
-            capture_idle_baseline(store, now_ms=0, mode="median")
+            capture_idle_baseline(self.seed_meter([]), now_ms=0, mode="median")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        samples=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=60_000),
+                st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+            ),
+            max_size=40,
+            unique_by=lambda sample: sample[0],
+        ).map(sorted),
+        now_ms=st.integers(min_value=0, max_value=70_000),
+        window_ms=st.integers(min_value=0, max_value=40_000),
+        mode=st.sampled_from(["averaged", "single"]),
+    )
+    def test_equals_reference(self, samples, now_ms, window_ms, mode):
+        got = capture_idle_baseline(self.seed_meter(samples), now_ms, mode, window_ms)
+        want = idle_baseline_reference(samples, now_ms, mode, window_ms)
+        assert type(got) is float
+        assert got == want  # bit for bit: fmean over the same floats

@@ -29,9 +29,8 @@ from gridcalib.emulation import (
 )
 from gridcalib.errors import UnknownKind
 from gridcalib.signals import VirtualClock
-from gridcalib.timeseries import MetricStore, rate
+from gridcalib.timeseries import GAUGE, MetricStore, Series, rate
 from gridcalib.wire import (
-    METER_GAUGE_METRIC,
     MODE_DYNAMIC,
     MODE_IDLE,
     MODE_LABEL,
@@ -360,6 +359,18 @@ class TestPowerModelEmitter:
                 assert series is not None
                 assert series.samples() == [(0, 0.0)]
 
+    def test_counters_are_the_labelled_series_dynamic_first(self):
+        store, clock, bank, emitter = self.build(
+            workloads=[spec(), spec(process_id="db", namespace="data")]
+        )
+        labelled = [
+            store.get(POWER_COUNTER_METRIC, series_labels(ns, mode, pid))
+            for mode in (MODE_DYNAMIC, MODE_IDLE)
+            for pid, ns in emitter.processes
+        ]
+        assert len(emitter.counters) == 6
+        assert all(a is b for a, b in zip(emitter.counters, labelled, strict=True))
+
     def test_constant_load_rate_reproduces_watts(self):
         store, clock, bank, emitter = self.build()
         bank.set_level("rps", 1000)
@@ -480,59 +491,55 @@ class TestPowerModelEmitter:
             self.build(workloads=[])
 
 
+def meter_gauge() -> Series:
+    return Series("meter_watts", kind=GAUGE)
+
+
 class TestMeterEmitter:
     def test_perfect_meter_gauges_truth(self):
-        store = MetricStore()
         clock = VirtualClock()
-        emitter = MeterEmitter(store, MeterSpec(), lambda: 460.0, clock)
+        gauge = meter_gauge()
+        emitter = MeterEmitter(MeterSpec(), lambda: 460.0, clock, gauge.append)
         clock.advance(3000)
-        gauge = store.get(METER_GAUGE_METRIC, {})
         assert gauge.samples() == [(1000, 460.0), (2000, 460.0), (3000, 460.0)]
         assert emitter.last_ms == 3000
 
     def test_noisy_meter_stays_in_bound(self):
-        store = MetricStore()
         clock = VirtualClock()
+        gauge = meter_gauge()
         meter = MeterSpec(
             relative_error_v=0.01,
             relative_error_i=0.015,
             relative_error_phi=0.01,
             seed=3,
         )
-        MeterEmitter(store, meter, lambda: 400.0, clock)
+        MeterEmitter(meter, lambda: 400.0, clock, gauge.append)
         clock.advance(60_000)
-        gauge = store.get(METER_GAUGE_METRIC, {})
+        assert len(gauge) == 60
         for sample in gauge.samples():
             assert 386.0 <= sample.value <= 414.0
 
     def test_publish_callback_without_store(self):
         clock = VirtualClock()
-        sent: list[tuple[float, int]] = []
-        MeterEmitter(
-            None,
-            MeterSpec(),
-            lambda: 100.0,
-            clock,
-            publish=lambda watts, ts: sent.append((watts, ts)),
-        )
+        sent: list[tuple[int, float]] = []
+        MeterEmitter(MeterSpec(), lambda: 100.0, clock, sent.append)
         clock.advance(2000)
-        assert sent == [(100.0, 1000), (100.0, 2000)]
+        assert sent == [(1000, 100.0), (2000, 100.0)]
 
 
 class TestMeterWireProtocol:
     def test_publish_and_ingest_roundtrip(self):
-        store = MetricStore()
-        listener = MeterListener(("127.0.0.1", 0), store)
+        gauge = meter_gauge()
+        listener = MeterListener(("127.0.0.1", 0), gauge)
         listener.serve_in_background()
         try:
             host, port = listener.server_address
             publisher = MeterPublisher(host, port)
-            publisher.send(260.0, 1000)
-            publisher.send(400.5, 2000)
-            publisher.send(399.0, 1500)  # out of order: dropped
-            publisher.send(401.0, 3000)
+            publisher.send((1000, 260.0))
+            publisher.send((2000, 400.5))
+            publisher.send((1500, 399.0))  # out of order: dropped
+            publisher.send((3000, 401.0))
             publisher.close()
-            gauge = store.get(METER_GAUGE_METRIC, {})
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
                 if gauge.samples() and gauge.samples()[-1].timestamp_ms == 3000:
@@ -544,19 +551,18 @@ class TestMeterWireProtocol:
             listener.server_close()
 
     def test_unstorable_line_skipped_and_stream_kept(self):
-        store = MetricStore()
-        listener = MeterListener(("127.0.0.1", 0), store)
+        gauge = meter_gauge()
+        listener = MeterListener(("127.0.0.1", 0), gauge)
         listener.serve_in_background()
         try:
             host, port = listener.server_address
             publisher = MeterPublisher(host, port)
-            publisher.send(260.0, 1000)
-            publisher.send(float("nan"), 2000)  # json.dumps writes NaN, json.loads reads it
-            publisher.send(300.0, 2**63)  # past int64
-            publisher.send(300.0, -1)
-            publisher.send(401.0, 3000)
+            publisher.send((1000, 260.0))
+            publisher.send((2000, float("nan")))  # json.dumps writes NaN, json.loads reads it
+            publisher.send((2**63, 300.0))  # past int64
+            publisher.send((-1, 300.0))
+            publisher.send((3000, 401.0))
             publisher.close()
-            gauge = store.get(METER_GAUGE_METRIC, {})
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
                 if gauge.last_timestamp() == 3000:

@@ -299,8 +299,8 @@ class TestRegressionX:
         config = PRESETS["regression"]
         store = MetricStore()
         pipeline.run(config, tmp_path / "r", store=store)
-        report, _, points = pipeline._node_regression(config, store)
         gauge = store.get(METER_GAUGE_METRIC, None)
+        report, _, points = pipeline._node_regression(config, gauge, store)
         readings = {s.timestamp_ms: s.value for s in gauge.samples()}
         assert all(p.time_ms in readings and p.y_w == readings[p.time_ms] for p in points)
         covered = scalar_regression_points(
@@ -313,7 +313,8 @@ class TestRegressionX:
         config = leakage_config()
         store = MetricStore()
         pipeline.run(config, tmp_path / "r", store=store)
-        report, skipped, _ = pipeline._node_regression(config, store)
+        gauge = store.get(METER_GAUGE_METRIC, None)
+        report, skipped, _ = pipeline._node_regression(config, gauge, store)
         assert report is not None and skipped is None
         t = store.current_time_ms() + 1000
         for series in store.series():
@@ -544,10 +545,11 @@ class TestServer:
 
 
 class TestMemory:
-    # a run holds its store and three tick logs, and in the post-pass the
-    # artifact rows and text: about 1100 B a tick on preset "regression",
-    # where per-tick record objects took about 3300 B
-    BYTES_PER_TICK = 2000
+    # a run holds its store and three tick logs, and in the post-pass one
+    # artifact's rows and text at a time: about 620 B a tick on preset
+    # "regression", where building every table before writing any took
+    # about 1060 B and per-tick record objects about 3300 B
+    BYTES_PER_TICK = 800
     # a returned RunArtifacts holds the store and the tick logs, no
     # per-tick rows: about 220 B a tick on preset "regression"
     HELD_BYTES_PER_TICK = 400

@@ -1,4 +1,4 @@
-"""Signal and clock behaviour: firing order, retention, non-blocking reads."""
+"""Signal and clock behaviour: firing order, pacing, the collection record."""
 
 import threading
 import time
@@ -15,89 +15,84 @@ from gridcalib.signals import (
 )
 
 
+def recording_collector(clock):
+    """A collector that records the clock instant of each of its calls."""
+    calls: list[int] = []
+    return calls, lambda: calls.append(clock.now_ms())
+
+
 def test_initial_value_is_zero_before_first_firing():
+    # last_collection_ms starts at 0 and stays there until the first firing
     clock = VirtualClock()
-    sig = Signal(lambda: 42.0, interval_ms=1000, clock=clock)
-    assert sig.now() == 0.0
+    calls, collector = recording_collector(clock)
+    sig = Signal(collector, interval_ms=1000, clock=clock)
     assert sig.last_collection_ms == 0
     clock.advance(999)
-    assert sig.now() == 0.0
+    assert sig.last_collection_ms == 0
+    assert calls == []
 
 
 def test_collector_value_visible_after_one_interval():
     clock = VirtualClock()
-    sig = Signal(lambda: 42.0, interval_ms=1000, clock=clock)
+    calls, collector = recording_collector(clock)
+    sig = Signal(collector, interval_ms=1000, clock=clock)
     clock.advance(1000)
-    assert sig.now() == 42.0
+    assert calls == [1000]
     assert sig.last_collection_ms == 1000
+    assert sig.error_count == 0
 
 
 def test_interval_defaults_to_1000ms():
     clock = VirtualClock()
-    sig = Signal(lambda: 7.0, None, clock)
+    calls, collector = recording_collector(clock)
+    sig = Signal(collector, None, clock)
     assert sig.interval_ms == DEFAULT_SIGNAL_INTERVAL_MS == 1000
     clock.advance(999)
-    assert sig.now() == 0.0
+    assert calls == []
     clock.advance(1)
-    assert sig.now() == 7.0
-
-
-def test_value_constant_between_firings():
-    clock = VirtualClock()
-    values = iter([1.0, 2.0, 3.0])
-    sig = Signal(lambda: next(values), interval_ms=1000, clock=clock)
-    clock.advance(1500)
-    assert sig.now() == 1.0
-    clock.advance(400)
-    assert sig.now() == 1.0
-    clock.advance(100)
-    assert sig.now() == 2.0
+    assert calls == [1000]
+    assert sig.last_collection_ms == 1000
 
 
 def test_failed_collection_retains_value_and_counts():
+    # a failure keeps the last successful collection's instant
     clock = VirtualClock()
-    calls = {"n": 0}
+    calls: list[int] = []
 
-    def collector() -> float:
-        calls["n"] += 1
-        if calls["n"] == 2:
+    def collector() -> None:
+        calls.append(clock.now_ms())
+        if len(calls) == 2:
             raise RuntimeError("scrape failed")
-        return float(calls["n"])
 
     sig = Signal(collector, interval_ms=1000, clock=clock)
     clock.advance(1000)
-    assert sig.now() == 1.0
     assert sig.error_count == 0
+    assert sig.last_collection_ms == 1000
     clock.advance(1000)
-    assert sig.now() == 1.0
     assert sig.error_count == 1
     assert sig.last_collection_ms == 1000
     clock.advance(1000)
-    assert sig.now() == 3.0
     assert sig.error_count == 1
     assert sig.last_collection_ms == 3000
+    assert calls == [1000, 2000, 3000]
 
 
 def test_firing_instant_is_clock_time_during_advance():
     # collectors observe the due instant, not the advance target
     clock = VirtualClock()
-    seen: list[int] = []
-    sig = Signal(
-        lambda: float(seen.append(clock.now_ms()) or len(seen)),
-        interval_ms=1000,
-        clock=clock,
-    )
+    seen, collector = recording_collector(clock)
+    sig = Signal(collector, interval_ms=1000, clock=clock)
     clock.advance(3500)
     assert seen == [1000, 2000, 3000]
     assert clock.now_ms() == 3500
-    assert sig.now() == 3.0
+    assert sig.last_collection_ms == 3000
 
 
 def test_same_instant_firing_follows_registration_order():
     clock = VirtualClock()
     order: list[str] = []
-    Signal(lambda: order.append("first") or 0.0, interval_ms=1000, clock=clock)
-    Signal(lambda: order.append("second") or 0.0, interval_ms=1000, clock=clock)
+    Signal(lambda: order.append("first"), interval_ms=1000, clock=clock)
+    Signal(lambda: order.append("second"), interval_ms=1000, clock=clock)
     clock.advance(2000)
     assert order == ["first", "second", "first", "second"]
 
@@ -105,9 +100,9 @@ def test_same_instant_firing_follows_registration_order():
 def test_nonpositive_interval_rejected():
     clock = VirtualClock()
     with pytest.raises(ValueError):
-        Signal(lambda: 0.0, interval_ms=0, clock=clock)
+        Signal(lambda: None, interval_ms=0, clock=clock)
     with pytest.raises(ValueError):
-        Signal(lambda: 0.0, interval_ms=-5, clock=clock)
+        Signal(lambda: None, interval_ms=-5, clock=clock)
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,9 +114,8 @@ def test_firing_count_is_floor_of_elapsed_over_interval(interval, total):
     clock = VirtualClock()
     fired = {"n": 0}
 
-    def collector() -> float:
+    def collector() -> None:
         fired["n"] += 1
-        return 0.0
 
     Signal(collector, interval_ms=interval, clock=clock)
     clock.advance(total)
@@ -133,9 +127,8 @@ def test_advance_split_fires_same_as_one_big_advance():
         clock = VirtualClock()
         fired = {"n": 0}
 
-        def collector() -> float:
+        def collector() -> None:
             fired["n"] += 1
-            return 0.0
 
         Signal(collector, interval_ms=700, clock=clock)
         for s in steps:
@@ -150,9 +143,8 @@ class TestWallClock:
         clock = WallClock()
         fired: list[tuple[int, int]] = []
 
-        def collector() -> float:
+        def collector() -> None:
             fired.append((threading.get_ident(), clock.now_ms()))
-            return 0.0
 
         Signal(collector, interval_ms=20, clock=clock)
         clock.advance(50)
@@ -175,7 +167,7 @@ class TestWallClock:
         before = threading.active_count()
         clock = WallClock()
         fired: list[int] = []
-        Signal(lambda: fired.append(1) or 0.0, interval_ms=10, clock=clock)
+        Signal(lambda: fired.append(1), interval_ms=10, clock=clock)
         time.sleep(0.05)
         # nothing fires until someone advances the clock
         assert fired == []
@@ -185,11 +177,10 @@ class TestWallClock:
         clock = WallClock()
         stamps: list[int] = []
 
-        def collector() -> float:
+        def collector() -> None:
             stamps.append(clock.now_ms())
             if len(stamps) == 1:
                 time.sleep(0.25)  # overruns several 50 ms intervals
-            return float(len(stamps))
 
         Signal(collector, interval_ms=50, clock=clock)
         t0 = time.monotonic()
@@ -207,7 +198,9 @@ class TestWallClock:
 
 def test_signal_constructible_directly():
     clock = VirtualClock()
-    sig = Signal(lambda: 3.5, None, clock)
+    calls, collector = recording_collector(clock)
+    sig = Signal(collector, None, clock)
     assert sig.interval_ms == 1000
     clock.advance(1000)
-    assert sig.now() == 3.5
+    assert calls == [1000]
+    assert (sig.last_collection_ms, sig.error_count) == (1000, 0)

@@ -15,7 +15,6 @@ from gridcalib.errors import (
     KindMismatch,
     NonMonotonicTimestamp,
     ParseError,
-    UnknownMetric,
 )
 from gridcalib.server import format_exposition
 from gridcalib.timeseries import (
@@ -290,12 +289,12 @@ def test_parse_query_rejects_malformed(bad):
 
 # query evaluation
 
-def ramp_store():
+def ramp_store(end_ms=5000):
     store = MetricStore()
     for ns in ("bench", "other"):
         for i, rate_jps in ((0, 10.0), (1, 10.0)):
             name_labels = {"ns": ns, "idx": str(i)}
-            for t in range(0, 5001, 1000):
+            for t in range(0, end_ms + 1, 1000):
                 store.append("e_joules", name_labels, COUNTER, (t, rate_jps * t / 1000))
     return store
 
@@ -320,14 +319,6 @@ def test_query_single_series():
     assert got == pytest.approx(7.0, rel=1e-12)
 
 
-def test_query_strict_unknown_metric():
-    store = ramp_store()
-    with pytest.raises(UnknownMetric):
-        query(store, "sum(rate(missing[2s]))", strict=True)
-    # known metric with non-matching labels stays a zero sum even in strict mode
-    assert query(store, 'sum(rate(e_joules{ns="nope"}[2s]))', strict=True) == 0.0
-
-
 def test_query_uncovered_series_contributes_zero():
     store = MetricStore()
     store.append("e", {"i": "0"}, COUNTER, (0, 0.0))
@@ -335,12 +326,15 @@ def test_query_uncovered_series_contributes_zero():
     # this one starts too late to cover the window ending at t=4000
     store.append("e", {"i": "1"}, COUNTER, (3500, 0.0))
     store.append("e", {"i": "1"}, COUNTER, (4000, 100.0))
-    assert query(store, "sum(rate(e[2s]))", at_ms=4000) == pytest.approx(10.0, rel=1e-12)
+    assert query(store, "sum(rate(e[2s]))") == pytest.approx(10.0, rel=1e-12)
 
 
 def test_query_at_explicit_time():
-    store = ramp_store()
-    assert query(store, 'sum(rate(e_joules{ns="bench"}[2s]))', at_ms=3000) == pytest.approx(20.0, rel=1e-12)
+    # a query reads at the store's watermark, so the samples end at the
+    # wanted instant
+    store = ramp_store(end_ms=3000)
+    assert store.current_time_ms() == 3000
+    assert query(store, 'sum(rate(e_joules{ns="bench"}[2s]))') == pytest.approx(20.0, rel=1e-12)
 
 
 # properties
@@ -381,7 +375,8 @@ def test_query_matches_per_series_sum(n_series, n_windows):
         for t in range(0, now + 1, 1000):
             store.append("e", {"i": str(i)}, COUNTER, (t, slope * t / 1000))
     expected = sum(rate(store.get("e", {"i": str(i)}), now - 2000, now) for i in range(n_series))
-    assert query(store, "sum(rate(e[2s]))", at_ms=now) == pytest.approx(expected, rel=1e-9)
+    assert store.current_time_ms() == now
+    assert query(store, "sum(rate(e[2s]))") == pytest.approx(expected, rel=1e-9)
 
 
 # store index: postings, key order and watermark
@@ -423,7 +418,7 @@ def test_index_agrees_with_brute_force_scan(created, name, filters, increments):
         if s.name == name and all(s.labels.get(k) == v for k, v in filters.items())
     ]
     assert store.match(name, filters) == brute
-    assert store.has_metric(name) == any(s.name == name for s in ordered)
+    assert store.match(name) == [s for s in ordered if s.name == name]
 
     expr = QueryExpr(metric=name, labels=tuple(filters.items()), window_ms=1000, summed=True)
     now = store.current_time_ms()
@@ -486,7 +481,7 @@ def test_reads_race_series_creation():
                     assert len(ts) == len(values)
                     rates(series, ts, 2000)
                 query(store, expr)
-                store.has_metric("missing")
+                assert store.match("missing") == []
                 format_exposition(store)
                 now = store.current_time_ms()
                 assert now >= last, f"watermark fell from {last} to {now}"
