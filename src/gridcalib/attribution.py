@@ -5,13 +5,17 @@ is shared either evenly (the default) or in proportion to requested
 resources. All functions are pure and operate per resource class: when a
 node exposes several classes (CPU, DRAM, accelerator), run the split once
 per class and sum the per-process shares.
+
+The split is written once over plain float lists, for callers that run
+it every tick; the split_* functions over ProcessUtilization and
+NodePower are the validating boundary to it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import EmptyProcessSet, ZeroProcesses, ZeroTotalRequest
 
@@ -60,6 +64,41 @@ class NodePower:
         )
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """Sum added left to right from 0.0. sum() is not used for watts:
+    from Python 3.12 it compensates float rounding, so its bits would
+    depend on the interpreter. Works on numpy columns as well as floats."""
+    total = 0.0
+    for value in values:
+        total = total + value
+    return total
+
+
+def even_shares(power: float, count: int) -> list[float]:
+    """power divided evenly over count processes."""
+    return [power / count] * count
+
+
+def dynamic_shares(dynamic: float, utils: Sequence[float]) -> list[float]:
+    """Share dynamic power in proportion to utilization.
+
+    When the utilization sum is zero (or negligibly small relative to the
+    dynamic power) the budget is divided evenly instead, so idle-looking
+    intervals still account for the full dynamic draw.
+    """
+    total = left_sum(utils)
+    if total <= FALLBACK_UNDERFLOW * dynamic or total == 0.0:
+        return even_shares(dynamic, len(utils))
+    return [dynamic * u / total for u in utils]
+
+
+def requested_shares(
+    idle: float, requested: Sequence[float], total_requested: float
+) -> list[float]:
+    """Share idle power in proportion to requested resources."""
+    return [idle * r / total_requested for r in requested]
+
+
 def _unique_ids(procs: Iterable[ProcessUtilization]) -> list[ProcessUtilization]:
     procs = list(procs)
     seen: set[str] = set()
@@ -73,20 +112,12 @@ def _unique_ids(procs: Iterable[ProcessUtilization]) -> list[ProcessUtilization]
 def split_dynamic(
     node: NodePower, procs: list[ProcessUtilization]
 ) -> dict[str, float]:
-    """Share node dynamic power in proportion to utilization.
-
-    When the utilization sum is zero (or negligibly small relative to the
-    dynamic power) the budget is divided evenly instead, so idle-looking
-    intervals still account for the full dynamic draw.
-    """
+    """dynamic_shares keyed by process id."""
     procs = _unique_ids(procs)
     if not procs:
         raise EmptyProcessSet("cannot split dynamic power over zero processes")
-    total = sum(p.util for p in procs)
-    if total <= FALLBACK_UNDERFLOW * node.dynamic or total == 0.0:
-        even = node.dynamic / len(procs)
-        return {p.process_id: even for p in procs}
-    return {p.process_id: node.dynamic * p.util / total for p in procs}
+    shares = dynamic_shares(node.dynamic, [p.util for p in procs])
+    return dict(zip([p.process_id for p in procs], shares))
 
 
 def split_idle_even(node: NodePower, count: int) -> float:
@@ -99,7 +130,7 @@ def split_idle_even(node: NodePower, count: int) -> float:
 def split_idle_requested(
     node: NodePower, procs: list[ProcessUtilization]
 ) -> dict[str, float]:
-    """Share node idle power in proportion to requested resources."""
+    """requested_shares keyed by process id."""
     procs = _unique_ids(procs)
     if not procs:
         raise EmptyProcessSet("cannot split idle power over zero processes")
@@ -107,6 +138,5 @@ def split_idle_requested(
         raise ZeroTotalRequest(
             f"total_requested must be positive, got {node.total_requested}"
         )
-    return {
-        p.process_id: node.idle * p.requested / node.total_requested for p in procs
-    }
+    shares = requested_shares(node.idle, [p.requested for p in procs], node.total_requested)
+    return dict(zip([p.process_id for p in procs], shares))

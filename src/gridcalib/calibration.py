@@ -8,20 +8,22 @@ estimates by an approximation factor that also reassigns dynamic power
 wrongly attributed to system processes back to the workloads that
 caused it.
 
-All math lives in pure functions. CalibrationStage applies them once
-per collection to every process, reading each counter rate and the
-meter at the collection instant; NamespacePowerActor sums its
-namespace's share of that snapshot so a microgrid can treat the
-calibrated draw as a consumer actor, and calibrated_power.csv
-serialises the same snapshots, so the two agree by construction.
+All math lives in pure functions over per-process tuples; calibrate()
+runs them once per collection. CalibrationStage calls it on each
+counter rate and the meter at the collection instant;
+NamespacePowerActor sums its namespace's share of that snapshot so a
+microgrid can treat the calibrated draw as a consumer actor, and
+calibrated_power.csv serialises the same snapshots, so the two agree by
+construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
+from .attribution import left_sum
 from .errors import DegenerateDenominator, EmptyWindow, StaleSignal, ZeroNodeIdle
 from .microgrid import Controller, ControllerView
 from .signals import Clock, Signal
@@ -44,15 +46,15 @@ class CalibrationFactor:
     a: float
 
 
-def calibrate_idle(p_idle: float, n_idle: float, m_idle: float) -> float:
-    """Scale a process's idle estimate by the measured idle draw."""
+def calibrated_idle(p_idle: Sequence[float], n_idle: float, m_idle: float) -> tuple[float, ...]:
+    """Scale each process's idle estimate by the measured idle draw."""
     if n_idle <= 0:
         raise ZeroNodeIdle(f"node idle estimate must be positive, got {n_idle}")
-    return (p_idle / n_idle) * m_idle
+    return tuple([(p / n_idle) * m_idle for p in p_idle])
 
 
-def dynamic_factor(p_dyn: float, n_dyn: float, s_dyn: float) -> CalibrationFactor:
-    """Fraction of the node's non-system dynamic power owned by the process.
+def dynamic_factors(p_dyn: Sequence[float], n_dyn: float, s_dyn: float) -> tuple[float, ...]:
+    """Fraction of the node's non-system dynamic power owned by each process.
 
     Equivalent to first handing each workload its proportional share of
     the system-process dynamic power and then dividing by the node total;
@@ -64,15 +66,29 @@ def dynamic_factor(p_dyn: float, n_dyn: float, s_dyn: float) -> CalibrationFacto
             f"node dynamic {n_dyn} W minus system dynamic {s_dyn} W leaves "
             f"{denominator} W; calibration undefined"
         )
-    return CalibrationFactor(p_dyn / denominator)
+    return tuple([p / denominator for p in p_dyn])
 
 
-def calibrate_dynamic(
-    a: CalibrationFactor | float, m: float, m_idle: float
-) -> float:
-    """Apply the factor to the measured dynamic budget, clamped at zero."""
+def calibrated_dynamic(factors: Sequence[float], m: float, m_idle: float) -> tuple[float, ...]:
+    """Apply each factor to the measured dynamic budget, clamped at zero."""
+    budget = max(0.0, m - m_idle)
+    return tuple([a * budget for a in factors])
+
+
+# one-process views of the three kernels above
+
+
+def calibrate_idle(p_idle: float, n_idle: float, m_idle: float) -> float:
+    return calibrated_idle((p_idle,), n_idle, m_idle)[0]
+
+
+def dynamic_factor(p_dyn: float, n_dyn: float, s_dyn: float) -> CalibrationFactor:
+    return CalibrationFactor(dynamic_factors((p_dyn,), n_dyn, s_dyn)[0])
+
+
+def calibrate_dynamic(a: CalibrationFactor | float, m: float, m_idle: float) -> float:
     factor = a.a if isinstance(a, CalibrationFactor) else float(a)
-    return factor * max(0.0, m - m_idle)
+    return calibrated_dynamic((factor,), m, m_idle)[0]
 
 
 def capture_idle_baseline(
@@ -96,8 +112,7 @@ def capture_idle_baseline(
     return float(values[-1]) if len(values) else 0.0
 
 
-@dataclass(frozen=True)
-class CalibrationSnapshot:
+class CalibrationSnapshot(NamedTuple):
     """One collection's calibration inputs and the kernel's outputs.
 
     Per-process tuples follow the stage's process order. degenerate
@@ -117,14 +132,45 @@ class CalibrationSnapshot:
 
 
 def member_sum(values: Sequence, members: Sequence[int]):
-    """Sum of the members' entries, added left to right from 0.0. Actors
-    total a namespace over floats and the calibrated table over numpy
-    columns this way, so they agree bit for bit; sum() is not used since
-    from Python 3.12 it compensates float rounding."""
-    total = 0.0
-    for i in members:
-        total = total + values[i]
-    return total
+    """left_sum of the members' entries. Actors total a namespace over
+    floats and the calibrated table over numpy columns this way, so they
+    agree bit for bit."""
+    return left_sum(map(values.__getitem__, members))
+
+
+def calibrate(
+    p_dyn: tuple[float, ...],
+    p_idle: tuple[float, ...],
+    m: float,
+    m_idle: float,
+    system: Sequence[int] = (),
+) -> CalibrationSnapshot:
+    """The calibration kernel, once over every process. The system
+    pseudo-processes (indexed by `system`) and processes drawing no
+    dynamic power get factor 0; so a degenerate denominator is reported
+    only when some other process draws, and then every factor is 0. A
+    zero node idle estimate gives every process 0 idle power."""
+    n_dyn = left_sum(p_dyn)
+    s_dyn = member_sum(p_dyn, system)
+    n_idle = left_sum(p_idle)
+    owned = [p if p > 0 else 0.0 for p in p_dyn]
+    for i in system:
+        owned[i] = 0.0
+    zeros = (0.0,) * len(p_dyn)
+    degenerate = None
+    try:
+        factor = dynamic_factors(owned, n_dyn, s_dyn)
+    except DegenerateDenominator as exc:
+        factor = zeros
+        degenerate = str(exc) if any(owned) else None
+    try:
+        cal_idle = calibrated_idle(p_idle, n_idle, m_idle)
+    except ZeroNodeIdle:
+        cal_idle = zeros
+    return CalibrationSnapshot(
+        p_dyn, n_dyn, s_dyn, m, m_idle,
+        factor, calibrated_dynamic(factor, m, m_idle), cal_idle, degenerate,
+    )
 
 
 class CalibrationStage(Controller):
@@ -132,8 +178,8 @@ class CalibrationStage(Controller):
 
     One scheduled collection reads, at the collection instant, each
     process's dynamic and idle counter rate over the trailing query
-    window and the meter's latest reading, then applies the kernel per
-    process. The stage is handed the series it reads: `counters` holds
+    window and the meter's latest reading, then applies calibrate(). The
+    stage is handed the series it reads: `counters` holds
     every process's dynamic counter and then every idle counter, in
     process order, and `gauge` is the meter's. Namespace actors sum the
     latest snapshot; as a microgrid controller the stage also logs the
@@ -190,46 +236,22 @@ class CalibrationStage(Controller):
         """0 until the first successful collection."""
         return self._signal.last_collection_ms
 
-    def _rate(self, series: Series, now_ms: int) -> float:
-        # a counter that does not cover the window reads 0
-        try:
-            return rate(series, now_ms - self.window_ms, now_ms)
-        except EmptyWindow:
-            return 0.0
-
     def _collect(self) -> None:
         # the snapshot is replaced only when the whole collection succeeds
         last = self._gauge.last()
         if last is None:
             raise LookupError("no meter samples yet")
-        m = last.value
         now = self._store.current_time_ms()
-        watts = [self._rate(series, now) for series in self._counters]
-        k = len(self.processes)
-        p_dyn, p_idle = tuple(watts[:k]), tuple(watts[k:])
-        n_dyn = sum(p_dyn)
-        s_dyn = member_sum(p_dyn, self._system)
-        n_idle = sum(p_idle)
-        factor, cal_dyn, cal_idle = [], [], []
-        degenerate = None
-        for i, (p, idle) in enumerate(zip(p_dyn, p_idle)):
-            a = 0.0
-            # an idle process draws nothing, which also sidesteps a
-            # degenerate denominator while counters have not moved yet
-            if p > 0 and i not in self._system:
-                try:
-                    a = dynamic_factor(p, n_dyn, s_dyn).a
-                except DegenerateDenominator as exc:
-                    degenerate = str(exc)
-            factor.append(a)
-            cal_dyn.append(calibrate_dynamic(a, m, self.m_idle_w))
+        start = now - self.window_ms
+        watts = []
+        for series in self._counters:
             try:
-                cal_idle.append(calibrate_idle(idle, n_idle, self.m_idle_w))
-            except ZeroNodeIdle:
-                cal_idle.append(0.0)
-        self.snapshot = CalibrationSnapshot(
-            p_dyn, n_dyn, s_dyn, m, self.m_idle_w,
-            tuple(factor), tuple(cal_dyn), tuple(cal_idle), degenerate,
+                watts.append(rate(series, start, now))
+            except EmptyWindow:  # a counter that does not cover the window reads 0
+                watts.append(0.0)
+        k = len(self.processes)
+        self.snapshot = calibrate(
+            tuple(watts[:k]), tuple(watts[k:]), last.value, self.m_idle_w, self._system
         )
 
     def step(self, view: ControllerView) -> None:

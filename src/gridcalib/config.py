@@ -21,6 +21,7 @@ from typing import Any
 
 from .emulation import (
     DEFAULT_SYSTEM_BASELINE_W,
+    IDLE_SPLIT_MODES,
     LOAD_KNOBS,
     SCHEDULE_KNOBS,
     ApproximationParams,
@@ -35,7 +36,6 @@ from .microgrid import SimpleBattery
 PRESET_SCHEME = "preset:"
 
 M_IDLE_CAPTURE_MODES = ("averaged", "single")
-IDLE_SPLIT_MODES = ("even", "requested")
 SCHEDULE_KINDS = ("rps", "batch", "threads", "custom")
 
 

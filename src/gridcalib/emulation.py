@@ -22,9 +22,10 @@ import socket
 import socketserver
 import threading
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from operator import mul
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .attribution import NodePower, ProcessUtilization, split_dynamic, split_idle_requested
+from .attribution import dynamic_shares, even_shares, left_sum, requested_shares
 from .errors import NonMonotonicTimestamp, UnknownKind
 from .signals import Clock
 from .ticklog import TickLog
@@ -41,6 +42,7 @@ from .wire import (
 
 WORKLOAD_KINDS = ("service", "batch", "stress")
 LOAD_KNOBS = ("rps", "batch_size", "threads")
+IDLE_SPLIT_MODES = ("even", "requested")
 
 RPS_SCHEDULE = list(range(250, 2001, 250))
 BATCH_SCHEDULE = [1, 4, 8, 16, 32]
@@ -109,8 +111,8 @@ def true_power(spec: WorkloadSpec, load: float, rng: random.Random) -> float:
     With noise_sigma_w = 0 no random draw happens, so noiseless streams
     stay aligned regardless of call order.
     """
-    if load < 0:
-        raise ValueError(f"load must be non-negative, got {load}")
+    if not 0 <= load < math.inf:  # NaN fails this too
+        raise ValueError(f"load must be finite and non-negative, got {load}")
     watts = spec.idle_share_w + spec.dyn_coeff_w * load
     if spec.noise_sigma_w > 0:
         watts += rng.gauss(0.0, spec.noise_sigma_w)
@@ -139,15 +141,19 @@ class GroundTruth:
 
     @property
     def node_dynamic_w(self) -> float:
-        return sum(self.process_dynamic_w.values()) + self.system_dynamic_w
-
-    @property
-    def node_idle_w(self) -> float:
-        return sum(self.process_idle_w.values())
+        return left_sum(self.process_dynamic_w.values()) + self.system_dynamic_w
 
     @property
     def node_total_w(self) -> float:
-        return self.node_dynamic_w + self.node_idle_w
+        return node_true_total(
+            self.process_dynamic_w.values(), self.process_idle_w.values(), self.system_dynamic_w
+        )
+
+
+def node_true_total(dyn: Iterable, idle: Iterable, system_w):
+    """The node's true draw: workload dynamic power, then the system's,
+    then idle, added left to right. Takes floats or numpy columns."""
+    return left_sum(dyn) + system_w + left_sum(idle)
 
 
 @dataclass(frozen=True)
@@ -166,97 +172,63 @@ class ApproximationParams:
         _non_negative(self.sigma_w, "sigma_w")
 
 
-@dataclass(frozen=True)
-class ApproximationSnapshot:
-    """Approximated per-process power at one instant.
-
-    Consistency contract: node_dynamic_w equals the sum of
-    process_dynamic_w values plus system_dynamic_w, and node_total_w
-    equals node_dynamic_w + node_idle_w.
-    """
-
-    time_ms: int
-    process_dynamic_w: Mapping[str, float]
-    process_idle_w: Mapping[str, float]
-    system_dynamic_w: float
-    node_dynamic_w: float
-    node_idle_w: float
-
-    @property
-    def node_total_w(self) -> float:
-        return self.node_dynamic_w + self.node_idle_w
+def approximation_plan(
+    workloads: Sequence[WorkloadSpec], idle_split: str = "even"
+) -> tuple[list[float], list[float] | None, float]:
+    """approximate()'s last three arguments, worked out once per run: each
+    workload's leakage fraction, the requested resources to split idle
+    power by (each idle_share_w, then the system's 0.0) or None to split
+    it evenly, and their total. "requested" falls back to even when no
+    workload declares an idle share."""
+    if idle_split not in IDLE_SPLIT_MODES:
+        raise ValueError(f"idle_split must be one of {IDLE_SPLIT_MODES}, got {idle_split!r}")
+    requested = [w.idle_share_w for w in workloads] + [0.0]
+    total = _non_negative(left_sum(requested), "total_requested")
+    use_requested = idle_split == "requested" and total > 0
+    return [w.leakage_lambda for w in workloads], requested if use_requested else None, total
 
 
 def approximate(
-    truth: GroundTruth,
-    workloads: Sequence[WorkloadSpec],
+    dyn: Sequence[float],
+    idle: Sequence[float],
+    system_w: float,
     params: ApproximationParams,
     rng: random.Random,
-    idle_split: str = "even",
-) -> ApproximationSnapshot:
-    """Distort ground truth into what the approximation layer would report.
+    lambdas: Sequence[float],
+    requested: Sequence[float] | None = None,
+    total_requested: float = 0.0,
+) -> tuple[list[float], float, float]:
+    """Distort one instant's true power into what the approximation layer
+    would report: (watts, node_dynamic, node_idle).
 
-    Each workload's dynamic power loses its leakage fraction to the
-    system pseudo-process; the node total is shrunk by the gain and
-    shifted by the bias so that measured = gain*approx + bias holds.
-    Gain and bias (and the noise draw) land in the node idle estimate,
-    keeping the dynamic decomposition exact for the calibration algebra.
-    The idle estimate is split across processes and the system
-    pseudo-process, evenly by default, or by idle_share_w as the
-    requested-resource proxy when idle_split = "requested" (falling back
-    to even when no workload declares an idle share).
+    dyn, idle and lambdas hold each workload's true dynamic and idle
+    power and leakage fraction; system_w is the true system draw. Each
+    workload's dynamic power loses its leakage fraction to the system
+    pseudo-process; the node total is shrunk by the gain and shifted by
+    the bias so that measured = gain*approx + bias holds. Gain and bias
+    (and the noise draw) land in the node idle estimate, keeping the
+    dynamic decomposition exact for the calibration algebra. watts holds
+    the workloads' dynamic shares, the system's, then the idle shares in
+    the same order: even, or by `requested` when it is given.
     """
-    if idle_split not in ("even", "requested"):
-        raise ValueError(f"idle_split must be 'even' or 'requested', got {idle_split!r}")
-    specs = {w.process_id: w for w in workloads}
-    if set(specs) != set(truth.process_dynamic_w):
-        raise ValueError("workload specs do not match ground-truth processes")
-
     noise = rng.gauss(0.0, params.sigma_w) if params.sigma_w > 0 else 0.0
-    node_dynamic = truth.node_dynamic_w / params.gain
-    node_idle = max(0.0, (truth.node_idle_w - params.bias_w + noise) / params.gain)
+    node_dynamic = (left_sum(dyn) + system_w) / params.gain
+    node_idle = max(0.0, (left_sum(idle) - params.bias_w + noise) / params.gain)
+    # every share below is finite when these are
+    if not (math.isfinite(node_dynamic) and math.isfinite(node_idle)):
+        raise ValueError(f"node power must be finite, got {node_dynamic!r} W, {node_idle!r} W")
 
     # utilization proxies make the ratio split reproduce the leakage split:
     # each workload keeps (1-lambda) of its dynamic draw, the system
     # pseudo-process absorbs the leaked remainder plus the true baseline
-    utils = [
-        ProcessUtilization(
-            pid,
-            (1.0 - specs[pid].leakage_lambda) * dyn,
-            requested=specs[pid].idle_share_w,
-        )
-        for pid, dyn in truth.process_dynamic_w.items()
-    ]
-    leaked = sum(
-        specs[pid].leakage_lambda * dyn
-        for pid, dyn in truth.process_dynamic_w.items()
-    )
-    utils.append(
-        ProcessUtilization(
-            SYSTEM_PROCESS_ID, leaked + truth.system_dynamic_w, requested=0.0
-        )
-    )
-    total_requested = sum(u.requested for u in utils)
-    node = NodePower(
-        dynamic=node_dynamic, idle=node_idle, total_requested=total_requested
-    )
-    dynamic_shares = split_dynamic(node, utils)
-    system_dynamic = dynamic_shares.pop(SYSTEM_PROCESS_ID)
-
-    if idle_split == "requested" and total_requested > 0:
-        idle_shares = split_idle_requested(node, utils)
+    utils = [(1.0 - lam) * d for lam, d in zip(lambdas, dyn, strict=True)]
+    utils.append(left_sum(map(mul, lambdas, dyn)) + system_w)
+    watts = dynamic_shares(node_dynamic, utils)
+    if requested is None:
+        watts += even_shares(node_idle, len(utils))
     else:
-        even = node.idle / len(utils)
-        idle_shares = {u.process_id: even for u in utils}
-
-    return ApproximationSnapshot(
-        time_ms=truth.time_ms,
-        process_dynamic_w=dynamic_shares,
-        process_idle_w=idle_shares,
-        system_dynamic_w=system_dynamic,
-        node_dynamic_w=node_dynamic,
-        node_idle_w=node_idle,
-    )
+        watts += requested_shares(node_idle, requested, total_requested)
+    return watts, node_dynamic, node_idle
 
 
 @dataclass(frozen=True)
@@ -353,23 +325,24 @@ SCHEDULE_KNOBS = {"rps": "rps", "batch": "batch_size", "threads": "threads"}
 
 
 class LoadBank:
-    """Current load level per knob; workloads read, the benchmark writes."""
+    """Current load level per knob; workloads read `levels`, the benchmark
+    writes through set_level."""
 
     def __init__(self):
-        self._levels = {knob: 0.0 for knob in LOAD_KNOBS}
+        self.levels = {knob: 0.0 for knob in LOAD_KNOBS}
 
     def set_level(self, knob: str, value: float) -> None:
-        if knob not in self._levels:
+        if knob not in self.levels:
             raise ValueError(f"unknown load knob {knob!r}")
-        self._levels[knob] = float(value)
+        self.levels[knob] = float(value)
 
     def clear(self, knob: str) -> None:
         self.set_level(knob, 0.0)
 
     def get(self, knob: str) -> float:
-        if knob not in self._levels:
+        if knob not in self.levels:
             raise ValueError(f"unknown load knob {knob!r}")
-        return self._levels[knob]
+        return self.levels[knob]
 
 
 class PowerModelEmitter:
@@ -385,7 +358,8 @@ class PowerModelEmitter:
     counter and then every idle counter, in process order. Counters start
     at 0 at construction time so rate windows have a left edge. The
     `truth` tick log keeps each firing's time, workload dynamic powers,
-    idle powers and system power.
+    idle powers and system power; latest_truth and truth_log build
+    GroundTruth values when read.
     """
 
     def __init__(
@@ -409,13 +383,10 @@ class PowerModelEmitter:
         self.emission_interval_ms = int(emission_interval_ms)
         if self.emission_interval_ms <= 0:
             raise ValueError("emission interval must be positive")
-        self.idle_split = idle_split
-        self._bank = load_bank
+        self._approximation = approximation_plan(self.workloads, idle_split)
+        self._levels = load_bank.levels
         self._clock = clock
-        self._truth_rngs = {
-            w.process_id: random.Random(f"{seed}:truth:{w.process_id}")
-            for w in self.workloads
-        }
+        self._plan = [(w, random.Random(f"{seed}:truth:{w.process_id}")) for w in self.workloads]
         self._approx_rng = random.Random(f"{seed}:approx")
         # (process_id, namespace): the workloads in config order, then system
         self.processes = [(w.process_id, w.namespace) for w in self.workloads]
@@ -437,43 +408,43 @@ class PowerModelEmitter:
             series.append((self._last_emit_ms, 0.0))
         names = [f"{pid}_true_{m}_w" for m in ("dyn", "idle") for pid in self._pids]
         self.truth = TickLog(["time_ms", *names, "system_true_dyn_w"], int_columns=1)
-        self.latest_truth = self._sample_truth(self._last_emit_ms)
+        self._dyn, self._idle = self._sample_truth()
         clock.schedule(self.emission_interval_ms, self._fire)
 
-    def _sample_truth(self, time_ms: int) -> GroundTruth:
-        dynamic: dict[str, float] = {}
-        idle: dict[str, float] = {}
-        for w in self.workloads:
-            load = self._bank.get(w.load_knob)
-            total = true_power(w, load, self._truth_rngs[w.process_id])
-            dynamic[w.process_id], idle[w.process_id] = decompose_true_power(w, total)
-        return GroundTruth(
-            time_ms=time_ms,
-            process_dynamic_w=dynamic,
-            process_idle_w=idle,
-            system_dynamic_w=self.system_baseline_w,
-        )
+    def _sample_truth(self) -> tuple[list[float], list[float]]:
+        """Every workload's true dynamic and idle power at the current loads."""
+        dyn, idle = [], []
+        for w, rng in self._plan:
+            d, i = decompose_true_power(w, true_power(w, self._levels[w.load_knob], rng))
+            dyn.append(d)
+            idle.append(i)
+        return dyn, idle
 
     def _fire(self) -> None:
         now_ms = self._clock.now_ms()
-        truth = self._sample_truth(now_ms)
-        approx = approximate(
-            truth, self.workloads, self.params, self._approx_rng, self.idle_split
+        dyn, idle = self._sample_truth()
+        system = self.system_baseline_w
+        watts, _, _ = approximate(
+            dyn, idle, system, self.params, self._approx_rng, *self._approximation
         )
         dt_s = (now_ms - self._last_emit_ms) / 1000.0
-        p_dyn, p_idle = approx.process_dynamic_w, approx.process_idle_w
-        watts = [p_dyn[pid] for pid in self._pids]
-        watts.append(approx.system_dynamic_w)
-        watts += [p_idle[pid] for pid in self._pids]
-        watts.append(p_idle[SYSTEM_PROCESS_ID])
-        joules = self._joules
-        for i, series in enumerate(self.counters):
-            joules[i] += watts[i] * dt_s
-            series.append((now_ms, joules[i]))
+        self._joules = joules = [j + w * dt_s for j, w in zip(self._joules, watts)]
+        for series, value in zip(self.counters, joules):
+            series.append((now_ms, value))
         self._last_emit_ms = now_ms
-        self.latest_truth = truth
-        dyn, idle = truth.process_dynamic_w.values(), truth.process_idle_w.values()
-        self.truth.append([now_ms, *dyn, *idle, truth.system_dynamic_w])
+        self._dyn, self._idle = dyn, idle
+        self.truth.append([now_ms, *dyn, *idle, system])
+
+    @property
+    def node_total_w(self) -> float:
+        """The latest firing's true node draw, which the meter measures."""
+        return node_true_total(self._dyn, self._idle, self.system_baseline_w)
+
+    @property
+    def latest_truth(self) -> GroundTruth:
+        """The latest firing's truth (before the first, construction's)."""
+        dyn, idle = dict(zip(self._pids, self._dyn)), dict(zip(self._pids, self._idle))
+        return GroundTruth(self._last_emit_ms, dyn, idle, self.system_baseline_w)
 
     @property
     def truth_log(self) -> list[GroundTruth]:

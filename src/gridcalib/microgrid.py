@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .attribution import left_sum
 from .errors import StepError
 from .signals import Clock, VirtualClock
 from .ticklog import TickLog, csv_bytes
@@ -99,7 +100,7 @@ class SimpleBattery:
 
 def aggregate(actor_powers: Mapping[str, float]) -> float:
     """Net power of the microgrid: the signed sum over all actors."""
-    return float(sum(actor_powers.values()))
+    return left_sum(actor_powers.values())
 
 
 def settle(

@@ -24,6 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .attribution import left_sum
 from .calibration import (
     DEFAULT_M_IDLE_WINDOW_MS,
     CalibrationStage,
@@ -45,6 +46,7 @@ from .emulation import (
     MeterListener,
     MeterPublisher,
     PowerModelEmitter,
+    node_true_total,
 )
 from .errors import (
     ConfigError,
@@ -58,7 +60,6 @@ from .ticklog import csv_bytes as _csv_bytes
 from .timeseries import GAUGE, MetricStore, Series, rates
 from .validation import (
     PLOT_HEADER,
-    PairedObservation,
     RegressionReport,
     compare_to_ideal,
     fit_ols,
@@ -183,7 +184,7 @@ class _Runtime:
             self.gauge = gauge = store.get_or_create(METER_GAUGE_METRIC, {}, GAUGE)
 
             def truth() -> float:
-                return emitter.latest_truth.node_total_w
+                return emitter.node_total_w
 
             publish = gauge.append
             if wall_clock:
@@ -333,7 +334,7 @@ def _write_regression(
     report, skipped, points = _node_regression(runtime.config, runtime.gauge, runtime.store)
     if report is not None:
         _atomic_write(out / REGRESSION_JSON, (report_to_json(report) + "\n").encode())
-        plot = plot_rows(points, report)
+        plot = plot_rows(*points[1:], report)
     else:
         payload = json.dumps({"skipped": skipped}, sort_keys=True) + "\n"
         _atomic_write(out / REGRESSION_JSON, payload.encode())
@@ -375,7 +376,7 @@ def _energy_summary(
     for pid, _ in processes:
         power = logged[f"{pid}_dyn_w"] + logged[f"{pid}_idle_w"]
         energy[pid] = float(_trapezoid(power, times_s)) / 3600.0
-    total = sum(energy.values())
+    total = left_sum(energy.values())
     ns_of = dict(processes)
     ordered = sorted(processes, key=lambda item: (-energy[item[0]], item[0]))
     rows = []
@@ -387,32 +388,33 @@ def _energy_summary(
 
 def _node_regression(
     config: ScenarioConfig, gauge: Series | None, store: MetricStore
-) -> tuple[RegressionReport | None, str | None, list[PairedObservation]]:
-    """Fit measured node power against the approximated node total."""
+) -> tuple[RegressionReport | None, str | None, tuple[np.ndarray, ...] | None]:
+    """Fit measured node power against the approximated node total. The
+    points are _regression_points' columns, None when skipped."""
     if not config.workloads:
-        return None, "no workloads", []
+        return None, "no workloads", None
     if len(gauge) == 0:
-        return None, "no meter samples", []
+        return None, "no meter samples", None
     points = _regression_points(
         gauge, store.match(POWER_COUNTER_METRIC, None), config.emission_interval_ms
     )
-    if len(points) < 2:
-        return None, "not enough aligned samples", []
+    if len(points[0]) < 2:
+        return None, "not enough aligned samples", None
     try:
-        report = fit_ols(points)
+        report = fit_ols(*points[1:])
     except DegenerateX as exc:
-        return None, str(exc), []
+        return None, str(exc), None
     return report, None, points
 
 
 def _regression_points(
     gauge: Series, counters: list[Series], interval_ms: int
-) -> list[PairedObservation]:
-    """One point per meter sample whose trailing interval every counter
-    covers: x is the summed counter rate over that interval, which
-    recovers exactly the watts the emitter integrated, and y is the
-    sample's reading. Counters are summed in the order given, which is
-    key order for a store match."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The t, x and y columns, one entry per meter sample whose trailing
+    interval every counter covers: x is the summed counter rate over that
+    interval, which recovers exactly the watts the emitter integrated,
+    and y is the sample's reading. Counters are summed in the order
+    given, which is key order for a store match."""
     ts, measured = gauge.columns()
     total = np.zeros(len(ts))
     covered = np.ones(len(ts), dtype=bool)
@@ -420,13 +422,12 @@ def _regression_points(
         watts, ok = rates(series, ts, interval_ms)
         total += watts
         covered &= ok
-    columns = (ts[covered].tolist(), total[covered].tolist(), measured[covered].tolist())
-    return [PairedObservation(t, x, y) for t, x, y in zip(*columns)]
+    return ts[covered], total[covered], measured[covered]
 
 
 def _truth_csv(emitter: PowerModelEmitter | None) -> bytes:
     """The emitter's truth log with each workload's columns side by side,
-    and the node total summed in GroundTruth.node_total_w's order."""
+    and the node total summed as GroundTruth.node_total_w sums it."""
     pids = [pid for pid, _ in emitter.processes[:-1]] if emitter is not None else []
     header = ["time_ms", *(f"{p}_true_{mode}_w" for p in pids for mode in ("dyn", "idle"))]
     header.append("system_true_dyn_w")
@@ -435,8 +436,7 @@ def _truth_csv(emitter: PowerModelEmitter | None) -> bytes:
     logged = emitter.truth.columns()
     dyn = [logged[f"{p}_true_dyn_w"] for p in pids]
     idle = [logged[f"{p}_true_idle_w"] for p in pids]
-    every = range(len(pids))
-    total = member_sum(dyn, every) + logged["system_true_dyn_w"] + member_sum(idle, every)
+    total = node_true_total(dyn, idle, logged["system_true_dyn_w"])
     columns = [logged[name] for name in header] + [total]
     return _csv_bytes(header + ["node_true_total_w"], zip(*(c.tolist() for c in columns)))
 
@@ -522,11 +522,9 @@ def validate(artifacts_dir: str | Path) -> RegressionReport | None:
     stored = RegressionReport(**data)
     with open(points_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    points = [
-        PairedObservation(time_ms=i, x_w=float(r["x_w"]), y_w=float(r["y_w"]))
-        for i, r in enumerate(rows)
-    ]
-    recomputed = fit_ols(points)
+    x = np.array([float(r["x_w"]) for r in rows])
+    y = np.array([float(r["y_w"]) for r in rows])
+    recomputed = fit_ols(x, y)
     checks = [
         ("slope", stored.slope, recomputed.slope),
         ("intercept_w", stored.intercept_w, recomputed.intercept_w),

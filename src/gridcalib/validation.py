@@ -9,24 +9,12 @@ reported as absolute deviations from the fitted line.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DegenerateX, TooFewPoints
-
-
-@dataclass(frozen=True)
-class PairedObservation:
-    time_ms: int
-    x_w: float
-    y_w: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x_w) and math.isfinite(self.y_w)):
-            raise ValueError(f"paired values must be finite, got ({self.x_w}, {self.y_w})")
 
 
 @dataclass(frozen=True)
@@ -55,16 +43,19 @@ class IdealComparison:
         return self.slope_ok and self.intercept_ok and self.r2_ok
 
 
-def fit_ols(points: Sequence[PairedObservation]) -> RegressionReport:
-    """Least-squares line through (x, y) with intercept.
+def fit_ols(x, y) -> RegressionReport:
+    """Least-squares line through the points (x[i], y[i]) with intercept.
 
-    r2 follows the standard 1 - SSR/SST convention; a zero SST (all y
-    identical) reports r2 = 1, the perfect trivial fit.
+    x and y are equal-length float sequences or arrays, every value
+    finite. r2 follows the standard 1 - SSR/SST convention; a zero SST
+    (all y identical) reports r2 = 1, the perfect trivial fit.
     """
-    if len(points) < 2:
-        raise TooFewPoints(f"need at least 2 points, got {len(points)}")
-    x = np.array([p.x_w for p in points], dtype=float)
-    y = np.array([p.y_w for p in points], dtype=float)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not np.isfinite(np.stack((x, y))).all():  # stack also rejects unequal lengths
+        raise ValueError("paired values must be finite")
+    if len(x) < 2:
+        raise TooFewPoints(f"need at least 2 points, got {len(x)}")
     dx = x - x.mean()
     sxx = float(np.dot(dx, dx))
     if sxx == 0.0:
@@ -81,7 +72,7 @@ def fit_ols(points: Sequence[PairedObservation]) -> RegressionReport:
         r2=r2,
         residual_median_w=float(np.median(np.abs(residuals))),
         residual_max_w=float(np.max(np.abs(residuals))),
-        n=len(points),
+        n=len(x),
     )
 
 
@@ -111,10 +102,9 @@ PLOT_HEADER = ["x_w", "y_w", "fitted_w", "residual_w"]
 
 
 def plot_rows(
-    points: Sequence[PairedObservation], report: RegressionReport
+    x: np.ndarray, y: np.ndarray, report: RegressionReport
 ) -> Iterator[tuple[float, float, float, float]]:
     """Plot-ready rows under PLOT_HEADER: every point with its fitted value
-    and residual."""
-    for p in points:
-        fitted = report.slope * p.x_w + report.intercept_w
-        yield p.x_w, p.y_w, fitted, p.y_w - fitted
+    and residual, as Python floats."""
+    fitted = report.slope * x + report.intercept_w
+    return zip(x.tolist(), y.tolist(), fitted.tolist(), (y - fitted).tolist())

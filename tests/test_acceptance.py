@@ -19,7 +19,7 @@ from gridcalib.emulation import ApproximationParams, MeterSpec, active_power, me
 from gridcalib.microgrid import SimpleBattery, settle
 from gridcalib.pipeline import ARTIFACT_NAMES, run
 from gridcalib.timeseries import COUNTER, MetricStore, moving_average_rate, rate
-from gridcalib.validation import PairedObservation, fit_ols
+from gridcalib.validation import fit_ols
 from gridcalib.wire import (
     MODE_DYNAMIC,
     MODE_IDLE,
@@ -294,15 +294,11 @@ def test_criterion_11_ols_oracle():
         while xs.max() - xs.min() < 5.0:
             xs = np.array([rng.uniform(0.0, 100.0) for _ in range(n)])
         ys = np.array([rng.uniform(-50.0, 50.0) for _ in range(n)])
-        fit = fit_ols(
-            [PairedObservation(i, float(x), float(y)) for i, (x, y) in enumerate(zip(xs, ys))]
-        )
+        fit = fit_ols(xs, ys)
         slope, intercept = _brute_force_fit(xs, ys)
         assert fit.slope == pytest.approx(slope, abs=1e-6)
         assert fit.intercept_w == pytest.approx(intercept, abs=1e-6)
-    exact = fit_ols(
-        [PairedObservation(0, 0.0, 0.0), PairedObservation(1, 1.0, 2.0), PairedObservation(2, 2.0, 3.0)]
-    )
+    exact = fit_ols([0.0, 1.0, 2.0], [0.0, 2.0, 3.0])
     assert exact.slope == 1.5
     assert exact.intercept_w == pytest.approx(1 / 6, abs=1e-12)
     assert exact.r2 == pytest.approx(27 / 28, rel=1e-12)

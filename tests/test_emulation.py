@@ -3,6 +3,7 @@
 import random
 import socket
 import time
+from typing import NamedTuple
 
 import pytest
 
@@ -22,6 +23,7 @@ from gridcalib.emulation import (
     WorkloadSpec,
     active_power,
     approximate,
+    approximation_plan,
     builtin_schedule,
     decompose_true_power,
     meter_sample,
@@ -130,11 +132,40 @@ def truth_of(dynamic, idle, baseline=0.0, time_ms=0):
     )
 
 
+class Approximation(NamedTuple):
+    process_dynamic_w: dict
+    process_idle_w: dict
+    system_dynamic_w: float
+    node_dynamic_w: float
+    node_idle_w: float
+
+    @property
+    def node_total_w(self) -> float:
+        return self.node_dynamic_w + self.node_idle_w
+
+
+def approximate_truth(truth, workloads, params, rng, idle_split="even"):
+    """The list kernel over a GroundTruth, keyed by process id."""
+    specs = {w.process_id: w for w in workloads}
+    pids = list(truth.process_dynamic_w)
+    plan = approximation_plan([specs[p] for p in pids], idle_split)
+    dyn, idle = list(truth.process_dynamic_w.values()), list(truth.process_idle_w.values())
+    watts, node_dyn, node_idle = approximate(dyn, idle, truth.system_dynamic_w, params, rng, *plan)
+    k = len(pids)
+    return Approximation(
+        dict(zip(pids, watts[:k])),
+        dict(zip([*pids, "system"], watts[k + 1:])),
+        watts[k],
+        node_dyn,
+        node_idle,
+    )
+
+
 class TestApproximate:
     def test_identity_error_model(self):
         workloads = [spec(process_id="a"), spec(process_id="b", idle_share_w=20.0)]
         truth = truth_of({"a": 50.0, "b": 30.0}, {"a": 10.0, "b": 20.0}, baseline=5.0)
-        approx = approximate(
+        approx = approximate_truth(
             truth, workloads, ApproximationParams(), random.Random(0)
         )
         assert approx.process_dynamic_w == pytest.approx({"a": 50.0, "b": 30.0})
@@ -146,7 +177,7 @@ class TestApproximate:
     def test_one_third_leakage_split(self):
         workloads = [spec(process_id="gpu", leakage_lambda=1.0 / 3.0)]
         truth = truth_of({"gpu": 90.0}, {"gpu": 0.0}, baseline=0.0)
-        approx = approximate(
+        approx = approximate_truth(
             truth, workloads, ApproximationParams(), random.Random(0)
         )
         assert approx.process_dynamic_w["gpu"] == pytest.approx(60.0, rel=1e-12)
@@ -159,7 +190,7 @@ class TestApproximate:
         truth = truth_of({"a": 270.0 - 30.0 - 5.0}, {"a": 30.0}, baseline=5.0)
         assert truth.node_total_w == 270.0
         params = ApproximationParams(gain=1.01, bias_w=5.23)
-        approx = approximate(truth, workloads, params, random.Random(0))
+        approx = approximate_truth(truth, workloads, params, random.Random(0))
         recovered = params.gain * approx.node_total_w + params.bias_w
         assert recovered == pytest.approx(truth.node_total_w, abs=1e-9)
 
@@ -182,14 +213,14 @@ class TestApproximate:
             params = ApproximationParams(
                 gain=rng.uniform(0.9, 1.1), bias_w=rng.uniform(-5, 5)
             )
-            approx = approximate(truth, workloads, params, rng)
+            approx = approximate_truth(truth, workloads, params, rng)
             reassembled = sum(approx.process_dynamic_w.values()) + approx.system_dynamic_w
             assert reassembled == pytest.approx(approx.node_dynamic_w, rel=1e-9)
 
     def test_even_idle_split_includes_system(self):
         workloads = [spec(process_id="a"), spec(process_id="b")]
         truth = truth_of({"a": 0.0, "b": 0.0}, {"a": 20.0, "b": 10.0})
-        approx = approximate(truth, workloads, ApproximationParams(), random.Random(0))
+        approx = approximate_truth(truth, workloads, ApproximationParams(), random.Random(0))
         assert approx.process_idle_w == pytest.approx(
             {"a": 10.0, "b": 10.0, "system": 10.0}
         )
@@ -200,7 +231,7 @@ class TestApproximate:
             spec(process_id="b", idle_share_w=10.0),
         ]
         truth = truth_of({"a": 0.0, "b": 0.0}, {"a": 30.0, "b": 10.0})
-        approx = approximate(
+        approx = approximate_truth(
             truth, workloads, ApproximationParams(), random.Random(0), idle_split="requested"
         )
         assert approx.process_idle_w == pytest.approx(
@@ -210,7 +241,7 @@ class TestApproximate:
     def test_requested_split_falls_back_to_even_without_shares(self):
         workloads = [spec(process_id="a", idle_share_w=0.0)]
         truth = truth_of({"a": 50.0}, {"a": 0.0}, baseline=10.0)
-        approx = approximate(
+        approx = approximate_truth(
             truth, workloads, ApproximationParams(), random.Random(0), idle_split="requested"
         )
         assert approx.process_idle_w == pytest.approx({"a": 0.0, "system": 0.0})
@@ -219,22 +250,19 @@ class TestApproximate:
         workloads = [spec(process_id="a", idle_share_w=1.0)]
         truth = truth_of({"a": 10.0}, {"a": 1.0})
         params = ApproximationParams(gain=1.0, bias_w=50.0)
-        approx = approximate(truth, workloads, params, random.Random(0))
+        approx = approximate_truth(truth, workloads, params, random.Random(0))
         assert approx.node_idle_w == 0.0
 
     def test_spec_truth_mismatch_rejected(self):
-        workloads = [spec(process_id="a")]
-        truth = truth_of({"zzz": 1.0}, {"zzz": 1.0})
+        # leakage fractions of two workloads against the truth of one
+        lambdas, _, _ = approximation_plan([spec(process_id="a"), spec(process_id="b")])
         with pytest.raises(ValueError):
-            approximate(truth, workloads, ApproximationParams(), random.Random(0))
+            approximate([1.0], [1.0], 0.0, ApproximationParams(), random.Random(0), lambdas)
 
     def test_unknown_idle_split_rejected(self):
         workloads = [spec(process_id="a")]
-        truth = truth_of({"a": 1.0}, {"a": 1.0})
         with pytest.raises(ValueError):
-            approximate(
-                truth, workloads, ApproximationParams(), random.Random(0), idle_split="fair"
-            )
+            approximation_plan(workloads, idle_split="fair")
 
 
 class TestMeter:

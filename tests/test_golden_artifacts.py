@@ -7,6 +7,13 @@ columns in the metric store, by running ``pipeline.run`` on each
 ``preset:NAME`` into an empty directory and hashing each file named in
 ``pipeline.ARTIFACT_NAMES``. Regenerate them only for a change that is
 meant to alter the artifacts, and say which bytes moved and why.
+
+No preset has more than one workload, so two more configs pin the paths
+the presets leave out: four workloads over two namespaces, leakage and
+noise on every workload, approximation noise, meter error, and an
+emission interval that differs from the engine step. One splits idle
+power by requested resources and one evenly. Their digests were made
+at commit f46a86c, before the per-tick kernels took plain float lists.
 """
 
 import hashlib
@@ -14,7 +21,37 @@ import hashlib
 import pytest
 
 from gridcalib import pipeline
-from gridcalib.config import preset_config
+from gridcalib.config import NamespaceActorSpec, ScenarioConfig, preset_config
+from gridcalib.emulation import ApproximationParams, LoadSchedule, MeterSpec, WorkloadSpec
+
+
+def _multi_workload_config(idle_split: str, seed: int, emission_interval_ms: int) -> ScenarioConfig:
+    workloads = (
+        WorkloadSpec("web", "service", "front", 12.0, 0.02, "rps", 0.8, 0.15),
+        WorkloadSpec("cache", "service", "front", 6.5, 0.01, "rps", 0.3, 0.05),
+        WorkloadSpec("train", "batch", "ml", 35.0, 4.0, "batch_size", 1.7, 1.0 / 3.0),
+        WorkloadSpec("infer", "stress", "ml", 0.0, 2.5, "batch_size", 0.5, 0.2),
+    )
+    return ScenarioConfig(
+        duration_ms=150_000,
+        seed=seed,
+        warmup_ms=20_000,
+        emission_interval_ms=emission_interval_ms,
+        idle_split=idle_split,
+        system_baseline_w=3.0,
+        workloads=workloads,
+        schedule=LoadSchedule("custom", (4.0, 16.0, 32.0, 8.0), runtime_ms=30_000),
+        schedule_knob="batch_size",
+        meter=MeterSpec(relative_error_v=0.005, relative_error_i=0.01, seed=seed),
+        approximation=ApproximationParams(gain=1.02, bias_w=4.5, sigma_w=0.7),
+        actors=(NamespaceActorSpec("front"), NamespaceActorSpec("ml")),
+    )
+
+
+EXTRA_CONFIGS = {
+    "four-workloads-requested": _multi_workload_config("requested", 21, 500),
+    "four-workloads-even": _multi_workload_config("even", 22, 1500),
+}
 
 GOLDEN = {
     "gpu-leakage": {
@@ -57,12 +94,33 @@ GOLDEN = {
         "regression_points.csv": "c3feea170ad767c1bbb6ec4a1fbf7377f3f2ce69ce13a9b6721f8cb8164dfeb6",
         "regression_report.json": "b2225faa588337f7f48a04a01020ce1a76e755c5c595a26ad43fe3762cf8baff",
     },
+    "four-workloads-requested": {
+        "monitor.csv": "3825778abd92b7ae5fc2dcf14091110ffe159562608ea6a8f0124d4efe095b6e",
+        "calibrated_power.csv": "ba00bb25146396d2a70541b681075975dafc636c4b92d1e56685344d616aeca4",
+        "energy_summary.csv": "b176e6aaab08e925172e3ed3562f5a06ac9e6bcaaf3f2a21e941fc91d32cd94c",
+        "regression_report.json": "4318cf5a9e0440254de02b95f6c92557147a26923397e76fc19146674944afe7",
+        "regression_points.csv": "962aa06887cc9ea2069608f458fc03c4bd7dc4926ac3866ed0a7bc33e8190a77",
+        "ground_truth.csv": "0ccb449ef762c78baf12f5886a7ccbd5c664946b6d17fee467dd3b4844114c8a",
+        "events.csv": "a68e425511f8c8ec65dfb0f71f043c1419376bb3e04fdf2da0cb4c8209aded63",
+        "config.json": "99b9d31a3792ff9a4b55770f2dac2972271ef8c8037bcadc40b218438e234421",
+    },
+    "four-workloads-even": {
+        "monitor.csv": "b866b35490cb561bac59ef8c3bafb4a93712ea4ee90b6c0a24238648a711f831",
+        "calibrated_power.csv": "fdd30b6c3e383a7e2fa6706c1e5a2a5271e3142310c0784575bb8f601cebf047",
+        "energy_summary.csv": "6880b41da747dc6198862d9af7bded6bc4ef2b8bc6186257f365e650c30b4832",
+        "regression_report.json": "2e89d28c75f8ed7cc0fbc59426e09e3e1b35aea3038342f4e0a12a665e021e0e",
+        "regression_points.csv": "0eb55b64eb6f358aca94a949aaac2727528be2e31c1a7563d0c2bffa3ac8c0da",
+        "ground_truth.csv": "8aa7bd92aa4544e5f63e53ff3debb27d1ef107ce6ca80bc7c4cfdacbdc39b5b4",
+        "events.csv": "a68e425511f8c8ec65dfb0f71f043c1419376bb3e04fdf2da0cb4c8209aded63",
+        "config.json": "2861d9646c16601810bd0cd1ca7fefbd695bb5ae6514102d743471e4aa42e765",
+    },
 }
 
 
 @pytest.mark.parametrize("preset", list(GOLDEN))
 def test_preset_artifacts_match_golden_digests(preset, tmp_path):
-    pipeline.run(preset_config(preset), tmp_path)
+    config = EXTRA_CONFIGS.get(preset) or preset_config(preset)
+    pipeline.run(config, tmp_path)
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in pipeline.ARTIFACT_NAMES

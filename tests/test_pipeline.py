@@ -287,22 +287,21 @@ class TestRegressionX:
         for t in range(offset, 12 * step + 2000, meter_step):
             gauge.append((t, 100.0 + t / 7))
         series = store.match(POWER_COUNTER_METRIC, None)
-        got = pipeline._regression_points(gauge, series, interval)
+        t, x, y = pipeline._regression_points(gauge, series, interval)
+        got = list(zip(t.tolist(), x.tolist(), y.tolist()))
         want = scalar_regression_points(gauge, series, interval)
-        assert [(p.time_ms, p.x_w, p.y_w) for p in got] == want
-        assert all(
-            type(p.time_ms) is int and type(p.x_w) is float and type(p.y_w) is float
-            for p in got
-        )
+        assert got == want
+        assert all(type(t) is int and type(x) is float and type(y) is float for t, x, y in got)
 
     def test_points_are_the_meters_own_samples(self, tmp_path):
         config = PRESETS["regression"]
         store = MetricStore()
         pipeline.run(config, tmp_path / "r", store=store)
         gauge = store.get(METER_GAUGE_METRIC, None)
-        report, _, points = pipeline._node_regression(config, gauge, store)
+        report, _, (t, _, y) = pipeline._node_regression(config, gauge, store)
+        points = list(zip(t.tolist(), y.tolist()))
         readings = {s.timestamp_ms: s.value for s in gauge.samples()}
-        assert all(p.time_ms in readings and p.y_w == readings[p.time_ms] for p in points)
+        assert all(t in readings and y == readings[t] for t, y in points)
         covered = scalar_regression_points(
             gauge, store.match(POWER_COUNTER_METRIC, None), config.emission_interval_ms
         )

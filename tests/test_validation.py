@@ -3,14 +3,15 @@
 import json
 import math
 import random
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from gridcalib.errors import DegenerateX, TooFewPoints
 from gridcalib.ticklog import csv_bytes
 from gridcalib.validation import (
     PLOT_HEADER,
-    PairedObservation,
     RegressionReport,
     compare_to_ideal,
     fit_ols,
@@ -19,16 +20,28 @@ from gridcalib.validation import (
 )
 
 
+class Point(NamedTuple):
+    time_ms: int
+    x_w: float
+    y_w: float
+
+
 def obs(xy_pairs):
-    return [
-        PairedObservation(time_ms=i * 1000, x_w=float(x), y_w=float(y))
-        for i, (x, y) in enumerate(xy_pairs)
-    ]
+    return [Point(time_ms=i * 1000, x_w=float(x), y_w=float(y)) for i, (x, y) in enumerate(xy_pairs)]
+
+
+def columns(points):
+    """The x and y columns fit_ols and plot_rows take."""
+    return np.array([p.x_w for p in points]), np.array([p.y_w for p in points])
+
+
+def fit(points):
+    return fit_ols(*columns(points))
 
 
 class TestFitOls:
     def test_exact_line_with_offset(self):
-        report = fit_ols(obs([(1, 6), (2, 7), (3, 8)]))
+        report = fit(obs([(1, 6), (2, 7), (3, 8)]))
         assert report.slope == pytest.approx(1.0, abs=1e-12)
         assert report.intercept_w == pytest.approx(5.0, abs=1e-12)
         assert report.r2 == pytest.approx(1.0, abs=1e-12)
@@ -36,7 +49,7 @@ class TestFitOls:
         assert report.n == 3
 
     def test_hand_computed_fit(self):
-        report = fit_ols(obs([(0, 0), (1, 2), (2, 3)]))
+        report = fit(obs([(0, 0), (1, 2), (2, 3)]))
         assert report.slope == pytest.approx(1.5, abs=1e-12)
         assert report.intercept_w == pytest.approx(1.0 / 6.0, abs=1e-12)
         assert report.r2 == pytest.approx(27.0 / 28.0, abs=1e-12)
@@ -44,26 +57,26 @@ class TestFitOls:
         assert report.residual_max_w == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_flat_y_is_a_perfect_trivial_fit(self):
-        report = fit_ols(obs([(0, 5), (1, 5), (2, 5)]))
+        report = fit(obs([(0, 5), (1, 5), (2, 5)]))
         assert report.slope == 0.0
         assert report.intercept_w == 5.0
         assert report.r2 == 1.0
 
     def test_uncorrelated_y_scores_zero(self):
         # symmetric y around its mean with symmetric x: slope 0, r2 0
-        report = fit_ols(obs([(0, 1), (1, -1), (2, -1), (3, 1)]))
+        report = fit(obs([(0, 1), (1, -1), (2, -1), (3, 1)]))
         assert report.slope == pytest.approx(0.0, abs=1e-12)
         assert report.r2 == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_x(self):
         with pytest.raises(DegenerateX):
-            fit_ols(obs([(2, 1), (2, 5), (2, 9)]))
+            fit(obs([(2, 1), (2, 5), (2, 9)]))
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
-            fit_ols(obs([(1, 1)]))
+            fit(obs([(1, 1)]))
         with pytest.raises(TooFewPoints):
-            fit_ols([])
+            fit_ols([], [])
 
     def test_affine_recovery(self):
         rng = random.Random(4)
@@ -73,25 +86,25 @@ class TestFitOls:
             xs = sorted(rng.uniform(0, 500) for _ in range(rng.randint(2, 40)))
             if max(xs) - min(xs) < 1e-6:
                 continue
-            report = fit_ols(obs([(x, a * x + b) for x in xs]))
+            report = fit(obs([(x, a * x + b) for x in xs]))
             assert report.slope == pytest.approx(a, abs=1e-9)
             assert report.intercept_w == pytest.approx(b, abs=1e-9)
             assert report.r2 == pytest.approx(1.0, abs=1e-9)
 
     def test_shift_and_scale_behavior(self):
         base = [(1, 2.0), (2, 2.5), (3, 5.0), (4, 4.0), (6, 9.0)]
-        ref = fit_ols(obs(base))
-        shifted = fit_ols(obs([(x, y + 17.0) for x, y in base]))
+        ref = fit(obs(base))
+        shifted = fit(obs([(x, y + 17.0) for x, y in base]))
         assert shifted.slope == pytest.approx(ref.slope, rel=1e-12)
         assert shifted.intercept_w == pytest.approx(ref.intercept_w + 17.0, rel=1e-12)
-        scaled = fit_ols(obs([(x * 4.0, y) for x, y in base]))
+        scaled = fit(obs([(x * 4.0, y) for x, y in base]))
         assert scaled.slope == pytest.approx(ref.slope / 4.0, rel=1e-12)
         assert scaled.r2 == pytest.approx(ref.r2, rel=1e-12)
 
     def test_signed_residuals_sum_to_zero(self):
         rng = random.Random(8)
         points = obs([(rng.uniform(0, 100), rng.uniform(0, 400)) for _ in range(200)])
-        report = fit_ols(points)
+        report = fit(points)
         total = sum(p.y_w - (report.slope * p.x_w + report.intercept_w) for p in points)
         assert abs(total) <= 1e-9 * len(points)
 
@@ -105,7 +118,7 @@ class TestFitOls:
                 [(rng.uniform(0, 50), rng.uniform(-20, 80)) for _ in range(rng.randint(3, 30))]
             )
             try:
-                report = fit_ols(points)
+                report = fit(points)
             except DegenerateX:
                 continue
 
@@ -155,7 +168,7 @@ class TestCompareToIdeal:
 
 class TestSerialization:
     def test_report_json_fields(self):
-        report = fit_ols(obs([(0, 0), (1, 2), (2, 3)]))
+        report = fit(obs([(0, 0), (1, 2), (2, 3)]))
         data = json.loads(report_to_json(report))
         assert set(data) == {
             "slope", "intercept_w", "r2", "residual_median_w", "residual_max_w", "n",
@@ -165,8 +178,8 @@ class TestSerialization:
 
     def test_plot_csv_layout(self):
         points = obs([(1, 6), (2, 7), (3, 8)])
-        report = fit_ols(points)
-        lines = csv_bytes(PLOT_HEADER, plot_rows(points, report)).decode().split("\r\n")
+        report = fit(points)
+        lines = csv_bytes(PLOT_HEADER, plot_rows(*columns(points), report)).decode().split("\r\n")
         assert lines[0] == "x_w,y_w,fitted_w,residual_w"
         first = lines[1].split(",")
         assert float(first[0]) == 1.0
@@ -176,4 +189,6 @@ class TestSerialization:
 
     def test_non_finite_pair_rejected(self):
         with pytest.raises(ValueError):
-            PairedObservation(time_ms=0, x_w=math.nan, y_w=1.0)
+            fit_ols([0.0, math.nan, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            fit_ols([0.0, 1.0, 2.0], [1.0, math.inf, 3.0])
