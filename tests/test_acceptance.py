@@ -5,6 +5,7 @@ criterion; each test also prints its headline measurement and enforces
 its own runtime budget.
 """
 
+import csv
 import dataclasses
 import random
 import time
@@ -12,13 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from gridcalib.attribution import NodePower, ProcessUtilization, split_dynamic, split_idle_even, split_idle_requested
-from gridcalib.calibration import calibrate_dynamic, dynamic_factor
+from gridcalib.attribution import dynamic_shares, even_shares, requested_shares
+from gridcalib.calibration import calibrate, dynamic_factors
 from gridcalib.config import PRESETS
 from gridcalib.emulation import ApproximationParams, MeterSpec, active_power, meter_sample
 from gridcalib.microgrid import SimpleBattery, settle
 from gridcalib.pipeline import ARTIFACT_NAMES, run
-from gridcalib.timeseries import COUNTER, MetricStore, moving_average_rate, rate
+from gridcalib.timeseries import COUNTER, MetricStore, rate
 from gridcalib.validation import fit_ols
 from gridcalib.wire import (
     MODE_DYNAMIC,
@@ -50,8 +51,10 @@ def cpu_run(tmp_path_factory):
 
 
 def _column(art, name):
-    idx = art.calibrated_header.index(name)
-    return [row[idx] for row in art.calibrated_rows]
+    """One column of calibrated_power.csv. Floats are written as their
+    repr, so each cell reads back to the value the run computed."""
+    with open(art.calibrated_csv, newline="") as fh:
+        return [float(row[name]) for row in csv.DictReader(fh)]
 
 
 def _counter(art, namespace, mode, process):
@@ -68,11 +71,11 @@ def test_criterion_01_calibration_algebra():
         n = rng.uniform(1.0, 1000.0)
         s = n * rng.uniform(0.0, 0.99)
         p = rng.uniform(0.0, n - s)
-        simplified = dynamic_factor(p, n, s).a
+        (simplified,) = dynamic_factors((p,), n, s)
         # hand each workload its share of the system draw, then divide by the node
         expanded = (p + (p / (n - s)) * s) / n
         assert simplified == pytest.approx(expanded, rel=1e-12)
-    assert dynamic_factor(30, 100, 20).a == 0.375
+    assert dynamic_factors((30,), 100, 20) == (0.375,)
     _finish(1, 1.0, time.perf_counter() - t0, "simplified == expanded over 10^4 inputs")
 
 
@@ -84,10 +87,9 @@ def test_criterion_02_conservation():
         m = m_idle + rng.uniform(0.001, 500.0)
         parts = [rng.uniform(0.0, 100.0) for _ in range(rng.randint(1, 8))]
         s = rng.uniform(0.0, 50.0)
-        n = sum(parts) + s
-        total = sum(
-            calibrate_dynamic(dynamic_factor(p, n, s), m, m_idle) for p in parts
-        )
+        # the workloads, then the system process that absorbed s
+        snapshot = calibrate((*parts, s), (0.0,) * (len(parts) + 1), m, m_idle, (len(parts),))
+        total = sum(snapshot.cal_dyn)
         assert total == pytest.approx(m - m_idle, rel=1e-9)
     _finish(2, 1.0, time.perf_counter() - t0, "sum of calibrated dynamic == m - m_idle, 10^3 partitions")
 
@@ -105,10 +107,10 @@ def test_criterion_03_leakage_recovery(gpu_run):
     offset_share = (cal_j - raw_j) / cal_j
     assert offset_share == pytest.approx(1 / 3, abs=0.01)
     # per-tick calibrated power equals ground truth (perfect meter)
-    truth_by_time = {g.time_ms: g for g in art.truth_log}
+    truth = art.emitter.truth.columns()
+    truth_by_time = dict(zip(truth["time_ms"].tolist(), truth["gpu-job_true_dyn_w"].tolist()))
     worst = max(
-        abs(w - truth_by_time[t].process_dynamic_w["gpu-job"])
-        for t, w in zip(_column(art, "time_ms"), cal_w)
+        abs(w - truth_by_time[int(t)]) for t, w in zip(_column(art, "time_ms"), cal_w)
     )
     assert worst <= 1e-6
     elapsed = setup_s + time.perf_counter() - t0
@@ -161,29 +163,18 @@ def test_criterion_06_ratio_model_partition():
     for case in range(300):
         k = rng.randint(1, 10)
         all_zero = case % 10 == 0
-        procs = [
-            ProcessUtilization(
-                f"p{i}",
-                util=0.0 if all_zero else rng.uniform(0.0, 10.0),
-                requested=rng.uniform(0.1, 5.0),
-            )
-            for i in range(k)
-        ]
-        node = NodePower(
-            dynamic=rng.uniform(0.0, 500.0),
-            idle=rng.uniform(0.0, 300.0),
-            total_requested=sum(p.requested for p in procs),
-        )
-        dyn = split_dynamic(node, procs)
-        assert sum(dyn.values()) == pytest.approx(node.dynamic, rel=1e-9, abs=1e-9)
-        idle = split_idle_requested(node, procs)
-        assert sum(idle.values()) == pytest.approx(node.idle, rel=1e-9, abs=1e-9)
-        assert split_idle_even(node, k) * k == pytest.approx(node.idle, rel=1e-9, abs=1e-9)
-    shares = split_dynamic(
-        NodePower(100.0, 0.0),
-        [ProcessUtilization("a", 10.0), ProcessUtilization("b", 30.0), ProcessUtilization("c", 60.0)],
-    )
-    assert shares == {"a": 10.0, "b": 30.0, "c": 60.0}
+        utils, requested = [], []
+        for _ in range(k):
+            utils.append(0.0 if all_zero else rng.uniform(0.0, 10.0))
+            requested.append(rng.uniform(0.1, 5.0))
+        dynamic, idle = rng.uniform(0.0, 500.0), rng.uniform(0.0, 300.0)
+        dyn = dynamic_shares(dynamic, utils)
+        assert sum(dyn) == pytest.approx(dynamic, rel=1e-9, abs=1e-9)
+        idle_shares = requested_shares(idle, requested, sum(requested))
+        assert sum(idle_shares) == pytest.approx(idle, rel=1e-9, abs=1e-9)
+        assert even_shares(idle, k)[0] * k == pytest.approx(idle, rel=1e-9, abs=1e-9)
+    shares = dynamic_shares(100.0, [10.0, 30.0, 60.0])
+    assert shares == [10.0, 30.0, 60.0]
     _finish(6, 1.0, time.perf_counter() - t0, "dynamic/idle splits conserve node totals, even fallback included")
 
 
@@ -194,7 +185,7 @@ def test_criterion_07_counter_rate_oracle():
     joules = store.get_or_create("node_joules_total", {}, COUNTER)
     for t in range(0, 10_001, 500):
         joules.append((t, p_w * t / 1000.0))
-    recovered = moving_average_rate(joules, 2000, 10_000)
+    recovered = rate(joules, 10_000 - 2000, 10_000)
     assert recovered == pytest.approx(p_w, rel=1e-6)
     steps = store.get_or_create("step_joules_total", {}, COUNTER)
     steps.append((10_000, 100.0))

@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcalib.calibration import (
-    CalibrationFactor,
     CalibrationStage,
     NamespacePowerActor,
-    calibrate_dynamic,
-    calibrate_idle,
+    calibrate,
+    calibrated_dynamic,
+    calibrated_idle,
     capture_idle_baseline,
-    dynamic_factor,
+    dynamic_factors,
     member_sum,
 )
 from gridcalib.errors import DegenerateDenominator, StaleSignal, ZeroNodeIdle
@@ -26,17 +26,17 @@ from gridcalib.timeseries import COUNTER, GAUGE, MetricStore, Series
 
 class TestCalibrateIdle:
     def test_scaled_share(self):
-        assert calibrate_idle(5.0, 50.0, 260.0) == 26.0
+        assert calibrated_idle((5.0,), 50.0, 260.0) == (26.0,)
 
     def test_whole_node_share_returns_meter_idle(self):
-        assert calibrate_idle(50.0, 50.0, 260.0) == 260.0
+        assert calibrated_idle((50.0,), 50.0, 260.0) == (260.0,)
 
     def test_zero_share(self):
-        assert calibrate_idle(0.0, 50.0, 260.0) == 0.0
+        assert calibrated_idle((0.0,), 50.0, 260.0) == (0.0,)
 
     def test_zero_node_idle_rejected(self):
         with pytest.raises(ZeroNodeIdle):
-            calibrate_idle(5.0, 0.0, 260.0)
+            calibrated_idle((5.0,), 0.0, 260.0)
 
     def test_partition_recovers_meter_idle(self):
         rng = random.Random(7)
@@ -46,25 +46,25 @@ class TestCalibrateIdle:
             if n_idle <= 0:
                 continue
             m_idle = rng.uniform(0.0, 500.0)
-            total = sum(calibrate_idle(p, n_idle, m_idle) for p in shares)
+            total = sum(calibrated_idle(shares, n_idle, m_idle))
             assert total == pytest.approx(m_idle, rel=1e-9, abs=1e-12)
 
 
 class TestDynamicFactor:
     def test_reference_value(self):
-        assert dynamic_factor(30.0, 100.0, 20.0).a == pytest.approx(0.375)
+        assert dynamic_factors((30.0,), 100.0, 20.0) == pytest.approx((0.375,))
 
     def test_no_system_leakage_reduces_to_plain_ratio(self):
-        assert dynamic_factor(30.0, 100.0, 0.0).a == pytest.approx(0.3)
+        assert dynamic_factors((30.0,), 100.0, 0.0) == pytest.approx((0.3,))
 
     def test_sole_workload_hits_factor_one(self):
-        assert dynamic_factor(80.0, 100.0, 20.0).a == pytest.approx(1.0)
+        assert dynamic_factors((80.0,), 100.0, 20.0) == pytest.approx((1.0,))
 
     def test_degenerate_denominator_rejected(self):
         with pytest.raises(DegenerateDenominator):
-            dynamic_factor(1.0, 100.0, 100.0)
+            dynamic_factors((1.0,), 100.0, 100.0)
         with pytest.raises(DegenerateDenominator):
-            dynamic_factor(1.0, 100.0, 100.0 - 5e-7)
+            dynamic_factors((1.0,), 100.0, 100.0 - 5e-7)
 
     def test_simplified_form_matches_expanded_form(self):
         # the reassign-then-normalize derivation must collapse to p/(n-s)
@@ -73,23 +73,23 @@ class TestDynamicFactor:
             n = rng.uniform(1e-3, 1e6)
             s = rng.uniform(0.0, max(0.0, n - 1e-3))
             p = rng.uniform(0.0, n - s)
-            simplified = dynamic_factor(p, n, s).a
+            (simplified,) = dynamic_factors((p,), n, s)
             expanded = (p + p / (p + n - (p + s)) * s) / n
             assert math.isclose(simplified, expanded, rel_tol=1e-12, abs_tol=1e-15)
 
 
 class TestCalibrateDynamic:
     def test_reference_value(self):
-        assert calibrate_dynamic(CalibrationFactor(0.375), 400.0, 260.0) == 52.5
+        assert calibrated_dynamic((0.375,), 400.0, 260.0) == (52.5,)
 
     def test_factor_one_takes_whole_dynamic_budget(self):
-        assert calibrate_dynamic(CalibrationFactor(1.0), 400.0, 260.0) == 140.0
+        assert calibrated_dynamic((1.0,), 400.0, 260.0) == (140.0,)
 
     def test_meter_below_idle_clamps_to_zero(self):
-        assert calibrate_dynamic(CalibrationFactor(0.8), 250.0, 260.0) == 0.0
+        assert calibrated_dynamic((0.8,), 250.0, 260.0) == (0.0,)
 
     def test_accepts_bare_float_factor(self):
-        assert calibrate_dynamic(0.5, 300.0, 260.0) == 20.0
+        assert calibrated_dynamic([0.5], 300.0, 260.0) == (20.0,)
 
     @settings(max_examples=100)
     @given(
@@ -98,8 +98,8 @@ class TestCalibrateDynamic:
         k=st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
     )
     def test_linear_in_dynamic_budget(self, a, budget, k):
-        base = calibrate_dynamic(CalibrationFactor(a), 260.0 + budget, 260.0)
-        scaled = calibrate_dynamic(CalibrationFactor(a), 260.0 + k * budget, 260.0)
+        (base,) = calibrated_dynamic((a,), 260.0 + budget, 260.0)
+        (scaled,) = calibrated_dynamic((a,), 260.0 + k * budget, 260.0)
         assert scaled == pytest.approx(k * base, rel=1e-9, abs=1e-9)
 
     def test_namespace_partition_recovers_dynamic_budget(self):
@@ -112,9 +112,7 @@ class TestCalibrateDynamic:
             parts = [w * scale for w in weights]
             m_idle = rng.uniform(0.0, 300.0)
             m = m_idle + rng.uniform(0.0, 500.0)
-            total = sum(
-                calibrate_dynamic(dynamic_factor(p, n, s), m, m_idle) for p in parts
-            )
+            total = sum(calibrated_dynamic(dynamic_factors(parts, n, s), m, m_idle))
             assert total == pytest.approx(m - m_idle, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("leak", [0.0, 0.1, 1.0 / 3.0, 0.5, 0.9, 0.999])
@@ -124,8 +122,9 @@ class TestCalibrateDynamic:
         true_power = 137.0
         p = (1.0 - leak) * true_power
         s = leak * true_power
-        out = calibrate_dynamic(dynamic_factor(p, true_power, s), 400.0, 260.0)
-        assert out == pytest.approx(140.0, rel=1e-9)
+        snapshot = calibrate((p, s), (0.0, 0.0), 400.0, 260.0, system=(1,))
+        assert snapshot.cal_dyn[0] == pytest.approx(140.0, rel=1e-9)
+        assert snapshot.cal_dyn[1] == 0.0
 
 
 class TestMemberSum:

@@ -1,5 +1,6 @@
 """Emulated workloads, approximation error model, and socket meter."""
 
+import math
 import random
 import socket
 import time
@@ -12,7 +13,6 @@ from gridcalib.emulation import (
     RPS_SCHEDULE,
     THREADS_SCHEDULE,
     ApproximationParams,
-    GroundTruth,
     LoadBank,
     LoadSchedule,
     MeterEmitter,
@@ -27,6 +27,7 @@ from gridcalib.emulation import (
     builtin_schedule,
     decompose_true_power,
     meter_sample,
+    node_true_total,
     true_power,
 )
 from gridcalib.errors import UnknownKind
@@ -101,6 +102,13 @@ class TestDecompose:
 
 
 class TestWorkloadSpecValidation:
+    @pytest.mark.parametrize("field", ["idle_share_w", "dyn_coeff_w", "noise_sigma_w"])
+    @pytest.mark.parametrize("value", [-0.5, math.nan, math.inf])
+    def test_watts_must_be_finite_and_non_negative(self, field, value):
+        # idle_share_w is also the resource a requested idle split divides by
+        with pytest.raises(ValueError, match=field):
+            spec(**{field: value})
+
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             spec(kind="daemon")
@@ -123,13 +131,16 @@ class TestWorkloadSpecValidation:
         spec(leakage_lambda=0.999)
 
 
-def truth_of(dynamic, idle, baseline=0.0, time_ms=0):
-    return GroundTruth(
-        time_ms=time_ms,
-        process_dynamic_w=dynamic,
-        process_idle_w=idle,
-        system_dynamic_w=baseline,
-    )
+class Truth(NamedTuple):
+    """One instant's true power per process, keyed by process id."""
+
+    dynamic: dict
+    idle: dict
+    baseline: float = 0.0
+
+    @property
+    def node_total_w(self) -> float:
+        return node_true_total(self.dynamic.values(), self.idle.values(), self.baseline)
 
 
 class Approximation(NamedTuple):
@@ -145,12 +156,12 @@ class Approximation(NamedTuple):
 
 
 def approximate_truth(truth, workloads, params, rng, idle_split="even"):
-    """The list kernel over a GroundTruth, keyed by process id."""
+    """The list kernel over a Truth, keyed by process id."""
     specs = {w.process_id: w for w in workloads}
-    pids = list(truth.process_dynamic_w)
+    pids = list(truth.dynamic)
     plan = approximation_plan([specs[p] for p in pids], idle_split)
-    dyn, idle = list(truth.process_dynamic_w.values()), list(truth.process_idle_w.values())
-    watts, node_dyn, node_idle = approximate(dyn, idle, truth.system_dynamic_w, params, rng, *plan)
+    dyn, idle = list(truth.dynamic.values()), list(truth.idle.values())
+    watts, node_dyn, node_idle = approximate(dyn, idle, truth.baseline, params, rng, *plan)
     k = len(pids)
     return Approximation(
         dict(zip(pids, watts[:k])),
@@ -164,7 +175,7 @@ def approximate_truth(truth, workloads, params, rng, idle_split="even"):
 class TestApproximate:
     def test_identity_error_model(self):
         workloads = [spec(process_id="a"), spec(process_id="b", idle_share_w=20.0)]
-        truth = truth_of({"a": 50.0, "b": 30.0}, {"a": 10.0, "b": 20.0}, baseline=5.0)
+        truth = Truth({"a": 50.0, "b": 30.0}, {"a": 10.0, "b": 20.0}, baseline=5.0)
         approx = approximate_truth(
             truth, workloads, ApproximationParams(), random.Random(0)
         )
@@ -176,7 +187,7 @@ class TestApproximate:
 
     def test_one_third_leakage_split(self):
         workloads = [spec(process_id="gpu", leakage_lambda=1.0 / 3.0)]
-        truth = truth_of({"gpu": 90.0}, {"gpu": 0.0}, baseline=0.0)
+        truth = Truth({"gpu": 90.0}, {"gpu": 0.0}, baseline=0.0)
         approx = approximate_truth(
             truth, workloads, ApproximationParams(), random.Random(0)
         )
@@ -187,7 +198,7 @@ class TestApproximate:
     def test_gain_and_bias_are_recoverable(self):
         # measured = gain * approx + bias must hold exactly when sigma = 0
         workloads = [spec(process_id="a", idle_share_w=30.0)]
-        truth = truth_of({"a": 270.0 - 30.0 - 5.0}, {"a": 30.0}, baseline=5.0)
+        truth = Truth({"a": 270.0 - 30.0 - 5.0}, {"a": 30.0}, baseline=5.0)
         assert truth.node_total_w == 270.0
         params = ApproximationParams(gain=1.01, bias_w=5.23)
         approx = approximate_truth(truth, workloads, params, random.Random(0))
@@ -205,7 +216,7 @@ class TestApproximate:
                 )
                 for i in range(rng.randint(1, 5))
             ]
-            truth = truth_of(
+            truth = Truth(
                 {w.process_id: rng.uniform(0, 200) for w in workloads},
                 {w.process_id: w.idle_share_w for w in workloads},
                 baseline=rng.uniform(0, 10),
@@ -219,7 +230,7 @@ class TestApproximate:
 
     def test_even_idle_split_includes_system(self):
         workloads = [spec(process_id="a"), spec(process_id="b")]
-        truth = truth_of({"a": 0.0, "b": 0.0}, {"a": 20.0, "b": 10.0})
+        truth = Truth({"a": 0.0, "b": 0.0}, {"a": 20.0, "b": 10.0})
         approx = approximate_truth(truth, workloads, ApproximationParams(), random.Random(0))
         assert approx.process_idle_w == pytest.approx(
             {"a": 10.0, "b": 10.0, "system": 10.0}
@@ -230,7 +241,7 @@ class TestApproximate:
             spec(process_id="a", idle_share_w=30.0),
             spec(process_id="b", idle_share_w=10.0),
         ]
-        truth = truth_of({"a": 0.0, "b": 0.0}, {"a": 30.0, "b": 10.0})
+        truth = Truth({"a": 0.0, "b": 0.0}, {"a": 30.0, "b": 10.0})
         approx = approximate_truth(
             truth, workloads, ApproximationParams(), random.Random(0), idle_split="requested"
         )
@@ -240,7 +251,7 @@ class TestApproximate:
 
     def test_requested_split_falls_back_to_even_without_shares(self):
         workloads = [spec(process_id="a", idle_share_w=0.0)]
-        truth = truth_of({"a": 50.0}, {"a": 0.0}, baseline=10.0)
+        truth = Truth({"a": 50.0}, {"a": 0.0}, baseline=10.0)
         approx = approximate_truth(
             truth, workloads, ApproximationParams(), random.Random(0), idle_split="requested"
         )
@@ -248,7 +259,7 @@ class TestApproximate:
 
     def test_bias_larger_than_idle_clamps_node_idle(self):
         workloads = [spec(process_id="a", idle_share_w=1.0)]
-        truth = truth_of({"a": 10.0}, {"a": 1.0})
+        truth = Truth({"a": 10.0}, {"a": 1.0})
         params = ApproximationParams(gain=1.0, bias_w=50.0)
         approx = approximate_truth(truth, workloads, params, random.Random(0))
         assert approx.node_idle_w == 0.0
@@ -470,10 +481,9 @@ class TestPowerModelEmitter:
             for ns, pid in (("bench", "a"), ("bench", "b"), (SYSTEM_NAMESPACE, "system"))
         ]
         # with gain 1 the approximated node dynamic power is the true one
-        for truth in emitter.truth_log:
-            t = truth.time_ms
+        for t, dyn_a, dyn_b, _, _, system in emitter.truth.rows():
             total = sum(rate(series, t - 1000, t) for series in dyn)
-            assert total == pytest.approx(truth.node_dynamic_w, rel=1e-9)
+            assert total == pytest.approx(dyn_a + dyn_b + system, rel=1e-9)
 
     def test_seeded_determinism(self):
         def run():
@@ -509,10 +519,10 @@ class TestPowerModelEmitter:
 
     def test_latest_truth_tracks_firings(self):
         store, clock, bank, emitter = self.build()
-        assert emitter.latest_truth.node_total_w == 10.0  # idle only at t=0
+        assert emitter.node_total_w == 10.0  # idle only at t=0
         bank.set_level("rps", 1000)
         clock.advance(1000)
-        assert emitter.latest_truth.node_total_w == 60.0
+        assert emitter.node_total_w == 60.0
 
     def test_needs_workloads(self):
         with pytest.raises(ValueError):

@@ -1,38 +1,34 @@
-"""The per-tick emission and collection kernels against the dataclass path.
+"""The per-tick emission and collection kernels against a per-object path.
 
 The emitter runs `emulation.approximate` over plain float lists, and the
 calibration stage runs `calibration.calibrate` once over every process.
-The references below are the per-object path they replaced: a
-GroundTruth and an approximation snapshot per firing, a validated
-ProcessUtilization per process, a NodePower, the dict-keyed split, and
-the per-process calibration formulas. Both must agree with `==`. The
-references add floats left to right, as sum() does on Python 3.11.
+The references below write the same model out one object at a time:
+a Truth and an approximation snapshot per firing, a Proc per process, a
+Node, the dict-keyed split, and the per-process calibration formulas.
+Both must agree with `==`. The references add floats left to right, as
+sum() does on Python 3.11.
 """
 
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcalib import calibration, emulation, pipeline
+from gridcalib import emulation
 from gridcalib.attribution import (
     FALLBACK_UNDERFLOW,
-    NodePower,
-    ProcessUtilization,
+    dynamic_shares,
     left_sum,
-    split_dynamic,
-    split_idle_requested,
+    requested_shares,
 )
 from gridcalib.calibration import DENOMINATOR_GUARD_W, calibrate
-from gridcalib.config import preset_config
 from gridcalib.emulation import (
     SYSTEM_PROCESS_ID,
     ApproximationParams,
-    GroundTruth,
     LoadBank,
     PowerModelEmitter,
     WorkloadSpec,
@@ -52,7 +48,36 @@ def ref_sum(values):
     return total
 
 
-# --- the reference: the dataclass path, as it ran before the list kernels ---
+# --- the reference: one object per firing, per process and per node ----------
+
+
+class Proc(NamedTuple):
+    process_id: str
+    util: float
+    requested: float = 0.0
+
+
+class Node(NamedTuple):
+    dynamic: float
+    idle: float
+    total_requested: float = 0.0
+
+
+@dataclass(frozen=True)
+class Truth:
+    time_ms: int
+    process_dynamic_w: Mapping[str, float]
+    process_idle_w: Mapping[str, float]
+    system_dynamic_w: float
+
+    def row(self):
+        """The emitter's truth log row for this firing."""
+        return (
+            self.time_ms,
+            *self.process_dynamic_w.values(),
+            *self.process_idle_w.values(),
+            self.system_dynamic_w,
+        )
 
 
 @dataclass(frozen=True)
@@ -82,7 +107,7 @@ def ref_sample_truth(time_ms, workloads, levels, rngs, system_w):
     for w in workloads:
         total = true_power(w, levels[w.load_knob], rngs[w.process_id])
         dynamic[w.process_id], idle[w.process_id] = decompose_true_power(w, total)
-    return GroundTruth(time_ms, dynamic, idle, system_w)
+    return Truth(time_ms, dynamic, idle, system_w)
 
 
 def ref_node_total(truth):
@@ -98,19 +123,15 @@ def ref_approximate(truth, workloads, params, rng, idle_split):
     node_dynamic = node_dynamic_w / params.gain
     node_idle = max(0.0, (node_idle_w - params.bias_w + noise) / params.gain)
     utils = [
-        ProcessUtilization(
-            pid, (1.0 - specs[pid].leakage_lambda) * dyn, requested=specs[pid].idle_share_w
-        )
+        Proc(pid, (1.0 - specs[pid].leakage_lambda) * dyn, requested=specs[pid].idle_share_w)
         for pid, dyn in truth.process_dynamic_w.items()
     ]
     leaked = ref_sum(
         specs[pid].leakage_lambda * dyn for pid, dyn in truth.process_dynamic_w.items()
     )
-    utils.append(
-        ProcessUtilization(SYSTEM_PROCESS_ID, leaked + truth.system_dynamic_w, requested=0.0)
-    )
+    utils.append(Proc(SYSTEM_PROCESS_ID, leaked + truth.system_dynamic_w, requested=0.0))
     total_requested = ref_sum(u.requested for u in utils)
-    node = NodePower(dynamic=node_dynamic, idle=node_idle, total_requested=total_requested)
+    node = Node(dynamic=node_dynamic, idle=node_idle, total_requested=total_requested)
     dynamic_shares = ref_split_dynamic(node, utils)
     system_dynamic = dynamic_shares.pop(SYSTEM_PROCESS_ID)
     if idle_split == "requested" and total_requested > 0:
@@ -201,7 +222,7 @@ class TestEmissionKernel:
         rngs = {w.process_id: random.Random(f"{seed}:truth:{w.process_id}") for w in workloads}
         approx_rng = random.Random(f"{seed}:approx")
         start = ref_sample_truth(0, workloads, bank.levels, rngs, system_w)
-        assert emitter.latest_truth == start
+        assert len(emitter.truth) == 0
         assert emitter.node_total_w == ref_node_total(start)
         joules = [0.0] * len(emitter.counters)
         truths = []
@@ -216,9 +237,8 @@ class TestEmissionKernel:
             for i, series in enumerate(emitter.counters):
                 joules[i] += watts[i] * 0.7
                 assert series.last() == (700 * step, joules[i])
-            assert emitter.latest_truth == truth
             assert emitter.node_total_w == ref_node_total(truth)
-        assert emitter.truth_log == truths
+        assert list(emitter.truth.rows()) == [truth.row() for truth in truths]
 
     @given(
         workload_sets(),
@@ -232,7 +252,7 @@ class TestEmissionKernel:
     @settings(max_examples=200, deadline=None)
     def test_kernel_matches_the_dataclass_path(self, workloads, dyn, idle, system_w, params, idle_split, seed):
         pids = [w.process_id for w in workloads]
-        truth = GroundTruth(5, dict(zip(pids, dyn)), dict(zip(pids, idle)), system_w)
+        truth = Truth(5, dict(zip(pids, dyn)), dict(zip(pids, idle)), system_w)
         want = ref_approximate(truth, workloads, params, random.Random(seed), idle_split)
         plan = approximation_plan(workloads, idle_split)
         k = len(workloads)
@@ -250,11 +270,13 @@ class TestEmissionKernel:
         st.floats(min_value=0.0, max_value=1e3),
     )
     def test_boundary_splits_match_the_dataclass_path(self, utils, requested, dynamic, idle):
-        procs = [ProcessUtilization(f"p{i}", u, r) for i, (u, r) in enumerate(zip(utils, requested))]
-        node = NodePower(dynamic, idle, ref_sum(p.requested for p in procs))
-        assert split_dynamic(node, procs) == ref_split_dynamic(node, procs)
+        procs = [Proc(f"p{i}", u, r) for i, (u, r) in enumerate(zip(utils, requested))]
+        node = Node(dynamic, idle, ref_sum(p.requested for p in procs))
+        want = list(ref_split_dynamic(node, procs).values())
+        assert dynamic_shares(dynamic, utils) == want
         if node.total_requested > 0:
-            assert split_idle_requested(node, procs) == ref_split_idle_requested(node, procs)
+            want = list(ref_split_idle_requested(node, procs).values())
+            assert requested_shares(idle, requested[: len(utils)], node.total_requested) == want
 
 
 class TestCollectionKernel:
@@ -334,23 +356,3 @@ class TestFireTimeChecks:
         workloads = [WorkloadSpec(f"w{i}", idle_share_w=1e308) for i in range(2)]
         with pytest.raises(ValueError):
             PowerModelEmitter(MetricStore(), workloads, LoadBank(), VirtualClock(), idle_split="requested")
-
-
-def test_no_validated_object_is_built_per_fire(tmp_path, monkeypatch):
-    """A run builds none of the boundary objects, neither per emission nor
-    per collection; reading the truth log afterwards does, which shows
-    the counting patch is live."""
-    calls = {}
-    for cls in (ProcessUtilization, NodePower, GroundTruth, calibration.CalibrationFactor):
-        init = cls.__init__
-
-        def counting(self, *args, _init=init, _name=cls.__name__, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
-            _init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", counting)
-    art = pipeline.run(preset_config("regression"), tmp_path)
-    assert len(art.emitter.truth) > 500
-    assert calls == {}
-    fires = len(art.truth_log)
-    assert calls == {"GroundTruth": fires}

@@ -133,17 +133,15 @@ class TestRunArtifacts:
         # when signals collect less often than the engine ticks
         cfg = make_config(signal_interval_ms=interval_ms)
         art = pipeline.run(cfg, tmp_path)
-        col = {name: i for i, name in enumerate(art.calibrated_header)}
-        assert len(art.calibrated_rows) == len(art.monitor.log)
+        rows = read_csv(art.calibrated_csv)  # floats written as repr read back exactly
+        assert len(rows) == len(art.monitor.log)
         ticks = art.monitor.log.columns()
         for spec in cfg.actors:
-            cells = [row[col[f"ns.{spec.namespace}_dyn_w"]] for row in art.calibrated_rows]
+            cells = [float(row[f"ns.{spec.namespace}_dyn_w"]) for row in rows]
             assert any(cell > 0 for cell in cells)
             powers = ticks[f"actor.{spec.resolved_id}_w"].tolist()
-            for time_ms, power, row, cell in zip(
-                ticks["time_ms"].tolist(), powers, art.calibrated_rows, cells
-            ):
-                assert time_ms == row[0]
+            for time_ms, power, row, cell in zip(ticks["time_ms"].tolist(), powers, rows, cells):
+                assert time_ms == int(row["time_ms"])
                 assert -power == cell
 
     def test_calibrated_csv_columns(self, leak_art):

@@ -24,7 +24,6 @@ from gridcalib.timeseries import (
     QueryExpr,
     Sample,
     Series,
-    moving_average_rate,
     parse_query,
     query,
     rate,
@@ -215,31 +214,31 @@ def test_rate_requires_counter():
         rate(g, 0, 2000)
 
 
-# moving average rate
+# moving average rate: rate() over the trailing window [now - w, now]
 
 def test_moving_average_rate_recovers_constant_power():
     # constant 50 W -> f(t) = 0.05 J/ms
     s = make_counter([(t, 0.05 * t) for t in range(0, 10_001, 1000)])
     for now in range(2000, 10_001, 500):
-        assert moving_average_rate(s, 2000, now) == pytest.approx(50.0, rel=1e-12)
+        assert rate(s, now - 2000, now) == pytest.approx(50.0, rel=1e-12)
 
 
 def test_moving_average_rate_power_step():
     # 0 W until 4 s, then 100 W; window [3 s, 5 s] averages to 50 W
     s = make_counter([(t, 0.0) for t in range(0, 4001, 1000)]
                      + [(t, 100.0 * (t - 4000) / 1000) for t in range(5000, 8001, 1000)])
-    assert moving_average_rate(s, 2000, 5000) == 50.0
+    assert rate(s, 5000 - 2000, 5000) == 50.0
 
 
 def test_moving_average_rate_whole_series():
     s = make_counter([(0, 0.0), (60_000, 60.0)])
-    assert moving_average_rate(s, 60_000, 60_000) == 1.0
+    assert rate(s, 60_000 - 60_000, 60_000) == 1.0
 
 
 def test_moving_average_rate_rejects_bad_window():
     s = make_counter([(0, 0.0), (2000, 1.0)])
     with pytest.raises(BadInterval):
-        moving_average_rate(s, 0, 2000)
+        rate(s, 2000 - 0, 2000)
 
 
 # query grammar
