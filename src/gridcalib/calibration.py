@@ -19,7 +19,6 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from statistics import fmean
 from typing import NamedTuple, Sequence
 
@@ -37,13 +36,6 @@ DENOMINATOR_GUARD_W = 1e-6
 
 DEFAULT_QUERY_WINDOW_MS = 2000
 DEFAULT_M_IDLE_WINDOW_MS = 30_000
-
-
-@dataclass(frozen=True)
-class CalibrationFactor:
-    """Dimensionless scale applied to the measured dynamic budget."""
-
-    a: float
 
 
 def calibrated_idle(p_idle: Sequence[float], n_idle: float, m_idle: float) -> tuple[float, ...]:
@@ -73,22 +65,6 @@ def calibrated_dynamic(factors: Sequence[float], m: float, m_idle: float) -> tup
     """Apply each factor to the measured dynamic budget, clamped at zero."""
     budget = max(0.0, m - m_idle)
     return tuple([a * budget for a in factors])
-
-
-# one-process views of the three kernels above
-
-
-def calibrate_idle(p_idle: float, n_idle: float, m_idle: float) -> float:
-    return calibrated_idle((p_idle,), n_idle, m_idle)[0]
-
-
-def dynamic_factor(p_dyn: float, n_dyn: float, s_dyn: float) -> CalibrationFactor:
-    return CalibrationFactor(dynamic_factors((p_dyn,), n_dyn, s_dyn)[0])
-
-
-def calibrate_dynamic(a: CalibrationFactor | float, m: float, m_idle: float) -> float:
-    factor = a.a if isinstance(a, CalibrationFactor) else float(a)
-    return calibrated_dynamic((factor,), m, m_idle)[0]
 
 
 def capture_idle_baseline(

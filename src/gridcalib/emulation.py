@@ -23,7 +23,7 @@ import socketserver
 import threading
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .attribution import dynamic_shares, even_shares, left_sum, requested_shares
 from .errors import NonMonotonicTimestamp, UnknownKind
@@ -128,26 +128,6 @@ def decompose_true_power(spec: WorkloadSpec, total_w: float) -> tuple[float, flo
     """
     dynamic = max(0.0, total_w - spec.idle_share_w)
     return dynamic, total_w - dynamic
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """True per-process power at one instant, the oracle real nodes lack."""
-
-    time_ms: int
-    process_dynamic_w: Mapping[str, float]
-    process_idle_w: Mapping[str, float]
-    system_dynamic_w: float
-
-    @property
-    def node_dynamic_w(self) -> float:
-        return left_sum(self.process_dynamic_w.values()) + self.system_dynamic_w
-
-    @property
-    def node_total_w(self) -> float:
-        return node_true_total(
-            self.process_dynamic_w.values(), self.process_idle_w.values(), self.system_dynamic_w
-        )
 
 
 def node_true_total(dyn: Iterable, idle: Iterable, system_w):
@@ -358,8 +338,8 @@ class PowerModelEmitter:
     counter and then every idle counter, in process order. Counters start
     at 0 at construction time so rate windows have a left edge. The
     `truth` tick log keeps each firing's time, workload dynamic powers,
-    idle powers and system power; latest_truth and truth_log build
-    GroundTruth values when read.
+    idle powers and system power, the oracle real nodes lack;
+    node_total_w is the latest firing's true node draw.
     """
 
     def __init__(
@@ -391,7 +371,6 @@ class PowerModelEmitter:
         # (process_id, namespace): the workloads in config order, then system
         self.processes = [(w.process_id, w.namespace) for w in self.workloads]
         self.processes.append((SYSTEM_PROCESS_ID, SYSTEM_NAMESPACE))
-        self._pids = [pid for pid, _ in self.processes[:-1]]
         # one joules counter per (mode, process), dynamic first
         self.counters = [
             store.get_or_create(
@@ -406,7 +385,7 @@ class PowerModelEmitter:
         self._last_emit_ms = clock.now_ms()
         for series in self.counters:
             series.append((self._last_emit_ms, 0.0))
-        names = [f"{pid}_true_{m}_w" for m in ("dyn", "idle") for pid in self._pids]
+        names = [f"{pid}_true_{m}_w" for m in ("dyn", "idle") for pid, _ in self.processes[:-1]]
         self.truth = TickLog(["time_ms", *names, "system_true_dyn_w"], int_columns=1)
         self._dyn, self._idle = self._sample_truth()
         clock.schedule(self.emission_interval_ms, self._fire)
@@ -439,21 +418,6 @@ class PowerModelEmitter:
     def node_total_w(self) -> float:
         """The latest firing's true node draw, which the meter measures."""
         return node_true_total(self._dyn, self._idle, self.system_baseline_w)
-
-    @property
-    def latest_truth(self) -> GroundTruth:
-        """The latest firing's truth (before the first, construction's)."""
-        dyn, idle = dict(zip(self._pids, self._dyn)), dict(zip(self._pids, self._idle))
-        return GroundTruth(self._last_emit_ms, dyn, idle, self.system_baseline_w)
-
-    @property
-    def truth_log(self) -> list[GroundTruth]:
-        """Every firing's truth, built from the truth log when read."""
-        pids, k = self._pids, len(self._pids)
-        return [
-            GroundTruth(t, dict(zip(pids, row[:k])), dict(zip(pids, row[k:])), system)
-            for t, *row, system in self.truth.rows()
-        ]
 
 
 class MeterEmitter:

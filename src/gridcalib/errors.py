@@ -31,20 +31,6 @@ class ParseError(GridCalibError):
     """Query text does not match the query grammar."""
 
 
-# attribution
-
-class EmptyProcessSet(GridCalibError):
-    """Attribution requested over zero processes."""
-
-
-class ZeroProcesses(GridCalibError):
-    """Even idle split requested with a non-positive process count."""
-
-
-class ZeroTotalRequest(GridCalibError):
-    """Requested-share idle split with non-positive total requested resources."""
-
-
 # calibration
 
 class ZeroNodeIdle(GridCalibError):

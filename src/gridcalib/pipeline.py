@@ -40,7 +40,6 @@ from .config import (
     config_to_dict,
 )
 from .emulation import (
-    GroundTruth,
     LoadBank,
     MeterEmitter,
     MeterListener,
@@ -102,8 +101,9 @@ def _artifact_path(name: str) -> property:
 @dataclass
 class RunArtifacts:
     """Paths of everything run() wrote, plus live handles for callers
-    that want to inspect the run without re-reading the files. Per-tick
-    tables are built from the handles' tick logs when read."""
+    that want to inspect the run without re-reading the files: the
+    per-tick records are the handles' tick logs (stage.log,
+    emitter.truth, monitor.log)."""
 
     out_dir: Path
     store: MetricStore
@@ -124,20 +124,6 @@ class RunArtifacts:
     truth_csv = _artifact_path(TRUTH_CSV)
     events_csv = _artifact_path(EVENTS_CSV)
     config_json = _artifact_path(CONFIG_JSON)
-
-    @property
-    def truth_log(self) -> list[GroundTruth]:
-        """Every emission's ground truth, built when read."""
-        return self.emitter.truth_log if self.emitter is not None else []
-
-    @property
-    def calibrated_header(self) -> list[str]:
-        return _calibrated_table(self.stage)[0]
-
-    @property
-    def calibrated_rows(self) -> list[tuple]:
-        """The rows of calibrated_power.csv, built when read."""
-        return list(_calibrated_table(self.stage)[1])
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -427,7 +413,7 @@ def _regression_points(
 
 def _truth_csv(emitter: PowerModelEmitter | None) -> bytes:
     """The emitter's truth log with each workload's columns side by side,
-    and the node total summed as GroundTruth.node_total_w sums it."""
+    and the node total summed as node_true_total sums the meter's input."""
     pids = [pid for pid, _ in emitter.processes[:-1]] if emitter is not None else []
     header = ["time_ms", *(f"{p}_true_{mode}_w" for p in pids for mode in ("dyn", "idle"))]
     header.append("system_true_dyn_w")

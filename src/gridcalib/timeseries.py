@@ -249,13 +249,6 @@ def _values_at(ts: np.ndarray, values: np.ndarray, t_ms: np.ndarray) -> np.ndarr
     return out
 
 
-def moving_average_rate(series: Series, window_ms: int, now_ms: int) -> float:
-    """rate() over the window ending at now_ms."""
-    if window_ms <= 0:
-        raise BadInterval(f"window must be positive, got {window_ms}")
-    return rate(series, now_ms - window_ms, now_ms)
-
-
 _NAME_RE = r"[A-Za-z_][A-Za-z0-9_]*"
 _QUERY_RE = re.compile(
     rf"""^\s*
