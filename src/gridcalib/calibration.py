@@ -27,7 +27,7 @@ from .errors import DegenerateDenominator, EmptyWindow, StaleSignal, ZeroNodeIdl
 from .microgrid import Controller, ControllerView
 from .signals import Clock, Signal
 from .ticklog import TickLog
-from .timeseries import MetricStore, Series, rate
+from .timeseries import Series, rate
 from .wire import SYSTEM_NAMESPACE
 
 # denominator guard: approximated system power this close to the node total
@@ -152,9 +152,9 @@ def calibrate(
 class CalibrationStage(Controller):
     """Calibrated power for every process, computed once per collection.
 
-    One scheduled collection reads, at the collection instant, each
-    process's dynamic and idle counter rate over the trailing query
-    window and the meter's latest reading, then applies calibrate(). The
+    One scheduled collection reads each process's dynamic and idle
+    counter rate over the query window that ends at the counters' newest
+    sample, and the meter's latest reading, then applies calibrate(). The
     stage is handed the series it reads: `counters` holds
     every process's dynamic counter and then every idle counter, in
     process order, and `gauge` is the meter's. Namespace actors sum the
@@ -168,7 +168,6 @@ class CalibrationStage(Controller):
 
     def __init__(
         self,
-        store: MetricStore,
         processes: Sequence[tuple[str, str]],
         counters: Sequence[Series],
         gauge: Series,
@@ -195,8 +194,6 @@ class CalibrationStage(Controller):
         for i, (_, ns) in enumerate(self.processes):
             self.namespaces[ns] = self.namespaces.get(ns, ()) + (i,)
         self._system = self.namespaces.get(SYSTEM_NAMESPACE, ())
-        # the store only gives the collection instant, its watermark
-        self._store = store
         self._counters = list(counters)
         self._gauge = gauge
         zeros = (0.0,) * len(self.processes)
@@ -215,14 +212,17 @@ class CalibrationStage(Controller):
     def _collect(self) -> None:
         # the snapshot is replaced only when the whole collection succeeds
         last = self._gauge.last()
-        if last is None:
-            raise LookupError("no meter samples yet")
-        now = self._store.current_time_ms()
-        start = now - self.window_ms
+        # the window ends at the counters' newest sample, not at the
+        # collection instant: they are sampled only at emissions, and
+        # the emitter appends every counter at once
+        end = self._counters[0].last_timestamp()
+        if last is None or end is None:
+            raise LookupError("no meter or counter samples yet")
+        start = end - self.window_ms
         watts = []
         for series in self._counters:
             try:
-                watts.append(rate(series, start, now))
+                watts.append(rate(series, start, end))
             except EmptyWindow:  # a counter that does not cover the window reads 0
                 watts.append(0.0)
         k = len(self.processes)

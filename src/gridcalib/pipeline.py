@@ -198,7 +198,6 @@ class _Runtime:
                 window_ms=config.warmup_ms or DEFAULT_M_IDLE_WINDOW_MS,
             )
             self.stage = CalibrationStage(
-                store,
                 self.emitter.processes,
                 self.emitter.counters,
                 self.gauge,

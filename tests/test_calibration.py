@@ -162,7 +162,7 @@ def make_stage(processes, clock=None, m_idle_w=0.0, **kwargs):
     store = MetricStore()
     counters, gauge = stage_series(store, processes)
     clock = clock if clock is not None else VirtualClock()
-    return CalibrationStage(store, processes, counters, gauge, clock, m_idle_w, **kwargs)
+    return CalibrationStage(processes, counters, gauge, clock, m_idle_w, **kwargs)
 
 
 class TestNamespacePowerActor:
@@ -174,7 +174,7 @@ class TestNamespacePowerActor:
         counters, gauge = stage_series(store, processes)
         gauge.append((0, meter_before))
         m_idle = capture_idle_baseline(gauge, clock.now_ms())
-        stage = CalibrationStage(store, processes, counters, gauge, clock, m_idle, **kwargs)
+        stage = CalibrationStage(processes, counters, gauge, clock, m_idle, **kwargs)
         actor = NamespacePowerActor(stage, "bench", strict=strict)
         for dynamic, joules_per_s in zip(counters, rates.values()):
             for k in range(3):
@@ -236,7 +236,7 @@ class TestNamespacePowerActor:
         extra = store.get_or_create("joules_total", {"process": "extra"}, COUNTER)
         with pytest.raises(ValueError, match="counter"):
             CalibrationStage(
-                store, processes, (counters + [extra])[:n_counters], gauge, VirtualClock(), 0.0
+                processes, (counters + [extra])[:n_counters], gauge, VirtualClock(), 0.0
             )
 
 

@@ -14,6 +14,10 @@ noise on every workload, approximation noise, meter error, and an
 emission interval that differs from the engine step. One splits idle
 power by requested resources and one evenly. Their digests were made
 at commit f46a86c, before the per-tick kernels took plain float lists.
+The even config's calibrated_power.csv, energy_summary.csv and
+monitor.csv digests were re-made when a collection's rate window came
+to end at the counters' newest sample: its 1500 ms emissions miss two
+of every three collection instants, which had read every counter as 0.
 """
 
 import hashlib
@@ -105,9 +109,9 @@ GOLDEN = {
         "config.json": "99b9d31a3792ff9a4b55770f2dac2972271ef8c8037bcadc40b218438e234421",
     },
     "four-workloads-even": {
-        "monitor.csv": "b866b35490cb561bac59ef8c3bafb4a93712ea4ee90b6c0a24238648a711f831",
-        "calibrated_power.csv": "fdd30b6c3e383a7e2fa6706c1e5a2a5271e3142310c0784575bb8f601cebf047",
-        "energy_summary.csv": "6880b41da747dc6198862d9af7bded6bc4ef2b8bc6186257f365e650c30b4832",
+        "monitor.csv": "b5b31aae50acac4a69490a48e89f9ff386b4ce9b9d9efcedbdc26e588328719e",
+        "calibrated_power.csv": "eeac277121ae911d0fb8b00eede96df3b44879649c5321c67443a274966eb83f",
+        "energy_summary.csv": "06663913b3c0109a838cfa5ecc0bd4e69fa176725614288d89a9f9fc9b794561",
         "regression_report.json": "2e89d28c75f8ed7cc0fbc59426e09e3e1b35aea3038342f4e0a12a665e021e0e",
         "regression_points.csv": "0eb55b64eb6f358aca94a949aaac2727528be2e31c1a7563d0c2bffa3ac8c0da",
         "ground_truth.csv": "8aa7bd92aa4544e5f63e53ff3debb27d1ef107ce6ca80bc7c4cfdacbdc39b5b4",

@@ -144,6 +144,28 @@ class TestRunArtifacts:
                 assert time_ms == int(row["time_ms"])
                 assert -power == cell
 
+    @pytest.mark.parametrize("emission_interval_ms", [1500, 2000])
+    def test_collections_conserve_meter_power_between_emissions(
+        self, tmp_path, emission_interval_ms
+    ):
+        # counters are sampled only at emissions, so most collection
+        # instants fall between two samples; every tick must still hand
+        # out the measured idle and dynamic power in full
+        cfg = dataclasses.replace(PRESETS["regression"], emission_interval_ms=emission_interval_ms)
+        art = pipeline.run(cfg, tmp_path)
+        ts, measured = art.store.get(METER_GAUGE_METRIC, {}).columns()
+        meter = dict(zip(ts.tolist(), measured.tolist()))
+        pids = [pid for pid, _ in art.stage.processes]
+        logged = art.stage.log.columns()
+        dyn = sum(logged[f"{pid}_dyn_w"] for pid in pids)
+        idle = sum(logged[f"{pid}_idle_w"] for pid in pids)
+        assert len(dyn) == 600
+        for time_ms, dyn_w, idle_w in zip(logged["time_ms"].tolist(), dyn, idle):
+            # one collection per 1 s tick, reading the meter sample of that instant
+            budget = max(0.0, meter[time_ms] - art.m_idle_w)
+            assert idle_w == pytest.approx(art.m_idle_w, rel=1e-9), time_ms
+            assert dyn_w == pytest.approx(budget, rel=1e-9, abs=1e-9), time_ms
+
     def test_calibrated_csv_columns(self, leak_art):
         rows = read_csv(leak_art.calibrated_csv)
         assert len(rows) == 60
