@@ -30,7 +30,7 @@ from .emulation import (
     WorkloadSpec,
     builtin_schedule,
 )
-from .errors import ConfigError
+from .errors import ConfigError, InvalidField
 from .microgrid import SimpleBattery
 
 PRESET_SCHEME = "preset:"
@@ -308,6 +308,8 @@ def _build(cls: type, d: dict, path: str, **given: Any) -> Any:
         raise ConfigError(f"{_where(path, sorted(d)[0])}: unknown field")
     try:
         return cls(**kwargs)
+    except InvalidField as exc:
+        raise ConfigError(_where(path, str(exc))) from None
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

@@ -26,7 +26,7 @@ from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .attribution import dynamic_shares, even_shares, left_sum, requested_shares
-from .errors import NonMonotonicTimestamp, UnknownKind
+from .errors import InvalidField, NonMonotonicTimestamp, UnknownKind
 from .signals import Clock
 from .ticklog import TickLog
 from .timeseries import COUNTER, MetricStore, Series
@@ -286,6 +286,11 @@ class LoadSchedule:
     def __post_init__(self):
         if not self.values:
             raise ValueError("schedule must not be empty")
+        for i, value in enumerate(self.values):
+            if not 0 <= value < math.inf:  # NaN fails this too
+                raise InvalidField(
+                    f"values[{i}]", f"must be finite and non-negative, got {value!r}"
+                )
         if self.runtime_ms <= 0:
             raise ValueError(f"runtime must be positive, got {self.runtime_ms}")
 

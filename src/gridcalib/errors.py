@@ -67,6 +67,14 @@ class ConfigError(GridCalibError):
     """Scenario configuration is malformed; message carries the field path."""
 
 
+class InvalidField(GridCalibError, ValueError):
+    """A spec field holds a value out of range; the message starts with
+    the field's path within the spec, so config adds the spec's own."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field}: {message}")
+
+
 class StepError(GridCalibError):
     """An actor or controller failed inside an engine step."""
 

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import math
 import re
 import typing
 from pathlib import Path
@@ -175,6 +176,17 @@ class TestSchedule:
         )
         assert cfg.schedule.values == (5.0, 10.0)
         assert cfg.schedule_knob == "threads"
+
+    @pytest.mark.parametrize("bad", [-5.0, math.inf, math.nan])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_custom_values_must_be_finite_and_non_negative(self, bad, index):
+        # rejected at parse time, not at the first emission mid-run
+        values = [bad, 2.0] if index == 0 else [2.0, bad]
+        data = self.base(kind="custom", values=values, knob="rps", runtime_ms=1000)
+        with pytest.raises(
+            ConfigError, match=rf"^schedule\.values\[{index}\]: must be finite and non-negative"
+        ):
+            parse_config(data)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match=r"schedule\.kind: must be one of"):

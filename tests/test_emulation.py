@@ -345,6 +345,9 @@ class TestSchedules:
             LoadSchedule("rps", ())
         with pytest.raises(ValueError):
             LoadSchedule("rps", (1,), runtime_ms=0)
+        for bad in (-5.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"values\[1\]: must be finite"):
+                LoadSchedule("custom", (1.0, bad))
 
 
 class TestLoadBank:
