@@ -455,7 +455,7 @@ def report(artifacts_dir: str | Path, floor_wh: float = 1.0) -> str:
     entries = [
         (row["process"], row["namespace"], float(row["energy_wh"])) for row in rows
     ]
-    total = sum(e for _, _, e in entries)
+    total = left_sum(e for _, _, e in entries)
     major = [item for item in entries if item[2] >= floor_wh]
     minor = [item for item in entries if item[2] < floor_wh]
     lines = [f"{'process':<24} {'namespace':<12} {'energy_wh':>12} {'share':>8}"]
@@ -466,7 +466,7 @@ def report(artifacts_dir: str | Path, floor_wh: float = 1.0) -> str:
     for pid, ns, wh in major:
         lines.append(f"{pid:<24} {ns:<12} {wh:>12.3f} {pct(wh):>7.1f}%")
     if minor:
-        other = sum(e for _, _, e in minor)
+        other = left_sum(e for _, _, e in minor)
         label = f"other ({len(minor)} under {floor_wh:g} Wh)"
         lines.append(f"{label:<24} {'-':<12} {other:>12.3f} {pct(other):>7.1f}%")
     if not entries:

@@ -433,6 +433,16 @@ class TestReport:
         assert "10.0%" in text  # grouped share
         assert "tiny1" not in text
 
+    def test_totals_add_left_to_right(self, tmp_path):
+        # compensated summation (sum() from Python 3.12) would give 1e16 + 2
+        self.write_summary(
+            tmp_path / "r",
+            [["big", "ns", "1e16", "100.0"], ["a", "ns", "1.0", "0.0"], ["b", "ns", "1.0", "0.0"]],
+        )
+        lines = pipeline.report(tmp_path / "r", floor_wh=2.0).splitlines()
+        assert lines[2].split()[-2:] == ["2.000", "0.0%"]  # other: 1 + 1
+        assert lines[3].split() == ["total", "10000000000000000.000", "100.0%"]
+
     def test_floor_configurable(self, tmp_path):
         self.write_summary(
             tmp_path / "r",
