@@ -147,10 +147,6 @@ class Series:
         if ts > self._watermark.ms:
             self._watermark.advance(ts)
 
-    def samples(self) -> list[Sample]:
-        n = len(self._ts)
-        return list(map(Sample, self._ts[:n], self._values[:n]))
-
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The timestamps and values as numpy arrays over copies of the
         columns, so the writer can keep appending."""

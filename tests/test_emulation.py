@@ -44,6 +44,11 @@ from gridcalib.wire import (
 )
 
 
+def samples(series: Series) -> list[tuple[int, float]]:
+    """Every (timestamp, value) the series holds, as Python numbers."""
+    return list(zip(*(column.tolist() for column in series.columns())))
+
+
 def spec(**kwargs) -> WorkloadSpec:
     base = dict(
         process_id="svc",
@@ -399,7 +404,7 @@ class TestPowerModelEmitter:
                     POWER_COUNTER_METRIC, series_labels(namespace, mode, process)
                 )
                 assert series is not None
-                assert series.samples() == [(0, 0.0)]
+                assert samples(series) == [(0, 0.0)]
 
     def test_counters_are_the_labelled_series_dynamic_first(self):
         store, clock, bank, emitter = self.build(
@@ -447,7 +452,7 @@ class TestPowerModelEmitter:
         bank.set_level("rps", 500)
         clock.advance(30_000)
         for series in store.series():
-            values = [s.value for s in series.samples()]
+            values = series.columns()[1].tolist()
             assert values == sorted(values)
 
     def test_leakage_routes_dynamic_power_to_system(self):
@@ -500,7 +505,7 @@ class TestPowerModelEmitter:
             bank.set_level("rps", 1500)
             clock.advance(15_000)
             return [
-                (tuple(series.labels.items()), tuple(series.samples()))
+                (tuple(series.labels.items()), tuple(samples(series)))
                 for series in store.series()
             ]
 
@@ -516,7 +521,7 @@ class TestPowerModelEmitter:
             dyn = store.get(
                 POWER_COUNTER_METRIC, series_labels("bench", MODE_DYNAMIC, "svc")
             )
-            return tuple(dyn.samples())
+            return tuple(samples(dyn))
 
         assert run(1) != run(2)
 
@@ -542,7 +547,7 @@ class TestMeterEmitter:
         gauge = meter_gauge()
         emitter = MeterEmitter(MeterSpec(), lambda: 460.0, clock, gauge.append)
         clock.advance(3000)
-        assert gauge.samples() == [(1000, 460.0), (2000, 460.0), (3000, 460.0)]
+        assert samples(gauge) == [(1000, 460.0), (2000, 460.0), (3000, 460.0)]
         assert emitter.last_ms == 3000
 
     def test_noisy_meter_stays_in_bound(self):
@@ -557,8 +562,8 @@ class TestMeterEmitter:
         MeterEmitter(meter, lambda: 400.0, clock, gauge.append)
         clock.advance(60_000)
         assert len(gauge) == 60
-        for sample in gauge.samples():
-            assert 386.0 <= sample.value <= 414.0
+        for _, value in samples(gauge):
+            assert 386.0 <= value <= 414.0
 
     def test_publish_callback_without_store(self):
         clock = VirtualClock()
@@ -583,10 +588,10 @@ class TestMeterWireProtocol:
             publisher.close()
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
-                if gauge.samples() and gauge.samples()[-1].timestamp_ms == 3000:
+                if gauge.last_timestamp() == 3000:
                     break
                 time.sleep(0.01)
-            assert gauge.samples() == [(1000, 260.0), (2000, 400.5), (3000, 401.0)]
+            assert samples(gauge) == [(1000, 260.0), (2000, 400.5), (3000, 401.0)]
         finally:
             listener.shutdown()
             listener.server_close()
@@ -609,7 +614,7 @@ class TestMeterWireProtocol:
                 if gauge.last_timestamp() == 3000:
                     break
                 time.sleep(0.01)
-            assert gauge.samples() == [(1000, 260.0), (3000, 401.0)]
+            assert samples(gauge) == [(1000, 260.0), (3000, 401.0)]
         finally:
             listener.shutdown()
             listener.server_close()

@@ -269,7 +269,7 @@ def scalar_regression_points(gauge, counters, interval_ms):
     one scalar rate() per meter sample and counter, summed in the
     counters' order."""
     points = []
-    for ts, measured in gauge.samples():
+    for ts, measured in zip(*(column.tolist() for column in gauge.columns())):
         total = 0.0
         try:
             for series in counters:
@@ -320,7 +320,7 @@ class TestRegressionX:
         gauge = store.get(METER_GAUGE_METRIC, None)
         report, _, (t, _, y) = pipeline._node_regression(config, gauge, store)
         points = list(zip(t.tolist(), y.tolist()))
-        readings = {s.timestamp_ms: s.value for s in gauge.samples()}
+        readings = dict(zip(*(column.tolist() for column in gauge.columns())))
         assert all(t in readings and y == readings[t] for t, y in points)
         covered = scalar_regression_points(
             gauge, store.match(POWER_COUNTER_METRIC, None), config.emission_interval_ms
@@ -621,7 +621,7 @@ class TestWallClock:
         gauge = art.store.get(METER_GAUGE_METRIC, None)
         assert gauge is not None and len(gauge) >= 1
         # meter readings traveled the TCP line protocol into the store
-        assert all(s.value == pytest.approx(25.0) for s in gauge.samples())
+        assert all(value == pytest.approx(25.0) for value in gauge.columns()[1].tolist())
 
     def test_live_run_equals_virtual_run(self, tmp_path):
         # noiseless meter and constant load: the live run must compute
