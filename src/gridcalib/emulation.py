@@ -288,9 +288,7 @@ class LoadSchedule:
             raise ValueError("schedule must not be empty")
         for i, value in enumerate(self.values):
             if not 0 <= value < math.inf:  # NaN fails this too
-                raise InvalidField(
-                    f"values[{i}]", f"must be finite and non-negative, got {value!r}"
-                )
+                raise InvalidField(f"values[{i}]: must be finite and non-negative, got {value!r}")
         if self.runtime_ms <= 0:
             raise ValueError(f"runtime must be positive, got {self.runtime_ms}")
 

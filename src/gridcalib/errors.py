@@ -68,11 +68,8 @@ class ConfigError(GridCalibError):
 
 
 class InvalidField(GridCalibError, ValueError):
-    """A spec field holds a value out of range; the message starts with
-    the field's path within the spec, so config adds the spec's own."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
+    """A spec field holds a value out of range. The message starts with
+    the field's path within the spec, so config can prefix the spec's."""
 
 
 class StepError(GridCalibError):

@@ -412,7 +412,7 @@ def _regression_points(
 
 def _truth_csv(emitter: PowerModelEmitter | None) -> bytes:
     """The emitter's truth log with each workload's columns side by side,
-    and the node total summed as node_true_total sums the meter's input."""
+    and each row's node total as node_true_total adds it for the meter."""
     pids = [pid for pid, _ in emitter.processes[:-1]] if emitter is not None else []
     header = ["time_ms", *(f"{p}_true_{mode}_w" for p in pids for mode in ("dyn", "idle"))]
     header.append("system_true_dyn_w")

@@ -132,15 +132,15 @@ def ref_approximate(truth, workloads, params, rng, idle_split):
     utils.append(Proc(SYSTEM_PROCESS_ID, leaked + truth.system_dynamic_w, requested=0.0))
     total_requested = ref_sum(u.requested for u in utils)
     node = Node(dynamic=node_dynamic, idle=node_idle, total_requested=total_requested)
-    dynamic_shares = ref_split_dynamic(node, utils)
-    system_dynamic = dynamic_shares.pop(SYSTEM_PROCESS_ID)
+    dyn_shares = ref_split_dynamic(node, utils)
+    system_dynamic = dyn_shares.pop(SYSTEM_PROCESS_ID)
     if idle_split == "requested" and total_requested > 0:
         idle_shares = ref_split_idle_requested(node, utils)
     else:
         even = node.idle / len(utils)
         idle_shares = {u.process_id: even for u in utils}
     return ApproximationSnapshot(
-        truth.time_ms, dynamic_shares, idle_shares, system_dynamic, node_dynamic, node_idle
+        truth.time_ms, dyn_shares, idle_shares, system_dynamic, node_dynamic, node_idle
     )
 
 
