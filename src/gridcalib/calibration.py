@@ -10,8 +10,8 @@ caused it.
 
 All math lives in pure functions over per-process tuples; calibrate()
 runs them once per collection. CalibrationStage calls it on each
-counter rate and the meter at the collection instant;
-NamespacePowerActor sums its namespace's share of that snapshot so a
+counter rate, over a window that ends at the latest emission, and on
+the meter's latest reading; NamespacePowerActor sums its namespace's share of that snapshot so a
 microgrid can treat the calibrated draw as a consumer actor, and
 calibrated_power.csv serialises the same snapshots, so the two agree by
 construction.
