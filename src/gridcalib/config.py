@@ -1,11 +1,14 @@
 """Scenario configuration: a strict JSON schema, file loading, and presets.
 
-The spec dataclasses are the schema. One walker reads their fields both
+The spec dataclasses are the schema: ScenarioConfig and the specs it
+holds (WorkloadSpec, LoadSchedule, MeterSpec, ApproximationParams,
+StorageSpec, NamespaceActorSpec, and the microgrid's StaticActor and
+TraceActor, which run as parsed). One walker reads their fields both
 ways: parse_config checks a JSON object against them, config_to_dict
-writes a config back. The parser rejects unknown fields at every nesting
-level and reports problems with the full field path ("workloads[0].kind:
-..."), so typos in a scenario sweep fail loudly instead of silently
-running defaults.
+writes a config back. Each JSON key sits at its field's path. The parser
+rejects unknown fields at every nesting level and reports problems with
+the full field path ("workloads[0].kind: ..."), so typos in a scenario
+sweep fail loudly instead of silently running defaults.
 """
 
 from __future__ import annotations
@@ -15,84 +18,44 @@ import json
 import math
 import types
 import typing
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any
 
 from .emulation import (
     DEFAULT_SYSTEM_BASELINE_W,
     IDLE_SPLIT_MODES,
-    LOAD_KNOBS,
-    SCHEDULE_KNOBS,
     ApproximationParams,
     LoadSchedule,
     MeterSpec,
     WorkloadSpec,
-    builtin_schedule,
 )
 from .errors import ConfigError, InvalidField
-from .microgrid import SimpleBattery
+from .microgrid import SimpleBattery, StaticActor, TraceActor
 
 PRESET_SCHEME = "preset:"
 
 M_IDLE_CAPTURE_MODES = ("averaged", "single")
-SCHEDULE_KINDS = ("rps", "batch", "threads", "custom")
 
 
 @dataclass(frozen=True)
 class NamespaceActorSpec:
-    """A calibrated-power consumer for one namespace."""
+    """A calibrated-power consumer for one namespace; the run builds its
+    actor on the calibration stage. A None actor_id is omitted from JSON."""
 
     namespace: str
-    actor_id: str | None = None
+    actor_id: str | None = field(default=None, metadata={"omit_none": True})
 
     def __post_init__(self):
         if not self.namespace:
-            raise ValueError("namespace must be non-empty")
+            raise InvalidField("namespace: must be non-empty")
 
     @property
     def resolved_id(self) -> str:
         return self.actor_id if self.actor_id is not None else f"ns.{self.namespace}"
 
 
-@dataclass(frozen=True)
-class StaticActorSpec:
-    actor_id: str
-    power_w: float
-
-    def __post_init__(self):
-        if not self.actor_id:
-            raise ValueError("actor_id must be non-empty")
-        if not math.isfinite(self.power_w):
-            raise ValueError(f"power_w must be finite, got {self.power_w!r}")
-
-    @property
-    def resolved_id(self) -> str:
-        return self.actor_id
-
-
-@dataclass(frozen=True)
-class TraceActorSpec:
-    actor_id: str
-    points: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        if not self.actor_id:
-            raise ValueError("actor_id must be non-empty")
-        if not self.points:
-            raise ValueError("trace needs at least one point")
-        for point in self.points:
-            if len(point) != 2:
-                raise ValueError(f"trace point must be [time_ms, power_w], got {point!r}")
-            if not math.isfinite(point[1]):
-                raise ValueError(f"trace power must be finite, got {point[1]!r}")
-
-    @property
-    def resolved_id(self) -> str:
-        return self.actor_id
-
-
-ActorSpec = NamespaceActorSpec | StaticActorSpec | TraceActorSpec
+ActorSpec = NamespaceActorSpec | StaticActor | TraceActor
 
 
 @dataclass(frozen=True)
@@ -126,12 +89,7 @@ class StorageSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything a run needs; immutable so presets can be shared.
-
-    schedule_knob names the load-bank knob the benchmark drives. For the
-    builtin schedule kinds it is inferred; a custom schedule must name
-    one explicitly.
-    """
+    """Everything a run needs; immutable so presets can be shared."""
 
     duration_ms: int
     seed: int
@@ -146,7 +104,6 @@ class ScenarioConfig:
     system_baseline_w: float = DEFAULT_SYSTEM_BASELINE_W
     workloads: tuple[WorkloadSpec, ...] = ()
     schedule: LoadSchedule | None = None
-    schedule_knob: str | None = None
     meter: MeterSpec | None = None
     approximation: ApproximationParams | None = None
     actors: tuple[ActorSpec, ...] = ()
@@ -197,49 +154,38 @@ class ScenarioConfig:
             if w.process_id in seen_pids:
                 raise ConfigError(f"workloads: duplicate process_id {w.process_id!r}")
             seen_pids.add(w.process_id)
-        if self.schedule is not None:
-            if not self.workloads:
-                raise ConfigError("schedule: requires at least one workload")
-            if self.schedule_knob is None:
-                inferred = SCHEDULE_KNOBS.get(self.schedule.kind)
-                if inferred is None:
-                    raise ConfigError(
-                        "schedule.knob: required for custom schedules"
-                    )
-                object.__setattr__(self, "schedule_knob", inferred)
-            if self.schedule_knob not in LOAD_KNOBS:
-                raise ConfigError(
-                    f"schedule.knob: must be one of {LOAD_KNOBS}, "
-                    f"got {self.schedule_knob!r}"
-                )
+        if self.schedule is not None and not self.workloads:
+            raise ConfigError("schedule: requires at least one workload")
         if self.meter is None:
             object.__setattr__(self, "meter", MeterSpec(seed=self.seed))
         if self.approximation is None:
             object.__setattr__(self, "approximation", ApproximationParams())
         seen_ids: set[str] = set()
         for spec in self.actors:
-            if isinstance(spec, NamespaceActorSpec) and not self.workloads:
-                raise ConfigError(
-                    f"actors: namespace actor {spec.resolved_id!r} needs at "
-                    "least one workload to observe"
-                )
-            if spec.resolved_id in seen_ids:
-                raise ConfigError(f"actors: duplicate actor id {spec.resolved_id!r}")
-            seen_ids.add(spec.resolved_id)
+            actor_id = spec.actor_id
+            if isinstance(spec, NamespaceActorSpec):
+                actor_id = spec.resolved_id
+                if not self.workloads:
+                    raise ConfigError(
+                        f"actors: namespace actor {actor_id!r} needs at "
+                        "least one workload to observe"
+                    )
+            if actor_id in seen_ids:
+                raise ConfigError(f"actors: duplicate actor id {actor_id!r}")
+            seen_ids.add(actor_id)
 
 
 # --- the schema walker -------------------------------------------------------
 #
 # A field without a default is required, and its annotation decides which
-# JSON values it accepts. Two JSON shapes differ from their dataclass: an
-# actor is tagged by "type" (a namespace actor omits a None actor_id), and
-# the schedule object carries the scenario's knob and has values only for
-# kind custom.
+# JSON values it accepts. A field whose metadata sets omit_none is left out
+# of the JSON when it is None, and it takes no null. One JSON shape
+# differs from its dataclass: an actor is tagged by "type".
 
 _ACTOR_TYPES = {
     "namespace": NamespaceActorSpec,
-    "static": StaticActorSpec,
-    "trace": TraceActorSpec,
+    "static": StaticActor,
+    "trace": TraceActor,
 }
 _ACTOR_TAGS = {cls: tag for tag, cls in _ACTOR_TYPES.items()}
 
@@ -253,10 +199,15 @@ _SCALARS = {
 
 @functools.cache
 def _schema(cls: type) -> tuple[tuple[str, Any, bool], ...]:
-    """(name, annotation, required) per field, resolved once per class."""
+    """(name, annotation, required) per field, resolved once per class;
+    an omit_none field's annotation drops its None."""
     hints = typing.get_type_hints(cls)
     return tuple(
-        (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        (
+            f.name,
+            typing.get_args(hints[f.name])[0] if f.metadata.get("omit_none") else hints[f.name],
+            f.default is MISSING and f.default_factory is MISSING,
+        )
         for f in fields(cls)
     )
 
@@ -294,13 +245,13 @@ def _value(tp: Any, value: Any, where: str) -> Any:
     return float(value) if tp is float else value
 
 
-def _build(cls: type, d: dict, path: str, **given: Any) -> Any:
-    """Construct cls from the JSON object d; fields in given skip the JSON."""
-    schema = [entry for entry in _schema(cls) if entry[0] not in given]
+def _build(cls: type, d: dict, path: str) -> Any:
+    """Construct cls from the JSON object d."""
+    schema = _schema(cls)
     for name, _, required in schema:
         if required and name not in d:
             raise ConfigError(f"{_where(path, name)}: required")
-    kwargs = dict(given)
+    kwargs = {}
     for name, tp, _ in schema:
         if name in d:
             kwargs[name] = _value(tp, d.pop(name), _where(path, name))
@@ -323,28 +274,7 @@ def _actor(value: Any, where: str) -> ActorSpec:
         raise ConfigError(
             f"{where}.type: must be namespace, static, or trace, got {tag!r}"
         )
-    if d.get("actor_id", "") is None:  # a None actor_id is omitted, never null
-        raise ConfigError(f"{where}.actor_id: expected a string, got None")
     return _build(_ACTOR_TYPES[tag], d, where)
-
-
-def _schedule(value: Any) -> tuple[LoadSchedule, str | None]:
-    d = _mapping(value, "schedule")
-    knob = _value(str, d.pop("knob"), "schedule.knob") if "knob" in d else None
-    kind = _value(str, d["kind"], "schedule.kind") if "kind" in d else None
-    if kind is not None and kind not in SCHEDULE_KINDS:
-        raise ConfigError(
-            f"schedule.kind: must be one of {SCHEDULE_KINDS}, got {kind!r}"
-        )
-    given = {}
-    if kind in SCHEDULE_KNOBS:  # a builtin kind: its values are fixed
-        if "values" in d:
-            raise ConfigError(
-                f"schedule.values: only allowed with kind custom "
-                f"(the {kind} sequence is fixed)"
-            )
-        given["values"] = builtin_schedule(kind).values
-    return _build(LoadSchedule, d, "schedule", **given), knob
 
 
 def parse_config(data: Any, source: str = "") -> ScenarioConfig:
@@ -353,9 +283,7 @@ def parse_config(data: Any, source: str = "") -> ScenarioConfig:
     meter = d.get("meter")
     if isinstance(meter, dict) and "seed" not in meter:
         d["meter"] = {**meter, "seed": d.get("seed")}
-    schedule = d.pop("schedule", None)
-    schedule, knob = (None, None) if schedule is None else _schedule(schedule)
-    return _build(ScenarioConfig, d, "", schedule=schedule, schedule_knob=knob)
+    return _build(ScenarioConfig, d, "")
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -377,21 +305,18 @@ def _dump(value: Any) -> Any:
         return [_dump(v) for v in value]
     if not is_dataclass(value):
         return value
-    return {f.name: _dump(getattr(value, f.name)) for f in fields(value)}
+    return {
+        f.name: _dump(getattr(value, f.name))
+        for f in fields(value)
+        if getattr(value, f.name) is not None or not f.metadata.get("omit_none")
+    }
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict[str, Any]:
     """Canonical JSON-ready form; parse_config round-trips it."""
     out = _dump(cfg)
-    knob = out.pop("schedule_knob")
-    if out["schedule"] is not None:
-        out["schedule"]["knob"] = knob
-        if cfg.schedule.kind != "custom":
-            del out["schedule"]["values"]
     for spec, entry in zip(cfg.actors, out["actors"]):
         entry["type"] = _ACTOR_TAGS[type(spec)]
-        if entry["actor_id"] is None:
-            del entry["actor_id"]
     return out
 
 
@@ -417,7 +342,7 @@ def _preset_gpu_leakage() -> ScenarioConfig:
                 leakage_lambda=1.0 / 3.0,
             ),
         ),
-        schedule=replace(builtin_schedule("batch"), runtime_ms=960_000),
+        schedule=LoadSchedule("batch", runtime_ms=960_000),
         actors=(NamespaceActorSpec("bench"),),
     )
 
@@ -437,7 +362,7 @@ def _preset_cpu_offset() -> ScenarioConfig:
                 load_knob="rps",
             ),
         ),
-        schedule=builtin_schedule("rps"),
+        schedule=LoadSchedule("rps"),
         approximation=ApproximationParams(gain=1.035),
         actors=(NamespaceActorSpec("bench"),),
     )
@@ -458,7 +383,7 @@ def _preset_regression() -> ScenarioConfig:
                 load_knob="rps",
             ),
         ),
-        schedule=replace(builtin_schedule("rps"), runtime_ms=75_000),
+        schedule=LoadSchedule("rps", runtime_ms=75_000),
         approximation=ApproximationParams(gain=1.01, bias_w=5.23, sigma_w=1.0),
         actors=(NamespaceActorSpec("bench"),),
     )
@@ -469,7 +394,7 @@ def _preset_minimal() -> ScenarioConfig:
         duration_ms=10_000,
         seed=14,
         warmup_ms=0,
-        actors=(StaticActorSpec("house", -260.0),),
+        actors=(StaticActor("house", -260.0),),
     )
 
 

@@ -21,12 +21,12 @@ import random
 import socket
 import socketserver
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .attribution import dynamic_shares, even_shares, left_sum, requested_shares
-from .errors import InvalidField, NonMonotonicTimestamp, UnknownKind
+from .errors import InvalidField, NonMonotonicTimestamp
 from .signals import Clock
 from .ticklog import TickLog
 from .timeseries import COUNTER, MetricStore, Series
@@ -44,9 +44,12 @@ WORKLOAD_KINDS = ("service", "batch", "stress")
 LOAD_KNOBS = ("rps", "batch_size", "threads")
 IDLE_SPLIT_MODES = ("even", "requested")
 
-RPS_SCHEDULE = list(range(250, 2001, 250))
-BATCH_SCHEDULE = [1, 4, 8, 16, 32]
-THREADS_SCHEDULE = list(range(1, 17))
+# kind -> (knob, levels) of each builtin escalation schedule
+BUILTIN_SCHEDULES = {
+    "rps": ("rps", tuple(range(250, 2001, 250))),
+    "batch": ("batch_size", (1, 4, 8, 16, 32)),
+    "threads": ("threads", tuple(range(1, 17))),
+}
 DEFAULT_ITERATION_RUNTIME_MS = 600_000
 
 MAX_ERROR_V = 0.01
@@ -64,7 +67,7 @@ DEFAULT_EMISSION_INTERVAL_MS = 1000
 def _non_negative(value: float, what: str) -> float:
     value = float(value)
     if not math.isfinite(value) or value < 0:
-        raise ValueError(f"{what} must be finite and non-negative, got {value!r}")
+        raise InvalidField(f"{what}: must be finite and non-negative, got {value!r}")
     return value
 
 
@@ -87,21 +90,21 @@ class WorkloadSpec:
 
     def __post_init__(self):
         if self.kind not in WORKLOAD_KINDS:
-            raise ValueError(f"kind must be one of {WORKLOAD_KINDS}, got {self.kind!r}")
+            raise InvalidField(f"kind: must be one of {WORKLOAD_KINDS}, got {self.kind!r}")
         if self.load_knob not in LOAD_KNOBS:
-            raise ValueError(
-                f"load_knob must be one of {LOAD_KNOBS}, got {self.load_knob!r}"
+            raise InvalidField(
+                f"load_knob: must be one of {LOAD_KNOBS}, got {self.load_knob!r}"
             )
         if self.namespace == SYSTEM_NAMESPACE:
-            raise ValueError(f"namespace {SYSTEM_NAMESPACE!r} is reserved")
+            raise InvalidField(f"namespace: {SYSTEM_NAMESPACE!r} is reserved")
         if self.process_id == SYSTEM_PROCESS_ID:
-            raise ValueError(f"process_id {SYSTEM_PROCESS_ID!r} is reserved")
+            raise InvalidField(f"process_id: {SYSTEM_PROCESS_ID!r} is reserved")
         _non_negative(self.idle_share_w, "idle_share_w")
         _non_negative(self.dyn_coeff_w, "dyn_coeff_w")
         _non_negative(self.noise_sigma_w, "noise_sigma_w")
         if not 0 <= self.leakage_lambda < 1:
-            raise ValueError(
-                f"leakage_lambda must be in [0, 1), got {self.leakage_lambda}"
+            raise InvalidField(
+                f"leakage_lambda: must be in [0, 1), got {self.leakage_lambda}"
             )
 
 
@@ -146,9 +149,9 @@ class ApproximationParams:
 
     def __post_init__(self):
         if not math.isfinite(self.gain) or self.gain <= 0:
-            raise ValueError(f"gain must be positive, got {self.gain!r}")
+            raise InvalidField(f"gain: must be positive, got {self.gain!r}")
         if not math.isfinite(self.bias_w):
-            raise ValueError(f"bias_w must be finite, got {self.bias_w!r}")
+            raise InvalidField(f"bias_w: must be finite, got {self.bias_w!r}")
         _non_negative(self.sigma_w, "sigma_w")
 
 
@@ -224,21 +227,21 @@ class MeterSpec:
 
     def __post_init__(self):
         if not math.isfinite(self.voltage_v) or self.voltage_v <= 0:
-            raise ValueError(f"voltage must be positive, got {self.voltage_v!r}")
+            raise InvalidField(f"voltage_v: must be positive, got {self.voltage_v!r}")
         for value, cap, what in (
             (self.relative_error_v, MAX_ERROR_V, "relative_error_v"),
             (self.relative_error_i, MAX_ERROR_I, "relative_error_i"),
             (self.relative_error_phi, MAX_ERROR_PHI, "relative_error_phi"),
         ):
             if not 0 <= value <= cap:
-                raise ValueError(f"{what} must be in [0, {cap}], got {value!r}")
+                raise InvalidField(f"{what}: must be in [0, {cap}], got {value!r}")
         if self.combined_error() > COMBINED_ERROR_MAX:
             raise ValueError(
                 f"combined error {self.combined_error()} exceeds {COMBINED_ERROR_MAX}"
             )
         if self.sample_interval_ms <= 0:
-            raise ValueError(
-                f"sample interval must be positive, got {self.sample_interval_ms}"
+            raise InvalidField(
+                f"sample_interval_ms: must be positive, got {self.sample_interval_ms}"
             )
 
     def combined_error(self) -> float:
@@ -277,34 +280,49 @@ def meter_sample(true_total_w: float, spec: MeterSpec, rng: random.Random) -> fl
 
 @dataclass(frozen=True)
 class LoadSchedule:
-    """Ordered load levels with a per-iteration runtime."""
+    """Ordered load levels with a per-iteration runtime, and the load-bank
+    knob the benchmark drives with them.
+
+    A builtin kind (a key of BUILTIN_SCHEDULES) fixes its levels and
+    infers its knob; kind custom takes explicit values and a knob.
+    values and knob are omitted from JSON when None and take no null.
+    """
 
     kind: str
-    values: tuple[float, ...]
+    values: tuple[float, ...] | None = field(default=None, metadata={"omit_none": True})
     runtime_ms: int = DEFAULT_ITERATION_RUNTIME_MS
+    knob: str | None = field(default=None, metadata={"omit_none": True})
 
     def __post_init__(self):
-        if not self.values:
-            raise ValueError("schedule must not be empty")
-        for i, value in enumerate(self.values):
+        builtin = BUILTIN_SCHEDULES.get(self.kind)
+        if builtin is not None:
+            if self.values is not None:
+                raise InvalidField(
+                    f"values: only allowed with kind custom (the {self.kind} sequence is fixed)"
+                )
+            if self.knob is None:
+                object.__setattr__(self, "knob", builtin[0])
+        elif self.kind != "custom":
+            kinds = (*BUILTIN_SCHEDULES, "custom")
+            raise InvalidField(f"kind: must be one of {kinds}, got {self.kind!r}")
+        elif self.values is None:
+            raise InvalidField("values: required")
+        elif not self.values:
+            raise InvalidField("values: must not be empty")
+        for i, value in enumerate(self.values or ()):
             if not 0 <= value < math.inf:  # NaN fails this too
                 raise InvalidField(f"values[{i}]: must be finite and non-negative, got {value!r}")
         if self.runtime_ms <= 0:
-            raise ValueError(f"runtime must be positive, got {self.runtime_ms}")
+            raise InvalidField(f"runtime_ms: must be positive, got {self.runtime_ms}")
+        if self.knob is None:
+            raise InvalidField("knob: required for custom schedules")
+        if self.knob not in LOAD_KNOBS:
+            raise InvalidField(f"knob: must be one of {LOAD_KNOBS}, got {self.knob!r}")
 
-
-def builtin_schedule(kind: str) -> LoadSchedule:
-    """The canonical escalation schedule for a load knob."""
-    if kind == "rps":
-        return LoadSchedule("rps", tuple(RPS_SCHEDULE))
-    if kind == "batch":
-        return LoadSchedule("batch", tuple(BATCH_SCHEDULE))
-    if kind == "threads":
-        return LoadSchedule("threads", tuple(THREADS_SCHEDULE))
-    raise UnknownKind(f"no builtin schedule for kind {kind!r}")
-
-
-SCHEDULE_KNOBS = {"rps": "rps", "batch": "batch_size", "threads": "threads"}
+    @property
+    def levels(self) -> tuple[float, ...]:
+        """The load levels in order: the values, or the builtin kind's."""
+        return BUILTIN_SCHEDULES[self.kind][1] if self.values is None else self.values
 
 
 class LoadBank:
@@ -321,11 +339,6 @@ class LoadBank:
 
     def clear(self, knob: str) -> None:
         self.set_level(knob, 0.0)
-
-    def get(self, knob: str) -> float:
-        if knob not in self.levels:
-            raise ValueError(f"unknown load knob {knob!r}")
-        return self.levels[knob]
 
 
 class PowerModelEmitter:

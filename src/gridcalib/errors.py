@@ -45,12 +45,6 @@ class StaleSignal(GridCalibError):
     """A feeding signal has never collected (strict mode only)."""
 
 
-# emulation
-
-class UnknownKind(GridCalibError):
-    """No built-in load schedule with that name."""
-
-
 # validation
 
 class DegenerateX(GridCalibError):

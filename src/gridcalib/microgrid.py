@@ -13,10 +13,10 @@ import bisect
 import math
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .attribution import left_sum
-from .errors import StepError
+from .errors import InvalidField, StepError
 from .signals import Clock, VirtualClock
 from .ticklog import TickLog, csv_bytes
 
@@ -24,27 +24,32 @@ DEFAULT_STEP_MS = 1000
 
 
 class Actor:
-    """Power source or sink sampled once per step."""
+    """Power source or sink sampled once per step, named by actor_id."""
 
-    actor_id: str = "actor"
+    actor_id: str
 
     def power(self, time_ms: int) -> float:
         raise NotImplementedError
 
 
+@dataclass(frozen=True)
 class StaticActor(Actor):
     """Constant signed power."""
 
-    def __init__(self, actor_id: str, power_w: float):
-        self.actor_id = actor_id
-        self._power_w = float(power_w)
-        if not math.isfinite(self._power_w):
-            raise ValueError(f"actor power must be finite, got {power_w!r}")
+    actor_id: str
+    power_w: float
+
+    def __post_init__(self):
+        if not self.actor_id:
+            raise InvalidField("actor_id: must be non-empty")
+        if not math.isfinite(self.power_w):
+            raise InvalidField(f"power_w: must be finite, got {self.power_w!r}")
 
     def power(self, time_ms: int) -> float:
-        return self._power_w
+        return self.power_w
 
 
+@dataclass(frozen=True)
 class TraceActor(Actor):
     """Piecewise-constant power from (time_ms, watts) points.
 
@@ -52,16 +57,23 @@ class TraceActor(Actor):
     holds the final value.
     """
 
-    def __init__(self, actor_id: str, points: Iterable[tuple[int, float]]):
-        self.actor_id = actor_id
-        pts = sorted((int(t), float(p)) for t, p in points)
-        if not pts:
-            raise ValueError("trace needs at least one point")
-        for _, p in pts:
-            if not math.isfinite(p):
-                raise ValueError("trace powers must be finite")
-        self._times = [t for t, _ in pts]
-        self._powers = [p for _, p in pts]
+    actor_id: str
+    points: tuple[tuple[int, float], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", tuple(self.points))
+        if not self.actor_id:
+            raise InvalidField("actor_id: must be non-empty")
+        if not self.points:
+            raise InvalidField("points: trace needs at least one point")
+        for i, point in enumerate(self.points):
+            if len(point) != 2:
+                raise InvalidField(f"points[{i}]: must be [time_ms, power_w], got {point!r}")
+            if not math.isfinite(point[1]):
+                raise InvalidField(f"points[{i}]: power must be finite, got {point[1]!r}")
+        pts = sorted((int(t), float(p)) for t, p in self.points)
+        object.__setattr__(self, "_times", [t for t, _ in pts])
+        object.__setattr__(self, "_powers", [p for _, p in pts])
 
     def power(self, time_ms: int) -> float:
         i = bisect.bisect_right(self._times, time_ms)
@@ -84,15 +96,18 @@ class SimpleBattery:
 
     def __post_init__(self):
         if not math.isfinite(self.capacity_j) or self.capacity_j < 0:
-            raise ValueError(f"capacity must be finite and non-negative, got {self.capacity_j}")
-        if not 0 <= self.charge_j <= self.capacity_j:
-            raise ValueError(
-                f"charge {self.charge_j} outside [0, {self.capacity_j}]"
+            raise InvalidField(
+                f"capacity_j: must be finite and non-negative, got {self.capacity_j}"
             )
-        if self.max_charge_rate_w < 0 or self.max_discharge_rate_w < 0:
-            raise ValueError("rate limits must be non-negative")
+        if not 0 <= self.charge_j <= self.capacity_j:
+            raise InvalidField(
+                f"charge_j: must be in [0, capacity_j={self.capacity_j}], got {self.charge_j}"
+            )
+        for name in ("max_charge_rate_w", "max_discharge_rate_w"):
+            if getattr(self, name) < 0:
+                raise InvalidField(f"{name}: must be non-negative, got {getattr(self, name)}")
         if not 0 < self.efficiency <= 1:
-            raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
+            raise InvalidField(f"efficiency: must be in (0, 1], got {self.efficiency}")
 
     def snapshot(self) -> "SimpleBattery":
         return replace(self)

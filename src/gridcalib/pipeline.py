@@ -32,13 +32,7 @@ from .calibration import (
     capture_idle_baseline,
     member_sum,
 )
-from .config import (
-    NamespaceActorSpec,
-    ScenarioConfig,
-    StaticActorSpec,
-    TraceActorSpec,
-    config_to_dict,
-)
+from .config import NamespaceActorSpec, ScenarioConfig, config_to_dict
 from .emulation import (
     LoadBank,
     MeterEmitter,
@@ -53,7 +47,7 @@ from .errors import (
     GridCalibError,
     MissingArtifact,
 )
-from .microgrid import BenchmarkController, Microgrid, Monitor, StaticActor, TraceActor
+from .microgrid import BenchmarkController, Microgrid, Monitor
 from .signals import VirtualClock, WallClock
 from .ticklog import csv_bytes as _csv_bytes
 from .timeseries import GAUGE, MetricStore, Series, rates
@@ -207,27 +201,23 @@ class _Runtime:
                 interval_ms=config.signal_interval_ms,
             )
             self.engine.add_controller(self.stage)
-        for spec in config.actors:
-            if isinstance(spec, NamespaceActorSpec):
+        for actor in config.actors:  # static and trace actors run as parsed
+            if isinstance(actor, NamespaceActorSpec):
                 # config validation guarantees a stage: namespace actors need workloads
                 actor = NamespacePowerActor(
                     self.stage,
-                    spec.namespace,
-                    actor_id=spec.actor_id,
+                    actor.namespace,
+                    actor_id=actor.actor_id,
                     strict=config.strict_signals,
                 )
-                self.engine.add_actor(actor)
-            elif isinstance(spec, StaticActorSpec):
-                self.engine.add_actor(StaticActor(spec.actor_id, spec.power_w))
-            elif isinstance(spec, TraceActorSpec):
-                self.engine.add_actor(TraceActor(spec.actor_id, spec.points))
-        if config.schedule is not None and config.workloads:
-            knob = config.schedule_knob
+            self.engine.add_actor(actor)
+        schedule = config.schedule
+        if schedule is not None:  # config validation guarantees workloads
             self.benchmark = BenchmarkController(
-                config.schedule.values,
-                config.schedule.runtime_ms,
-                on_start=lambda value: self.bank.set_level(knob, value),
-                on_stop=lambda value: self.bank.clear(knob),
+                schedule.levels,
+                schedule.runtime_ms,
+                on_start=lambda value: self.bank.set_level(schedule.knob, value),
+                on_stop=lambda value: self.bank.clear(schedule.knob),
             )
             self.engine.add_controller(self.benchmark)
 

@@ -366,9 +366,6 @@ class MetricStore:
     ) -> None:
         self.get_or_create(name, labels, kind).append(sample)
 
-    def get(self, name: str, labels: Mapping[str, str] | None = None) -> Series | None:
-        return self._series.get(_series_key(name, labels))
-
     def series(self) -> list[Series]:
         """Every series, in key order."""
         return list(self._ordered)

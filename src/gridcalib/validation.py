@@ -38,10 +38,6 @@ class IdealComparison:
     intercept_ok: bool
     r2_ok: bool
 
-    @property
-    def ok(self) -> bool:
-        return self.slope_ok and self.intercept_ok and self.r2_ok
-
 
 def fit_ols(x, y) -> RegressionReport:
     """Least-squares line through the points (x[i], y[i]) with intercept.

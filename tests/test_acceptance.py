@@ -59,8 +59,7 @@ def _column(art, name):
 
 def _counter(art, namespace, mode, process):
     labels = {NAMESPACE_LABEL: namespace, MODE_LABEL: mode, PROCESS_LABEL: process}
-    series = art.store.get(POWER_COUNTER_METRIC, labels)
-    assert series is not None, f"missing counter {labels}"
+    [series] = art.store.match(POWER_COUNTER_METRIC, labels)
     return series
 
 

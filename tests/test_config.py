@@ -18,9 +18,7 @@ from gridcalib.config import (
     PRESETS,
     NamespaceActorSpec,
     ScenarioConfig,
-    StaticActorSpec,
     StorageSpec,
-    TraceActorSpec,
     config_to_dict,
     load_config,
     parse_config,
@@ -29,16 +27,16 @@ from gridcalib.config import (
     resolve_config,
 )
 from gridcalib.emulation import (
+    BUILTIN_SCHEDULES,
     LOAD_KNOBS,
-    SCHEDULE_KNOBS,
     WORKLOAD_KINDS,
     ApproximationParams,
     LoadSchedule,
     MeterSpec,
     WorkloadSpec,
-    builtin_schedule,
 )
 from gridcalib.errors import ConfigError
+from gridcalib.microgrid import StaticActor, TraceActor
 
 
 def minimal_dict(**overrides):
@@ -121,7 +119,7 @@ class TestWorkloads:
 
     def test_bad_kind_carries_path(self):
         data = minimal_dict(workloads=[{"process_id": "x", "kind": "weird"}])
-        with pytest.raises(ConfigError, match=r"workloads\[0\]: kind must be"):
+        with pytest.raises(ConfigError, match=r"^workloads\[0\]\.kind: must be one of"):
             parse_config(data)
 
     def test_unknown_nested_field(self):
@@ -150,15 +148,15 @@ class TestSchedule:
 
     def test_builtin_rps(self):
         cfg = parse_config(self.base(kind="rps"))
-        assert cfg.schedule.values == tuple(range(250, 2001, 250))
+        assert cfg.schedule.levels == tuple(range(250, 2001, 250))
         assert cfg.schedule.runtime_ms == 600_000
-        assert cfg.schedule_knob == "rps"
+        assert cfg.schedule.knob == "rps"
 
     def test_runtime_override(self):
         cfg = parse_config(self.base(kind="batch", runtime_ms=960_000))
-        assert cfg.schedule.values == (1, 4, 8, 16, 32)
+        assert cfg.schedule.levels == (1, 4, 8, 16, 32)
         assert cfg.schedule.runtime_ms == 960_000
-        assert cfg.schedule_knob == "batch_size"
+        assert cfg.schedule.knob == "batch_size"
 
     def test_builtin_values_fixed(self):
         with pytest.raises(ConfigError, match=r"schedule\.values: only allowed"):
@@ -174,8 +172,8 @@ class TestSchedule:
         cfg = parse_config(
             self.base(kind="custom", values=[5, 10], knob="threads", runtime_ms=2000)
         )
-        assert cfg.schedule.values == (5.0, 10.0)
-        assert cfg.schedule_knob == "threads"
+        assert cfg.schedule.values == cfg.schedule.levels == (5.0, 10.0)
+        assert cfg.schedule.knob == "threads"
 
     @pytest.mark.parametrize("bad", [-5.0, math.inf, math.nan])
     @pytest.mark.parametrize("index", [0, 1])
@@ -212,8 +210,8 @@ class TestActors:
         )
         ns, static, trace = cfg.actors
         assert isinstance(ns, NamespaceActorSpec) and ns.resolved_id == "ns.bench"
-        assert isinstance(static, StaticActorSpec) and static.power_w == 150.0
-        assert isinstance(trace, TraceActorSpec) and trace.points == ((0, -50.0), (5000, -80.5))
+        assert isinstance(static, StaticActor) and static.power_w == 150.0
+        assert isinstance(trace, TraceActor) and trace.points == ((0, -50.0), (5000, -80.5))
 
     def test_unknown_type(self):
         data = minimal_dict(actors=[{"type": "windmill"}])
@@ -256,12 +254,12 @@ class TestStorageAndMeter:
 
     def test_storage_invariants_surface_at_parse(self):
         data = minimal_dict(storage={"capacity_j": 100, "charge_j": 500})
-        with pytest.raises(ConfigError, match="storage:"):
+        with pytest.raises(ConfigError, match=r"^storage\.charge_j:"):
             parse_config(data)
 
     def test_meter_error_caps(self):
         data = minimal_dict(meter={"relative_error_v": 0.5})
-        with pytest.raises(ConfigError, match="meter:"):
+        with pytest.raises(ConfigError, match=r"^meter\.relative_error_v:"):
             parse_config(data)
 
     def test_null_sections_mean_defaults(self):
@@ -288,9 +286,10 @@ class TestDirectConstruction:
             duration_ms=1000,
             seed=1,
             workloads=(WorkloadSpec(process_id="x", load_knob="threads"),),
-            schedule=builtin_schedule("threads"),
+            schedule=LoadSchedule("threads"),
         )
-        assert cfg.schedule_knob == "threads"
+        assert cfg.schedule.knob == "threads"
+        assert cfg.schedule == LoadSchedule("threads", knob="threads")
 
 
 class TestFilesAndPresets:
@@ -410,17 +409,17 @@ def scenario_configs(draw):
         )
         for pid in pids
     )
-    schedule = knob = None
+    schedule = None
     runtime_ms = draw(st.integers(min_value=1, max_value=10**7))
     shape = draw(st.sampled_from(["none", "builtin", "custom"] if workloads else ["none"]))
     if shape == "builtin":
-        kind = draw(st.sampled_from(sorted(SCHEDULE_KNOBS)))
-        schedule = LoadSchedule(kind, builtin_schedule(kind).values, runtime_ms)
+        kind = draw(st.sampled_from(sorted(BUILTIN_SCHEDULES)))
         knob = draw(st.none() | st.sampled_from(LOAD_KNOBS))
+        schedule = LoadSchedule(kind, runtime_ms=runtime_ms, knob=knob)
     elif shape == "custom":
         values = draw(st.lists(watts, min_size=1, max_size=4))
-        schedule = LoadSchedule("custom", tuple(values), runtime_ms)
         knob = draw(st.sampled_from(LOAD_KNOBS))
+        schedule = LoadSchedule("custom", tuple(values), runtime_ms, knob)
     seed = draw(st.integers(min_value=0, max_value=2**32))
     meter = draw(
         st.none()
@@ -444,9 +443,9 @@ def scenario_configs(draw):
         )
     )
     actor_kinds = [
-        st.builds(StaticActorSpec, actor_id=names, power_w=signed_watts),
+        st.builds(StaticActor, actor_id=names, power_w=signed_watts),
         st.builds(
-            TraceActorSpec,
+            TraceActor,
             actor_id=names,
             points=st.lists(
                 st.tuples(st.integers(min_value=0, max_value=10**9), signed_watts),
@@ -464,7 +463,11 @@ def scenario_configs(draw):
             )
         )
     actors = draw(
-        st.lists(st.one_of(actor_kinds), max_size=4, unique_by=lambda a: a.resolved_id)
+        st.lists(
+            st.one_of(actor_kinds),
+            max_size=4,
+            unique_by=lambda a: getattr(a, "resolved_id", a.actor_id),
+        )
     )
     storage = None
     if draw(st.booleans()):
@@ -491,7 +494,6 @@ def scenario_configs(draw):
         system_baseline_w=draw(watts),
         workloads=workloads,
         schedule=schedule,
-        schedule_knob=knob,
         meter=meter,
         approximation=approximation,
         actors=tuple(actors),
@@ -548,25 +550,22 @@ SPEC_PATHS = {
     MeterSpec: "meter",
     ApproximationParams: "approximation",
     NamespaceActorSpec: "actors[0]",
-    StaticActorSpec: "actors[1]",
-    TraceActorSpec: "actors[2]",
+    StaticActor: "actors[1]",
+    TraceActor: "actors[2]",
     StorageSpec: "storage",
 }
-# the one field whose JSON key sits elsewhere: ScenarioConfig.schedule_knob
-JSON_KEYS = {(ScenarioConfig, "schedule_knob"): ("schedule", "knob")}
 
 
 def _wrong_type_cases():
     for cls, path in SPEC_PATHS.items():
         hints = typing.get_type_hints(cls)
         for f in dataclasses.fields(cls):
-            obj_path, key = JSON_KEYS.get((cls, f.name), (path, f.name))
             tp = hints[f.name]
             if type(None) in typing.get_args(tp):
                 tp = typing.get_args(tp)[0]
             wrong = 5 if tp is str else "x"
-            full = f"{obj_path}.{key}" if obj_path else key
-            yield pytest.param(obj_path, key, wrong, full, id=f"{cls.__name__}.{f.name}")
+            full = f"{path}.{f.name}" if path else f.name
+            yield pytest.param(path, f.name, wrong, full, id=f"{cls.__name__}.{f.name}")
 
 
 def _at(data, path):
@@ -589,3 +588,91 @@ def test_wrong_type_names_the_field(obj_path, key, wrong, full):
     with pytest.raises(ConfigError) as err:
         parse_config(data)
     assert str(err.value).startswith(f"{full}: expected ")
+
+
+def _with(section, value, **extra):
+    return {**copy.deepcopy(FULL_CONFIG), section: value, **extra}
+
+
+def _workload(**fields):
+    return _with("workloads", [{"process_id": "svc", **fields}])
+
+
+def _actor(**fields):
+    return _with("actors", [fields])
+
+
+def _storage(**fields):
+    return _with("storage", {"capacity_j": 10.0, **fields})
+
+
+# one document per single-field spec check, and the field it must name
+FIELD_CHECKS = [
+    (_workload(kind="weird"), "workloads[0].kind"),
+    (_workload(load_knob="dial"), "workloads[0].load_knob"),
+    (_workload(namespace="system"), "workloads[0].namespace"),
+    (_workload(process_id="system"), "workloads[0].process_id"),
+    (_workload(idle_share_w=-1.0), "workloads[0].idle_share_w"),
+    (_workload(dyn_coeff_w=math.inf), "workloads[0].dyn_coeff_w"),
+    (_workload(noise_sigma_w=-1.0), "workloads[0].noise_sigma_w"),
+    (_workload(leakage_lambda=1.0), "workloads[0].leakage_lambda"),
+    (_with("schedule", {"kind": "rps", "runtime_ms": 0}), "schedule.runtime_ms"),
+    (_with("schedule", {"kind": "custom", "values": [], "knob": "rps"}), "schedule.values"),
+    (_with("schedule", {"kind": "custom", "values": [1.0], "knob": "dial"}), "schedule.knob"),
+    (_with("meter", {"voltage_v": 0.0}), "meter.voltage_v"),
+    (_with("meter", {"relative_error_i": 0.5}), "meter.relative_error_i"),
+    (_with("meter", {"relative_error_phi": -0.1}), "meter.relative_error_phi"),
+    (_with("meter", {"sample_interval_ms": 0}), "meter.sample_interval_ms"),
+    (_with("approximation", {"gain": 0.0}), "approximation.gain"),
+    (_with("approximation", {"bias_w": math.nan}), "approximation.bias_w"),
+    (_with("approximation", {"sigma_w": -1.0}), "approximation.sigma_w"),
+    (_actor(type="namespace", namespace=""), "actors[0].namespace"),
+    (_actor(type="static", actor_id="", power_w=1.0), "actors[0].actor_id"),
+    (_actor(type="static", actor_id="s", power_w=math.inf), "actors[0].power_w"),
+    (_actor(type="trace", actor_id="", points=[[0, 1.0]]), "actors[0].actor_id"),
+    (_actor(type="trace", actor_id="t", points=[]), "actors[0].points"),
+    (_actor(type="trace", actor_id="t", points=[[0, math.nan]]), "actors[0].points[0]"),
+    (_storage(capacity_j=-1.0), "storage.capacity_j"),
+    (_storage(charge_j=50.0), "storage.charge_j"),
+    (_storage(max_charge_rate_w=-1.0), "storage.max_charge_rate_w"),
+    (_storage(max_discharge_rate_w=-1.0), "storage.max_discharge_rate_w"),
+    (_storage(efficiency=0.0), "storage.efficiency"),
+]
+
+
+@pytest.mark.parametrize("data, path", FIELD_CHECKS, ids=[p for _, p in FIELD_CHECKS])
+def test_spec_check_names_its_field(data, path):
+    with pytest.raises(ConfigError) as err:
+        parse_config(data)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            _with("schedule", {"kind": "rps", "knob": None}),
+            "schedule.knob: expected a string, got None",
+        ),
+        (
+            _with("schedule", {"kind": "custom", "values": None, "knob": "rps"}),
+            "schedule.values: expected a list, got NoneType",
+        ),
+        (
+            _actor(type="namespace", namespace="bench", actor_id=None),
+            "actors[0].actor_id: expected a string, got None",
+        ),
+    ],
+)
+def test_omitted_fields_take_no_null(data, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(data)
+    assert str(err.value) == message
+
+
+def test_omitted_fields_leave_the_json():
+    actors = [{"type": "namespace", "namespace": "bench"}]
+    data = _with("schedule", {"kind": "batch"}, actors=actors)
+    out = config_to_dict(parse_config(data))
+    assert out["schedule"] == {"kind": "batch", "runtime_ms": 600_000, "knob": "batch_size"}
+    assert out["actors"] == [{"namespace": "bench", "type": "namespace"}]

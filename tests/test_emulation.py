@@ -1,5 +1,6 @@
 """Emulated workloads, approximation error model, and socket meter."""
 
+import dataclasses
 import math
 import random
 import socket
@@ -9,9 +10,6 @@ from typing import NamedTuple
 import pytest
 
 from gridcalib.emulation import (
-    BATCH_SCHEDULE,
-    RPS_SCHEDULE,
-    THREADS_SCHEDULE,
     ApproximationParams,
     LoadBank,
     LoadSchedule,
@@ -24,13 +22,12 @@ from gridcalib.emulation import (
     active_power,
     approximate,
     approximation_plan,
-    builtin_schedule,
     decompose_true_power,
     meter_sample,
     node_true_total,
     true_power,
 )
-from gridcalib.errors import UnknownKind
+from gridcalib.errors import InvalidField
 from gridcalib.signals import VirtualClock
 from gridcalib.timeseries import GAUGE, MetricStore, Series, rate
 from gridcalib.wire import (
@@ -328,48 +325,66 @@ class TestMeter:
 
 class TestSchedules:
     def test_rps(self):
-        schedule = builtin_schedule("rps")
-        assert list(schedule.values) == [250, 500, 750, 1000, 1250, 1500, 1750, 2000]
+        schedule = LoadSchedule("rps")
+        assert list(schedule.levels) == [250, 500, 750, 1000, 1250, 1500, 1750, 2000]
         assert schedule.runtime_ms == 600_000
-        assert RPS_SCHEDULE == list(schedule.values)
+        assert schedule.knob == "rps"
+        assert schedule.values is None
 
     def test_batch(self):
-        assert list(builtin_schedule("batch").values) == [1, 4, 8, 16, 32]
-        assert BATCH_SCHEDULE == [1, 4, 8, 16, 32]
+        schedule = LoadSchedule("batch")
+        assert list(schedule.levels) == [1, 4, 8, 16, 32]
+        assert schedule.knob == "batch_size"
 
     def test_threads(self):
-        assert list(builtin_schedule("threads").values) == list(range(1, 17))
-        assert THREADS_SCHEDULE == list(range(1, 17))
+        schedule = LoadSchedule("threads")
+        assert list(schedule.levels) == list(range(1, 17))
+        assert schedule.knob == "threads"
 
     def test_unknown_kind(self):
-        with pytest.raises(UnknownKind):
-            builtin_schedule("spin")
+        with pytest.raises(InvalidField, match="^kind: must be one of"):
+            LoadSchedule("spin")
 
     def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            LoadSchedule("rps", ())
-        with pytest.raises(ValueError):
-            LoadSchedule("rps", (1,), runtime_ms=0)
+        with pytest.raises(InvalidField, match="^values: only allowed with kind custom"):
+            LoadSchedule("rps", (1,))
+        with pytest.raises(InvalidField, match="^values: required"):
+            LoadSchedule("custom", knob="rps")
+        with pytest.raises(InvalidField, match="^values: must not be empty"):
+            LoadSchedule("custom", (), knob="rps")
+        with pytest.raises(InvalidField, match="^runtime_ms: must be positive"):
+            LoadSchedule("rps", runtime_ms=0)
+        with pytest.raises(InvalidField, match="^knob: required for custom schedules"):
+            LoadSchedule("custom", (1.0,))
+        with pytest.raises(InvalidField, match="^knob: must be one of"):
+            LoadSchedule("rps", knob="dial")
         for bad in (-5.0, math.inf, math.nan):
             with pytest.raises(ValueError, match=r"values\[1\]: must be finite"):
                 LoadSchedule("custom", (1.0, bad))
+
+    def test_runtime_replaces_on_a_builtin_kind(self):
+        schedule = dataclasses.replace(LoadSchedule("batch", knob="threads"), runtime_ms=5000)
+        assert (schedule.levels, schedule.runtime_ms, schedule.knob) == (
+            (1, 4, 8, 16, 32), 5000, "threads"
+        )
 
 
 class TestLoadBank:
     def test_set_get_clear(self):
         bank = LoadBank()
-        assert bank.get("rps") == 0.0
+        assert bank.levels["rps"] == 0.0
         bank.set_level("rps", 750)
-        assert bank.get("rps") == 750.0
+        assert bank.levels["rps"] == 750.0
         bank.clear("rps")
-        assert bank.get("rps") == 0.0
+        assert bank.levels["rps"] == 0.0
 
     def test_unknown_knob(self):
         bank = LoadBank()
         with pytest.raises(ValueError):
             bank.set_level("dial", 1)
         with pytest.raises(ValueError):
-            bank.get("dial")
+            bank.clear("dial")
+        assert "dial" not in bank.levels
 
 
 def series_labels(namespace, mode, process):
@@ -378,6 +393,12 @@ def series_labels(namespace, mode, process):
         MODE_LABEL: mode,
         PROCESS_LABEL: process,
     }
+
+
+def counter(store, labels):
+    """The one power counter with these labels."""
+    [series] = store.match(POWER_COUNTER_METRIC, labels)
+    return series
 
 
 class TestPowerModelEmitter:
@@ -400,10 +421,7 @@ class TestPowerModelEmitter:
         store, clock, bank, emitter = self.build()
         for namespace, process in (("bench", "svc"), (SYSTEM_NAMESPACE, "system")):
             for mode in (MODE_DYNAMIC, MODE_IDLE):
-                series = store.get(
-                    POWER_COUNTER_METRIC, series_labels(namespace, mode, process)
-                )
-                assert series is not None
+                series = counter(store, series_labels(namespace, mode, process))
                 assert samples(series) == [(0, 0.0)]
 
     def test_counters_are_the_labelled_series_dynamic_first(self):
@@ -411,7 +429,7 @@ class TestPowerModelEmitter:
             workloads=[spec(), spec(process_id="db", namespace="data")]
         )
         labelled = [
-            store.get(POWER_COUNTER_METRIC, series_labels(ns, mode, pid))
+            counter(store, series_labels(ns, mode, pid))
             for mode in (MODE_DYNAMIC, MODE_IDLE)
             for pid, ns in emitter.processes
         ]
@@ -422,11 +440,9 @@ class TestPowerModelEmitter:
         store, clock, bank, emitter = self.build()
         bank.set_level("rps", 1000)
         clock.advance(4000)
-        dyn = store.get(POWER_COUNTER_METRIC, series_labels("bench", MODE_DYNAMIC, "svc"))
-        idle = store.get(POWER_COUNTER_METRIC, series_labels("bench", MODE_IDLE, "svc"))
-        sys_idle = store.get(
-            POWER_COUNTER_METRIC, series_labels(SYSTEM_NAMESPACE, MODE_IDLE, "system")
-        )
+        dyn = counter(store, series_labels("bench", MODE_DYNAMIC, "svc"))
+        idle = counter(store, series_labels("bench", MODE_IDLE, "svc"))
+        sys_idle = counter(store, series_labels(SYSTEM_NAMESPACE, MODE_IDLE, "system"))
         assert rate(dyn, 0, 4000) == pytest.approx(50.0, rel=1e-12)
         # node idle (10 W) splits evenly over the workload and the system
         # pseudo-process
@@ -438,7 +454,7 @@ class TestPowerModelEmitter:
         for level in (0, 400, 800, 1200):
             bank.set_level("rps", level)
             clock.advance(1000)
-        dyn = store.get(POWER_COUNTER_METRIC, series_labels("bench", MODE_DYNAMIC, "svc"))
+        dyn = counter(store, series_labels("bench", MODE_DYNAMIC, "svc"))
         # the rate over one emission interval is the watts emitted in it:
         # 0.05 W per rps, with no leakage and gain 1
         emitted = [rate(dyn, t - 1000, t) for t in (1000, 2000, 3000, 4000)]
@@ -469,10 +485,8 @@ class TestPowerModelEmitter:
         store, clock, bank, emitter = self.build(workloads=workloads)
         bank.set_level("batch_size", 15)  # true dynamic = 90 W
         clock.advance(2000)
-        p = store.get(POWER_COUNTER_METRIC, series_labels("bench", MODE_DYNAMIC, "gpu"))
-        s = store.get(
-            POWER_COUNTER_METRIC, series_labels(SYSTEM_NAMESPACE, MODE_DYNAMIC, "system")
-        )
+        p = counter(store, series_labels("bench", MODE_DYNAMIC, "gpu"))
+        s = counter(store, series_labels(SYSTEM_NAMESPACE, MODE_DYNAMIC, "system"))
         assert rate(p, 0, 2000) == pytest.approx(60.0, rel=1e-12)
         assert rate(s, 0, 2000) == pytest.approx(30.0, rel=1e-12)
 
@@ -485,7 +499,7 @@ class TestPowerModelEmitter:
         bank.set_level("rps", 900)
         clock.advance(10_000)
         dyn = [
-            store.get(POWER_COUNTER_METRIC, series_labels(ns, MODE_DYNAMIC, pid))
+            counter(store, series_labels(ns, MODE_DYNAMIC, pid))
             for ns, pid in (("bench", "a"), ("bench", "b"), (SYSTEM_NAMESPACE, "system"))
         ]
         # with gain 1 the approximated node dynamic power is the true one
@@ -518,9 +532,7 @@ class TestPowerModelEmitter:
             )
             bank.set_level("rps", 1500)
             clock.advance(5000)
-            dyn = store.get(
-                POWER_COUNTER_METRIC, series_labels("bench", MODE_DYNAMIC, "svc")
-            )
+            dyn = counter(store, series_labels("bench", MODE_DYNAMIC, "svc"))
             return tuple(samples(dyn))
 
         assert run(1) != run(2)

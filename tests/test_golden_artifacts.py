@@ -44,8 +44,7 @@ def _multi_workload_config(idle_split: str, seed: int, emission_interval_ms: int
         idle_split=idle_split,
         system_baseline_w=3.0,
         workloads=workloads,
-        schedule=LoadSchedule("custom", (4.0, 16.0, 32.0, 8.0), runtime_ms=30_000),
-        schedule_knob="batch_size",
+        schedule=LoadSchedule("custom", (4.0, 16.0, 32.0, 8.0), runtime_ms=30_000, knob="batch_size"),
         meter=MeterSpec(relative_error_v=0.005, relative_error_i=0.01, seed=seed),
         approximation=ApproximationParams(gain=1.02, bias_w=4.5, sigma_w=0.7),
         actors=(NamespaceActorSpec("front"), NamespaceActorSpec("ml")),

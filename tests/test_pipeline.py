@@ -19,7 +19,6 @@ from gridcalib.config import (
     PRESETS,
     NamespaceActorSpec,
     ScenarioConfig,
-    StaticActorSpec,
     StorageSpec,
 )
 from gridcalib.emulation import LoadSchedule, MeterListener, MeterSpec, WorkloadSpec
@@ -31,7 +30,7 @@ from gridcalib.errors import (
     MissingArtifact,
     StepError,
 )
-from gridcalib.microgrid import Monitor
+from gridcalib.microgrid import Monitor, StaticActor
 from gridcalib.server import format_exposition, serve_metrics
 from gridcalib.timeseries import COUNTER, GAUGE, MetricStore, query, rate
 from gridcalib.validation import PLOT_HEADER
@@ -57,8 +56,7 @@ def leakage_config(**overrides):
                 leakage_lambda=0.25,
             ),
         ),
-        schedule=LoadSchedule("custom", (5.0, 10.0), runtime_ms=20_000),
-        schedule_knob="batch_size",
+        schedule=LoadSchedule("custom", (5.0, 10.0), runtime_ms=20_000, knob="batch_size"),
         actors=(NamespaceActorSpec("bench"),),
     )
     base.update(overrides)
@@ -153,7 +151,8 @@ class TestRunArtifacts:
         # out the measured idle and dynamic power in full
         cfg = dataclasses.replace(PRESETS["regression"], emission_interval_ms=emission_interval_ms)
         art = pipeline.run(cfg, tmp_path)
-        ts, measured = art.store.get(METER_GAUGE_METRIC, {}).columns()
+        [gauge] = art.store.match(METER_GAUGE_METRIC)
+        ts, measured = gauge.columns()
         meter = dict(zip(ts.tolist(), measured.tolist()))
         pids = [pid for pid, _ in art.stage.processes]
         logged = art.stage.log.columns()
@@ -243,7 +242,7 @@ class TestRunArtifacts:
             duration_ms=5000,
             seed=3,
             warmup_ms=0,
-            actors=(StaticActorSpec("pv", 100.0),),
+            actors=(StaticActor("pv", 100.0),),
             storage=StorageSpec(capacity_j=300.0),
         )
         art = pipeline.run(cfg, tmp_path / "bat")
@@ -256,7 +255,6 @@ class TestRunArtifacts:
             duration_ms=2000,
             warmup_ms=0,
             schedule=None,
-            schedule_knob=None,
             strict_signals=True,
             signal_interval_ms=5000,  # signals never fire before the first tick
         )
@@ -317,7 +315,7 @@ class TestRegressionX:
         config = PRESETS["regression"]
         store = MetricStore()
         pipeline.run(config, tmp_path / "r", store=store)
-        gauge = store.get(METER_GAUGE_METRIC, None)
+        [gauge] = store.match(METER_GAUGE_METRIC)
         report, _, (t, _, y) = pipeline._node_regression(config, gauge, store)
         points = list(zip(t.tolist(), y.tolist()))
         readings = dict(zip(*(column.tolist() for column in gauge.columns())))
@@ -332,7 +330,7 @@ class TestRegressionX:
         config = leakage_config()
         store = MetricStore()
         pipeline.run(config, tmp_path / "r", store=store)
-        gauge = store.get(METER_GAUGE_METRIC, None)
+        [gauge] = store.match(METER_GAUGE_METRIC)
         report, skipped, _ = pipeline._node_regression(config, gauge, store)
         assert report is not None and skipped is None
         t = store.current_time_ms() + 1000
@@ -348,7 +346,7 @@ class TestRegressionSkipped:
             (dict(meter=MeterSpec(sample_interval_ms=100_000)), "no meter samples"),
             (dict(duration_ms=1000, warmup_ms=0), "not enough aligned samples"),
             # constant load and no approximation noise: every x is the same
-            (dict(schedule=None, schedule_knob=None), "all x values identical; slope undefined"),
+            (dict(schedule=None), "all x values identical; slope undefined"),
         ],
     )
     def test_skip_reason_in_the_artifacts(self, tmp_path, overrides, reason):
@@ -618,8 +616,8 @@ class TestWallClock:
         )
         art = pipeline.run(cfg, tmp_path / "live", wall_clock=True)
         assert len(art.monitor.log) == 2
-        gauge = art.store.get(METER_GAUGE_METRIC, None)
-        assert gauge is not None and len(gauge) >= 1
+        [gauge] = art.store.match(METER_GAUGE_METRIC)
+        assert len(gauge) >= 1
         # meter readings traveled the TCP line protocol into the store
         assert all(value == pytest.approx(25.0) for value in gauge.columns()[1].tolist())
 

@@ -2,11 +2,13 @@
 
 Every module-level function or class in src/gridcalib, and every public
 method or property of a public class that does not override a
-base-class name, must be read somewhere else: by a Name or Attribute
-node (not docstring text) in the package outside its own definition, or
-in bench/*.py. Names are matched by spelling, not resolved, so a reader
-of any same-named attribute counts. Only what gridcalib.__all__ exports
-is exempt.
+base-class name, must be read somewhere else: in the package outside its
+own definition, or in bench/*.py. A function or class is read by a Name
+or Attribute node (not docstring text); a method or property only by an
+Attribute node, since a bare name of the same spelling is a local
+variable or a function, never the method. Names are matched by
+spelling, not resolved, so a reader of any same-named attribute counts.
+Only what gridcalib.__all__ exports is exempt.
 """
 
 import ast
@@ -20,23 +22,26 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gridcalib"
 
 
-def _read_names(tree: ast.AST) -> Counter:
+def _read_names(tree: ast.AST, attributes_only: bool) -> Counter:
+    """How often each name is read by an Attribute node, and unless
+    attributes_only, by a Name node."""
     counts = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            counts[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             counts[node.attr] += 1
+        elif isinstance(node, ast.Name) and not attributes_only:
+            counts[node.id] += 1
     return counts
 
 
 def _definitions(module: str, tree: ast.Module):
-    """(qualified name, name, node) of every definition the rule covers."""
+    """(qualified name, name, node, is a method) of every definition the
+    rule covers."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if not isinstance(node, defs):
             continue
-        yield f"{module}.{node.name}", node.name, node
+        yield f"{module}.{node.name}", node.name, node, False
         if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
             continue  # a private class's methods are private too
         methods = [
@@ -48,20 +53,23 @@ def _definitions(module: str, tree: ast.Module):
         bases = getattr(importlib.import_module(f"gridcalib.{module}"), node.name).__mro__[1:]
         for item in methods:
             if not any(hasattr(base, item.name) for base in bases):
-                yield f"{module}.{node.name}.{item.name}", item.name, item
+                yield f"{module}.{node.name}.{item.name}", item.name, item, True
 
 
 def test_every_definition_has_a_reader():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    reads = Counter()
-    for tree in trees.values():
-        reads += _read_names(tree)
-    for path in sorted((ROOT / "bench").glob("*.py")):
-        reads += _read_names(ast.parse(path.read_text()))
+    sources = list(trees.values())
+    sources += [ast.parse(path.read_text()) for path in sorted((ROOT / "bench").glob("*.py"))]
+    # reads[method]: a method is read only by Attribute nodes
+    reads = {
+        method: sum((_read_names(tree, method) for tree in sources), Counter())
+        for method in (False, True)
+    }
     unread = [
         qualified
         for module, tree in trees.items()
-        for qualified, name, node in _definitions(module, tree)
-        if name not in gridcalib.__all__ and reads[name] - _read_names(node)[name] <= 0
+        for qualified, name, node, method in _definitions(module, tree)
+        if name not in gridcalib.__all__
+        and reads[method][name] - _read_names(node, method)[name] <= 0
     ]
     assert unread == [], f"defined but never read: {', '.join(unread)}"

@@ -44,7 +44,7 @@ def test_append_empty_store_base_case():
     store = MetricStore()
     store.append("e", {}, COUNTER, Sample(1000, 0.0))
     assert len(store.series()) == 1
-    series = store.get("e", {})
+    [series] = store.match("e")
     assert len(series) == 1 and series.last() == Sample(1000, 0.0)
 
 
@@ -165,7 +165,7 @@ def test_append_after_reads():
     store = MetricStore()
     for t in range(0, 5001, 1000):
         store.append("e", {"i": "0"}, COUNTER, (t, float(t)))
-    series = store.get("e", {"i": "0"})
+    [series] = store.match("e", {"i": "0"})
     ts, values = series.columns()
     rates(series, ts, 2000)
     query(store, "sum(rate(e[2s]))")
@@ -374,7 +374,7 @@ def test_query_matches_per_series_sum(n_series, n_windows):
         slope = 3.0 * (i + 1)
         for t in range(0, now + 1, 1000):
             store.append("e", {"i": str(i)}, COUNTER, (t, slope * t / 1000))
-    expected = sum(rate(store.get("e", {"i": str(i)}), now - 2000, now) for i in range(n_series))
+    expected = sum(rate(series, now - 2000, now) for series in store.match("e"))
     assert store.current_time_ms() == now
     assert query(store, "sum(rate(e[2s]))") == pytest.approx(expected, rel=1e-9)
 

@@ -141,7 +141,6 @@ class TestCompareToIdeal:
         assert cmp.slope_delta == pytest.approx(0.01)
         assert cmp.intercept_w == 5.23
         assert cmp.slope_ok and cmp.intercept_ok and cmp.r2_ok
-        assert cmp.ok
 
     def test_ideal_line(self):
         report = RegressionReport(
@@ -150,7 +149,7 @@ class TestCompareToIdeal:
         )
         cmp = compare_to_ideal(report)
         assert (cmp.slope_delta, cmp.intercept_w) == (0.0, 0.0)
-        assert cmp.ok
+        assert cmp.slope_ok and cmp.intercept_ok and cmp.r2_ok
 
     def test_out_of_tolerance_verdicts(self):
         report = RegressionReport(
@@ -163,7 +162,6 @@ class TestCompareToIdeal:
         assert not cmp.slope_ok
         assert not cmp.intercept_ok
         assert not cmp.r2_ok
-        assert not cmp.ok
 
 
 class TestSerialization:
