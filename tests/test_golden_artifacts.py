@@ -18,14 +18,23 @@ The even config's calibrated_power.csv, energy_summary.csv and
 monitor.csv digests were re-made when a collection's rate window came
 to end at the counters' newest sample: its 1500 ms emissions miss two
 of every three collection instants, which had read every counter as 0.
+
+No preset runs a battery either, so two more configs, written as JSON
+documents, pin storage settlement: a trace producer and a static
+consumer charge and drain a lossy battery, one with both rate limits
+and one without. Their digests were made at commit 9765b90, before the
+engine came to keep the battery's charge, and a test checks that the
+two runs reach every bound settlement clamps to.
 """
 
+import csv
 import hashlib
+import io
 
 import pytest
 
 from gridcalib import pipeline
-from gridcalib.config import NamespaceActorSpec, ScenarioConfig, preset_config
+from gridcalib.config import NamespaceActorSpec, ScenarioConfig, parse_config, preset_config
 from gridcalib.emulation import ApproximationParams, LoadSchedule, MeterSpec, WorkloadSpec
 
 
@@ -51,9 +60,56 @@ def _multi_workload_config(idle_split: str, seed: int, emission_interval_ms: int
     )
 
 
+def _battery_document(seed: int, storage: dict) -> dict:
+    return {
+        "duration_ms": 120_000,
+        "seed": seed,
+        "warmup_ms": 20_000,
+        "workloads": [
+            {
+                "process_id": "svc",
+                "kind": "service",
+                "namespace": "bench",
+                "idle_share_w": 30.0,
+                "dyn_coeff_w": 0.04,
+                "load_knob": "rps",
+            }
+        ],
+        "schedule": {"kind": "rps", "runtime_ms": 30_000},
+        "actors": [
+            {"type": "namespace", "namespace": "bench"},
+            {
+                "type": "trace",
+                "actor_id": "pv",
+                "points": [[0, 0], [30_000, 420], [60_000, 40], [95_000, 900]],
+            },
+            {"type": "static", "actor_id": "house", "power_w": -120.0},
+        ],
+        "storage": storage,
+    }
+
+
+BATTERY_DOCUMENTS = {
+    "battery-rate-limited": _battery_document(31, {
+        "capacity_j": 6000.0,
+        "charge_j": 3000.0,
+        "max_charge_rate_w": 250.0,
+        "max_discharge_rate_w": 60.0,
+        "efficiency": 0.9,
+    }),
+    "battery-unlimited": _battery_document(32, {
+        "capacity_j": 4000.0,
+        "charge_j": 0.0,
+        "max_charge_rate_w": None,
+        "max_discharge_rate_w": None,
+        "efficiency": 0.8,
+    }),
+}
+
 EXTRA_CONFIGS = {
     "four-workloads-requested": _multi_workload_config("requested", 21, 500),
     "four-workloads-even": _multi_workload_config("even", 22, 1500),
+    **{name: parse_config(doc) for name, doc in BATTERY_DOCUMENTS.items()},
 }
 
 GOLDEN = {
@@ -117,6 +173,26 @@ GOLDEN = {
         "events.csv": "a68e425511f8c8ec65dfb0f71f043c1419376bb3e04fdf2da0cb4c8209aded63",
         "config.json": "2861d9646c16601810bd0cd1ca7fefbd695bb5ae6514102d743471e4aa42e765",
     },
+    "battery-rate-limited": {
+        "monitor.csv": "94b344f9ad047037b268a8a8d7fdca3a406598cd6da30bf9dbf3900c41995b55",
+        "calibrated_power.csv": "d46e72246c6adaaa6be977f27d359ccf61194043de971092bfa73bf3c2a1d599",
+        "energy_summary.csv": "d3a59dfae995f90534e012a25ec05fee0cc6596f7dbd4397ed607b9dd993e7ac",
+        "regression_report.json": "d4701e8c198563152d0ac40230ce526de08dd306c7a123b232ebffcf4bc8f9e5",
+        "regression_points.csv": "ed2f4b9d599c976bfae9cbcb9de0376cc8f0e190ad13b5900540642389dfe4b5",
+        "ground_truth.csv": "b7c606055661564416c06f7cf344a5c4fd6ad111042ccd31d7103561bc9abe9e",
+        "events.csv": "56a2dab25c64c5e65a22802d98e7f1a150296a535234227cd1e6fa2fd0d067aa",
+        "config.json": "7fa5353c7e8f2f15d29abf8164dda9a17822cbfc025cca183d5638d29440c557",
+    },
+    "battery-unlimited": {
+        "monitor.csv": "ca5ae9dffbb113e34d289e06d408b8ebe370ae6a7817d531b9d69c84917f4319",
+        "calibrated_power.csv": "d46e72246c6adaaa6be977f27d359ccf61194043de971092bfa73bf3c2a1d599",
+        "energy_summary.csv": "d3a59dfae995f90534e012a25ec05fee0cc6596f7dbd4397ed607b9dd993e7ac",
+        "regression_report.json": "d4701e8c198563152d0ac40230ce526de08dd306c7a123b232ebffcf4bc8f9e5",
+        "regression_points.csv": "ed2f4b9d599c976bfae9cbcb9de0376cc8f0e190ad13b5900540642389dfe4b5",
+        "ground_truth.csv": "b7c606055661564416c06f7cf344a5c4fd6ad111042ccd31d7103561bc9abe9e",
+        "events.csv": "56a2dab25c64c5e65a22802d98e7f1a150296a535234227cd1e6fa2fd0d067aa",
+        "config.json": "5359a0d5d4814ad7f04c2f73eef9b36748537c84b55a65b051eb5ae5f2d91f44",
+    },
 }
 
 
@@ -129,3 +205,24 @@ def test_preset_artifacts_match_golden_digests(preset, tmp_path):
         for name in pipeline.ARTIFACT_NAMES
     }
     assert digests == GOLDEN[preset]
+
+
+def test_battery_configs_reach_every_settlement_bound(tmp_path):
+    """Across the two battery runs some tick charges at the rate limit,
+    some discharges at it, and some end full and some empty."""
+    hit = set()
+    for name, doc in BATTERY_DOCUMENTS.items():
+        out = tmp_path / name
+        pipeline.run(EXTRA_CONFIGS[name], out)
+        storage = doc["storage"]
+        for row in csv.DictReader(io.StringIO((out / "monitor.csv").read_text())):
+            charge_j, delta_j = float(row["storage_charge_j"]), float(row["storage_delta_j"])
+            if charge_j == storage["capacity_j"]:
+                hit.add("full")
+            if charge_j == 0.0:
+                hit.add("empty")
+            if delta_j == storage["max_charge_rate_w"]:  # dt is 1 s
+                hit.add("charge-rate limit")
+            if storage["max_discharge_rate_w"] is not None and delta_j == -storage["max_discharge_rate_w"]:
+                hit.add("discharge-rate limit")
+    assert hit == {"full", "empty", "charge-rate limit", "discharge-rate limit"}
