@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 from .attribution import left_sum
 from .errors import DegenerateDenominator, EmptyWindow, StaleSignal, ZeroNodeIdle
-from .microgrid import Controller, ControllerView
+from .microgrid import Controller
 from .signals import Clock, Signal
 from .ticklog import TickLog
 from .timeseries import Series, rate
@@ -230,8 +230,8 @@ class CalibrationStage(Controller):
             tuple(watts[:k]), tuple(watts[k:]), last.value, self.m_idle_w, self._system
         )
 
-    def step(self, view: ControllerView) -> None:
-        self.log.append([view.time_ms, *self.snapshot.cal_dyn, *self.snapshot.cal_idle])
+    def step(self, time_ms: int) -> None:
+        self.log.append([time_ms, *self.snapshot.cal_dyn, *self.snapshot.cal_idle])
 
 
 class NamespacePowerActor:
@@ -243,10 +243,10 @@ class NamespacePowerActor:
         stage: CalibrationStage,
         namespace: str,
         *,
-        actor_id: str | None = None,
+        actor_id: str,
         strict: bool = False,
     ):
-        self.actor_id = actor_id if actor_id is not None else f"ns.{namespace}"
+        self.actor_id = actor_id
         self.namespace = namespace
         self.strict = strict
         self._stage = stage

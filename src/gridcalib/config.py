@@ -2,8 +2,8 @@
 
 The spec dataclasses are the schema: ScenarioConfig and the specs it
 holds (WorkloadSpec, LoadSchedule, MeterSpec, ApproximationParams,
-StorageSpec, NamespaceActorSpec, and the microgrid's StaticActor and
-TraceActor, which run as parsed). One walker reads their fields both
+NamespaceActorSpec, and the microgrid's StaticActor, TraceActor and
+SimpleBattery, which the engine runs as parsed). One walker reads their fields both
 ways: parse_config checks a JSON object against them, config_to_dict
 writes a config back. Each JSON key sits at its field's path. The parser
 rejects unknown fields at every nesting level and reports problems with
@@ -59,35 +59,6 @@ ActorSpec = NamespaceActorSpec | StaticActor | TraceActor
 
 
 @dataclass(frozen=True)
-class StorageSpec:
-    """Battery parameters as written in config; None rate = unlimited."""
-
-    capacity_j: float
-    charge_j: float = 0.0
-    max_charge_rate_w: float | None = None
-    max_discharge_rate_w: float | None = None
-    efficiency: float = 1.0
-
-    def __post_init__(self):
-        self.build()
-
-    def build(self) -> SimpleBattery:
-        return SimpleBattery(
-            capacity_j=self.capacity_j,
-            charge_j=self.charge_j,
-            max_charge_rate_w=(
-                math.inf if self.max_charge_rate_w is None else self.max_charge_rate_w
-            ),
-            max_discharge_rate_w=(
-                math.inf
-                if self.max_discharge_rate_w is None
-                else self.max_discharge_rate_w
-            ),
-            efficiency=self.efficiency,
-        )
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a run needs; immutable so presets can be shared."""
 
@@ -107,7 +78,7 @@ class ScenarioConfig:
     meter: MeterSpec | None = None
     approximation: ApproximationParams | None = None
     actors: tuple[ActorSpec, ...] = ()
-    storage: StorageSpec | None = None
+    storage: SimpleBattery | None = None
     outputs: str | None = None
 
     def __post_init__(self):

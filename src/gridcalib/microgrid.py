@@ -1,19 +1,19 @@
 """Deterministic microgrid co-simulation.
 
 Each step runs a fixed order: sample every actor's signed power
-(producers positive, consumers negative), aggregate the net power,
-let controllers observe the aggregate plus the previous settlement,
-then settle the energy against storage and the public grid. The
-monitor's tick log records one row per step and serializes to CSV.
+(producers positive, consumers negative) and add it up to the net
+power, step every controller at the tick time, then settle the energy
+against storage and the public grid. The engine keeps the battery's
+charge; the battery itself is a frozen spec. The monitor's tick log
+records one row per step and serializes to CSV.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
-from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .attribution import left_sum
 from .errors import InvalidField, StepError
@@ -80,18 +80,20 @@ class TraceActor(Actor):
         return 0.0 if i == 0 else self._powers[i - 1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimpleBattery:
     """Energy storage with rate limits and a symmetric round-trip efficiency.
 
-    Charge is tracked in joules stored; rate limits and the settlement
-    interface are expressed at the grid coupling point.
+    Charge is in joules stored, and charge_j is what a run starts with;
+    the engine keeps the charge as it moves. Rate limits and the
+    settlement interface are expressed at the grid coupling point; a
+    None rate is unlimited.
     """
 
     capacity_j: float
     charge_j: float = 0.0
-    max_charge_rate_w: float = math.inf
-    max_discharge_rate_w: float = math.inf
+    max_charge_rate_w: float | None = None
+    max_discharge_rate_w: float | None = None
     efficiency: float = 1.0
 
     def __post_init__(self):
@@ -104,74 +106,54 @@ class SimpleBattery:
                 f"charge_j: must be in [0, capacity_j={self.capacity_j}], got {self.charge_j}"
             )
         for name in ("max_charge_rate_w", "max_discharge_rate_w"):
-            if getattr(self, name) < 0:
-                raise InvalidField(f"{name}: must be non-negative, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value is not None and not value >= 0:  # `not >= 0` also rejects NaN
+                raise InvalidField(f"{name}: must be non-negative, got {value}")
         if not 0 < self.efficiency <= 1:
             raise InvalidField(f"efficiency: must be in (0, 1], got {self.efficiency}")
 
-    def snapshot(self) -> "SimpleBattery":
-        return replace(self)
-
-
-def aggregate(actor_powers: Mapping[str, float]) -> float:
-    """Net power of the microgrid: the signed sum over all actors."""
-    return left_sum(actor_powers.values())
-
 
 def settle(
-    storage: SimpleBattery | None, delta_p_w: float, dt_ms: int
-) -> tuple[float, float]:
+    storage: SimpleBattery | None, charge_j: float, delta_p_w: float, dt_ms: int
+) -> tuple[float, float, float]:
     """Settle one step's energy against storage, remainder to the grid.
 
-    Returns (storage_delta_j, grid_exchange_j), both measured at the
-    grid coupling point so storage_delta + grid_exchange equals
-    delta_p * dt exactly for any efficiency. Positive grid_exchange is
-    an export.
+    charge_j is the energy stored before the step. Returns
+    (storage_delta_j, grid_exchange_j, charge_j): the first two are
+    measured at the grid coupling point, so storage_delta +
+    grid_exchange equals delta_p * dt exactly for any efficiency, and
+    the last is the charge after the step. Positive grid_exchange is an
+    export.
     """
     if dt_ms <= 0:
         raise ValueError(f"dt must be positive, got {dt_ms}")
     dt_s = dt_ms / 1000.0
     energy_j = delta_p_w * dt_s
     if storage is None or energy_j == 0.0:
-        return (0.0, energy_j)
+        return (0.0, energy_j, charge_j)
     if energy_j > 0:
-        rate_cap_j = storage.max_charge_rate_w * dt_s
-        headroom_j = (storage.capacity_j - storage.charge_j) / storage.efficiency
+        rate_w = storage.max_charge_rate_w
+        rate_cap_j = (math.inf if rate_w is None else rate_w) * dt_s
+        headroom_j = (storage.capacity_j - charge_j) / storage.efficiency
         take_j = min(energy_j, rate_cap_j, headroom_j)
-        storage.charge_j = min(
-            storage.capacity_j, storage.charge_j + take_j * storage.efficiency
-        )
-        return (take_j, energy_j - take_j)
+        charge_j = min(storage.capacity_j, charge_j + take_j * storage.efficiency)
+        return (take_j, energy_j - take_j, charge_j)
     need_j = -energy_j
-    rate_cap_j = storage.max_discharge_rate_w * dt_s
-    available_j = storage.charge_j * storage.efficiency
+    rate_w = storage.max_discharge_rate_w
+    rate_cap_j = (math.inf if rate_w is None else rate_w) * dt_s
+    available_j = charge_j * storage.efficiency
     give_j = min(need_j, rate_cap_j, available_j)
-    storage.charge_j = max(0.0, storage.charge_j - give_j / storage.efficiency)
-    return (-give_j, -(need_j - give_j))
-
-
-@dataclass(frozen=True)
-class ControllerView:
-    """Read-only snapshot handed to controllers.
-
-    Controllers run between aggregation and settlement, so the view
-    carries the current step's powers and net power, the previous
-    step's settled energy, and the storage state before this step's
-    settlement.
-    """
-
-    t: int
-    time_ms: int
-    actor_powers: Mapping[str, float]
-    delta_p_w: float
-    e_last_j: float
-    storage: SimpleBattery | None
+    charge_j = max(0.0, charge_j - give_j / storage.efficiency)
+    return (-give_j, -(need_j - give_j), charge_j)
 
 
 class Controller:
+    """Stepped once per tick at the tick time, after the actors and
+    before settlement."""
+
     controller_id: str = "controller"
 
-    def step(self, view: ControllerView) -> None:
+    def step(self, time_ms: int) -> None:
         raise NotImplementedError
 
 
@@ -198,7 +180,8 @@ class Monitor:
 
 
 class Microgrid:
-    """Step engine: actors, then aggregation, then controllers, then storage."""
+    """Step engine: actors, then their net power, then controllers, then
+    storage. charge_j is the battery's charge (0.0 without one)."""
 
     def __init__(
         self,
@@ -211,6 +194,7 @@ class Microgrid:
         self.clock = clock if clock is not None else VirtualClock()
         self.dt_ms = int(dt_ms)
         self.storage = storage
+        self.charge_j = storage.charge_j if storage is not None else 0.0
         self.actors: list[Actor] = []
         self.controllers: list[Controller] = []
         self.monitor = Monitor()
@@ -235,7 +219,7 @@ class Microgrid:
         # advance first: step k settles the interval ending at t0 + (k+1)*dt
         self.clock.advance(self.dt_ms)
         time_ms = self.clock.now_ms()
-        powers: dict[str, float] = {}
+        powers: list[float] = []
         for actor in self.actors:
             try:
                 p = float(actor.power(time_ms))
@@ -243,28 +227,21 @@ class Microgrid:
                     raise ValueError(f"non-finite power {p!r}")
             except Exception as exc:
                 raise StepError(self._t, f"actor {actor.actor_id!r}: {exc}") from exc
-            powers[actor.actor_id] = p
-        delta_p_w = aggregate(powers)
-        view = ControllerView(
-            t=self._t,
-            time_ms=time_ms,
-            actor_powers=MappingProxyType(powers),
-            delta_p_w=delta_p_w,
-            e_last_j=self._e_last_j,
-            storage=self.storage.snapshot() if self.storage is not None else None,
-        )
+            powers.append(p)
+        delta_p_w = left_sum(powers)
         for controller in self.controllers:
             try:
-                controller.step(view)
+                controller.step(time_ms)
             except Exception as exc:
                 raise StepError(
                     self._t, f"controller {controller.controller_id!r}: {exc}"
                 ) from exc
-        storage_delta_j, grid_exchange_j = settle(self.storage, delta_p_w, self.dt_ms)
-        charge_j = self.storage.charge_j if self.storage is not None else 0.0
+        storage_delta_j, grid_exchange_j, self.charge_j = settle(
+            self.storage, self.charge_j, delta_p_w, self.dt_ms
+        )
         self.monitor.log.append([
-            self._t, time_ms, delta_p_w, self._e_last_j, charge_j,
-            storage_delta_j, grid_exchange_j, *powers.values(),
+            self._t, time_ms, delta_p_w, self._e_last_j, self.charge_j,
+            storage_delta_j, grid_exchange_j, *powers,
         ])
         self._e_last_j = delta_p_w * (self.dt_ms / 1000.0)
         self._t += 1
@@ -287,13 +264,14 @@ class BenchmarkController(Controller):
     yields exactly k "start" events and k stop-or-complete events.
     """
 
+    controller_id = "benchmark"
+
     def __init__(
         self,
         schedule: Sequence[float],
         runtime_ms: int,
         on_start: Callable[[float], None] | None = None,
         on_stop: Callable[[float], None] | None = None,
-        controller_id: str = "benchmark",
     ):
         self.schedule = list(schedule)
         if not self.schedule:
@@ -301,7 +279,6 @@ class BenchmarkController(Controller):
         if runtime_ms <= 0:
             raise ValueError(f"runtime must be positive, got {runtime_ms}")
         self.runtime_ms = int(runtime_ms)
-        self.controller_id = controller_id
         self.events: list[tuple[str, float, int]] = []
         self.done = False
         self._idx = -1
@@ -309,35 +286,22 @@ class BenchmarkController(Controller):
         self._on_start = on_start
         self._on_stop = on_stop
 
-    def step(self, view: ControllerView) -> None:
-        self.step_at(view.time_ms)
-
-    def step_at(self, time_ms: int) -> str | None:
+    def step(self, time_ms: int) -> None:
         if self.done:
-            return None
-        if self._idx < 0:
-            self._idx = 0
-            self._start_time_ms = time_ms
-            self._begin(time_ms)
-            return "start"
-        if time_ms - self._start_time_ms < self.runtime_ms:
-            return None
-        current = self.schedule[self._idx]
-        if self._idx + 1 < len(self.schedule):
-            self.events.append(("stop", current, time_ms))
+            return
+        if self._idx >= 0:
+            if time_ms - self._start_time_ms < self.runtime_ms:
+                return
+            current = self.schedule[self._idx]
+            last = self._idx + 1 == len(self.schedule)
+            self.events.append(("complete" if last else "stop", current, time_ms))
             if self._on_stop is not None:
                 self._on_stop(current)
-            self._idx += 1
-            self._start_time_ms = time_ms
-            self._begin(time_ms)
-            return "advance"
-        self.events.append(("complete", current, time_ms))
-        if self._on_stop is not None:
-            self._on_stop(current)
-        self.done = True
-        return "complete"
-
-    def _begin(self, time_ms: int) -> None:
+            if last:
+                self.done = True
+                return
+        self._idx += 1
+        self._start_time_ms = time_ms
         value = self.schedule[self._idx]
         self.events.append(("start", value, time_ms))
         if self._on_start is not None:

@@ -182,7 +182,7 @@ class _Runtime:
         self.engine = Microgrid(
             clock=clock,
             dt_ms=config.dt_ms,
-            storage=config.storage.build() if config.storage is not None else None,
+            storage=config.storage,
         )
         if config.workloads:
             self.m_idle_w = capture_idle_baseline(
@@ -207,7 +207,7 @@ class _Runtime:
                 actor = NamespacePowerActor(
                     self.stage,
                     actor.namespace,
-                    actor_id=actor.actor_id,
+                    actor_id=actor.resolved_id,
                     strict=config.strict_signals,
                 )
             self.engine.add_actor(actor)
@@ -386,10 +386,10 @@ def _regression_points(
     gauge: Series, counters: list[Series], interval_ms: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The t, x and y columns, one entry per meter sample whose trailing
-    interval every counter covers: x is the summed counter rate over that
-    interval, which recovers exactly the watts the emitter integrated,
-    and y is the sample's reading. Counters are summed in the order
-    given, which is key order for a store match."""
+    interval every counter covers: x is the sum of the counter rates over
+    that interval, which recovers exactly the watts the emitter
+    integrated, and y is the sample's reading. Counters are added in the
+    order given, which is key order for a store match."""
     ts, measured = gauge.columns()
     total = np.zeros(len(ts))
     covered = np.ones(len(ts), dtype=bool)

@@ -266,7 +266,6 @@ class QueryExpr:
     metric: str
     labels: tuple[tuple[str, str], ...]
     window_ms: int
-    summed: bool
 
     def label_map(self) -> dict[str, str]:
         return dict(self.labels)
@@ -294,7 +293,8 @@ def _parse_labels(body: str) -> tuple[tuple[str, str], ...]:
 
 
 def parse_query(text: str) -> QueryExpr:
-    """Parse ``sum(rate(NAME{K="V",...}[Ns]))``; the outer sum is optional."""
+    """Parse ``sum(rate(NAME{K="V",...}[Ns]))``. The outer sum is optional:
+    query() sums the matching series either way."""
     if not isinstance(text, str):
         raise ParseError(f"query must be a string, got {type(text).__name__}")
     m = _QUERY_RE.match(text)
@@ -310,7 +310,6 @@ def parse_query(text: str) -> QueryExpr:
         metric=m.group("name"),
         labels=labels,
         window_ms=window_s * 1000,
-        summed=m.group("sum") is not None,
     )
 
 

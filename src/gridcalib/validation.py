@@ -29,11 +29,8 @@ class RegressionReport:
 
 @dataclass(frozen=True)
 class IdealComparison:
-    """Deviation of a fit from the ideal line y = x, with verdicts."""
+    """Verdicts on how far a fit sits from the ideal line y = x."""
 
-    slope_delta: float
-    intercept_w: float
-    r2: float
     slope_ok: bool
     intercept_ok: bool
     r2_ok: bool
@@ -79,12 +76,8 @@ def compare_to_ideal(
     r2_min: float = 0.9,
 ) -> IdealComparison:
     """How far the fit sits from y = x, judged against tolerances."""
-    slope_delta = report.slope - 1.0
     return IdealComparison(
-        slope_delta=slope_delta,
-        intercept_w=report.intercept_w,
-        r2=report.r2,
-        slope_ok=abs(slope_delta) <= slope_tolerance,
+        slope_ok=abs(report.slope - 1.0) <= slope_tolerance,
         intercept_ok=abs(report.intercept_w) <= intercept_tolerance_w,
         r2_ok=report.r2 >= r2_min,
     )

@@ -197,6 +197,7 @@ def test_criterion_08_settlement_conservation():
     t0 = time.perf_counter()
     rng = random.Random(808)
     battery = None
+    charge_j = 0.0
     for step in range(1000):
         if step % 100 == 0:
             capacity = rng.uniform(100.0, 5000.0)
@@ -207,13 +208,13 @@ def test_criterion_08_settlement_conservation():
                 max_discharge_rate_w=rng.uniform(10.0, 500.0),
                 efficiency=rng.uniform(0.5, 1.0),
             )
+            charge_j = battery.charge_j
         delta_p = rng.uniform(-300.0, 300.0)
-        storage_j, grid_j = settle(battery, delta_p, 1000)
+        storage_j, grid_j, charge_j = settle(battery, charge_j, delta_p, 1000)
         assert storage_j + grid_j == pytest.approx(delta_p * 1.0, rel=1e-9, abs=1e-9)
-        assert 0.0 <= battery.charge_j <= battery.capacity_j
+        assert 0.0 <= charge_j <= battery.capacity_j
     headroom = SimpleBattery(capacity_j=1000.0)
-    assert settle(headroom, 100.0, 60_000) == (1000.0, 5000.0)
-    assert headroom.charge_j == 1000.0
+    assert settle(headroom, 0.0, 100.0, 60_000) == (1000.0, 5000.0, 1000.0)
     _finish(8, 1.0, time.perf_counter() - t0, "storage + grid == delta_p * dt over 10^3 random steps")
 
 

@@ -19,6 +19,7 @@ from gridcalib.calibration import (
     dynamic_factors,
     member_sum,
 )
+from gridcalib.config import NamespaceActorSpec
 from gridcalib.errors import DegenerateDenominator, StaleSignal, ZeroNodeIdle
 from gridcalib.signals import VirtualClock
 from gridcalib.timeseries import COUNTER, GAUGE, MetricStore, Series
@@ -175,7 +176,7 @@ class TestNamespacePowerActor:
         gauge.append((0, meter_before))
         m_idle = capture_idle_baseline(gauge, clock.now_ms())
         stage = CalibrationStage(processes, counters, gauge, clock, m_idle, **kwargs)
-        actor = NamespacePowerActor(stage, "bench", strict=strict)
+        actor = NamespacePowerActor(stage, "bench", actor_id="ns.bench", strict=strict)
         for dynamic, joules_per_s in zip(counters, rates.values()):
             for k in range(3):
                 dynamic.append((k * 1000, joules_per_s * k))
@@ -216,13 +217,14 @@ class TestNamespacePowerActor:
 
     def test_strict_mode_flags_never_collected_signals(self):
         stage = make_stage([("bench", "bench")])
-        actor = NamespacePowerActor(stage, "bench", strict=True)
+        actor = NamespacePowerActor(stage, "bench", actor_id="ns.bench", strict=True)
         with pytest.raises(StaleSignal):
             actor.calibrated_dynamic_w()
 
     def test_default_actor_id_names_namespace(self):
-        actor = self.build({"bench": 30.0})
-        assert actor.actor_id == "ns.bench"
+        # the spec names the actor, and the run builds it with that id
+        assert NamespaceActorSpec("bench").resolved_id == "ns.bench"
+        assert NamespaceActorSpec("bench", actor_id="mine").resolved_id == "mine"
 
     def test_window_must_be_whole_seconds(self):
         with pytest.raises(ValueError):

@@ -402,7 +402,7 @@ def counter(store, labels):
 
 
 class TestPowerModelEmitter:
-    def build(self, workloads=None, seed=7, baseline=0.0, **kwargs):
+    def make(self, workloads=None, seed=7, baseline=0.0, **kwargs):
         store = MetricStore()
         clock = VirtualClock()
         bank = LoadBank()
@@ -418,14 +418,14 @@ class TestPowerModelEmitter:
         return store, clock, bank, emitter
 
     def test_counters_start_at_zero(self):
-        store, clock, bank, emitter = self.build()
+        store, clock, bank, emitter = self.make()
         for namespace, process in (("bench", "svc"), (SYSTEM_NAMESPACE, "system")):
             for mode in (MODE_DYNAMIC, MODE_IDLE):
                 series = counter(store, series_labels(namespace, mode, process))
                 assert samples(series) == [(0, 0.0)]
 
     def test_counters_are_the_labelled_series_dynamic_first(self):
-        store, clock, bank, emitter = self.build(
+        store, clock, bank, emitter = self.make(
             workloads=[spec(), spec(process_id="db", namespace="data")]
         )
         labelled = [
@@ -437,7 +437,7 @@ class TestPowerModelEmitter:
         assert all(a is b for a, b in zip(emitter.counters, labelled, strict=True))
 
     def test_constant_load_rate_reproduces_watts(self):
-        store, clock, bank, emitter = self.build()
+        store, clock, bank, emitter = self.make()
         bank.set_level("rps", 1000)
         clock.advance(4000)
         dyn = counter(store, series_labels("bench", MODE_DYNAMIC, "svc"))
@@ -450,7 +450,7 @@ class TestPowerModelEmitter:
         assert rate(sys_idle, 0, 4000) == pytest.approx(5.0, rel=1e-12)
 
     def test_integration_matches_mean_watts(self):
-        store, clock, bank, emitter = self.build()
+        store, clock, bank, emitter = self.make()
         for level in (0, 400, 800, 1200):
             bank.set_level("rps", level)
             clock.advance(1000)
@@ -462,7 +462,7 @@ class TestPowerModelEmitter:
         assert rate(dyn, 0, 4000) == pytest.approx(sum(emitted) / 4.0, rel=1e-12)
 
     def test_counters_are_monotone(self):
-        store, clock, bank, emitter = self.build(
+        store, clock, bank, emitter = self.make(
             workloads=[spec(noise_sigma_w=3.0)], baseline=5.0
         )
         bank.set_level("rps", 500)
@@ -482,7 +482,7 @@ class TestPowerModelEmitter:
                 leakage_lambda=1.0 / 3.0,
             )
         ]
-        store, clock, bank, emitter = self.build(workloads=workloads)
+        store, clock, bank, emitter = self.make(workloads=workloads)
         bank.set_level("batch_size", 15)  # true dynamic = 90 W
         clock.advance(2000)
         p = counter(store, series_labels("bench", MODE_DYNAMIC, "gpu"))
@@ -495,7 +495,7 @@ class TestPowerModelEmitter:
             spec(process_id="a", noise_sigma_w=1.0, leakage_lambda=0.2),
             spec(process_id="b", idle_share_w=5.0, dyn_coeff_w=0.01),
         ]
-        store, clock, bank, emitter = self.build(workloads=workloads, baseline=5.0)
+        store, clock, bank, emitter = self.make(workloads=workloads, baseline=5.0)
         bank.set_level("rps", 900)
         clock.advance(10_000)
         dyn = [
@@ -510,7 +510,7 @@ class TestPowerModelEmitter:
     def test_seeded_determinism(self):
         def run():
             workloads = [spec(noise_sigma_w=2.0, leakage_lambda=0.1)]
-            store, clock, bank, emitter = self.build(
+            store, clock, bank, emitter = self.make(
                 workloads=workloads,
                 seed=11,
                 baseline=5.0,
@@ -527,7 +527,7 @@ class TestPowerModelEmitter:
 
     def test_different_seeds_differ(self):
         def run(seed):
-            store, clock, bank, emitter = self.build(
+            store, clock, bank, emitter = self.make(
                 workloads=[spec(noise_sigma_w=2.0)], seed=seed
             )
             bank.set_level("rps", 1500)
@@ -538,7 +538,7 @@ class TestPowerModelEmitter:
         assert run(1) != run(2)
 
     def test_latest_truth_tracks_firings(self):
-        store, clock, bank, emitter = self.build()
+        store, clock, bank, emitter = self.make()
         assert emitter.node_total_w == 10.0  # idle only at t=0
         bank.set_level("rps", 1000)
         clock.advance(1000)
@@ -546,7 +546,7 @@ class TestPowerModelEmitter:
 
     def test_needs_workloads(self):
         with pytest.raises(ValueError):
-            self.build(workloads=[])
+            self.make(workloads=[])
 
 
 def meter_gauge() -> Series:

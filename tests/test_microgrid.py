@@ -1,4 +1,4 @@
-"""Microgrid engine: aggregation, settlement, step order, benchmark lifecycle."""
+"""Microgrid engine: net power, settlement, step order, benchmark lifecycle."""
 
 import math
 
@@ -11,26 +11,33 @@ from gridcalib.microgrid import (
     Actor,
     BenchmarkController,
     Controller,
-    ControllerView,
     Microgrid,
     SimpleBattery,
     StaticActor,
     TraceActor,
-    aggregate,
     settle,
 )
 from gridcalib.signals import VirtualClock
 
 
+def net_power(*watts):
+    """delta_p_w of one engine step over static actors of these watts."""
+    grid = Microgrid(dt_ms=1000)
+    for i, w in enumerate(watts):
+        grid.add_actor(StaticActor(f"a{i}", w))
+    grid.step()
+    return last_tick(grid)["delta_p_w"]
+
+
 class TestAggregate:
     def test_signed_sum(self):
-        assert aggregate({"pv": 500.0, "node": -300.0}) == 200.0
+        assert net_power(500.0, -300.0) == 200.0
 
     def test_empty_grid(self):
-        assert aggregate({}) == 0.0
+        assert net_power() == 0.0
 
     def test_exact_balance(self):
-        assert aggregate({"a": 100.0, "b": -100.0}) == 0.0
+        assert net_power(100.0, -100.0) == 0.0
 
 
 class TestActors:
@@ -72,65 +79,57 @@ class TestBatteryValidation:
 
 class TestSettle:
     def test_surplus_fully_charges(self):
-        battery = SimpleBattery(capacity_j=10_000.0, charge_j=0.0)
-        delta, grid = settle(battery, 100.0, 60_000)
-        assert (delta, grid) == (6000.0, 0.0)
-        assert battery.charge_j == 6000.0
+        battery = SimpleBattery(capacity_j=10_000.0)
+        assert settle(battery, 0.0, 100.0, 60_000) == (6000.0, 0.0, 6000.0)
 
     def test_surplus_clamped_by_headroom(self):
-        battery = SimpleBattery(capacity_j=10_000.0, charge_j=9000.0)
-        delta, grid = settle(battery, 100.0, 60_000)
-        assert (delta, grid) == (1000.0, 5000.0)
-        assert battery.charge_j == 10_000.0
+        battery = SimpleBattery(capacity_j=10_000.0)
+        assert settle(battery, 9000.0, 100.0, 60_000) == (1000.0, 5000.0, 10_000.0)
 
     def test_surplus_clamped_by_charge_rate(self):
         battery = SimpleBattery(capacity_j=10_000.0, max_charge_rate_w=10.0)
-        delta, grid = settle(battery, 100.0, 1000)
-        assert (delta, grid) == (10.0, 90.0)
+        assert settle(battery, 0.0, 100.0, 1000) == (10.0, 90.0, 10.0)
 
     def test_zero_delta_is_a_no_op(self):
-        battery = SimpleBattery(capacity_j=10_000.0, charge_j=500.0)
-        assert settle(battery, 0.0, 1000) == (0.0, 0.0)
-        assert battery.charge_j == 500.0
+        battery = SimpleBattery(capacity_j=10_000.0)
+        assert settle(battery, 500.0, 0.0, 1000) == (0.0, 0.0, 500.0)
 
     def test_deficit_discharges(self):
-        battery = SimpleBattery(capacity_j=10_000.0, charge_j=100.0)
-        delta, grid = settle(battery, -50.0, 1000)
-        assert (delta, grid) == (-50.0, 0.0)
-        assert battery.charge_j == 50.0
+        battery = SimpleBattery(capacity_j=10_000.0)
+        assert settle(battery, 100.0, -50.0, 1000) == (-50.0, 0.0, 50.0)
 
     def test_deficit_beyond_charge_imports_rest(self):
-        battery = SimpleBattery(capacity_j=10_000.0, charge_j=30.0)
-        delta, grid = settle(battery, -50.0, 1000)
-        assert (delta, grid) == (-30.0, -20.0)
-        assert battery.charge_j == 0.0
+        battery = SimpleBattery(capacity_j=10_000.0)
+        assert settle(battery, 30.0, -50.0, 1000) == (-30.0, -20.0, 0.0)
 
     def test_deficit_clamped_by_discharge_rate(self):
-        battery = SimpleBattery(
-            capacity_j=10_000.0, charge_j=5000.0, max_discharge_rate_w=20.0
-        )
-        delta, grid = settle(battery, -50.0, 1000)
-        assert (delta, grid) == (-20.0, -30.0)
+        battery = SimpleBattery(capacity_j=10_000.0, max_discharge_rate_w=20.0)
+        assert settle(battery, 5000.0, -50.0, 1000) == (-20.0, -30.0, 4980.0)
 
     def test_without_storage_everything_hits_the_grid(self):
-        assert settle(None, -260.0, 1000) == (0.0, -260.0)
-        assert settle(None, 75.0, 2000) == (0.0, 150.0)
+        assert settle(None, 0.0, -260.0, 1000) == (0.0, -260.0, 0.0)
+        assert settle(None, 0.0, 75.0, 2000) == (0.0, 150.0, 0.0)
 
     def test_efficiency_burns_energy_on_the_way_in(self):
         battery = SimpleBattery(capacity_j=10_000.0, efficiency=0.9)
-        delta, grid = settle(battery, 100.0, 1000)
+        delta, grid, charge = settle(battery, 0.0, 100.0, 1000)
         assert (delta, grid) == (100.0, 0.0)
-        assert battery.charge_j == pytest.approx(90.0)
+        assert charge == pytest.approx(90.0)
 
     def test_efficiency_burns_energy_on_the_way_out(self):
-        battery = SimpleBattery(capacity_j=10_000.0, charge_j=100.0, efficiency=0.9)
-        delta, grid = settle(battery, -50.0, 1000)
+        battery = SimpleBattery(capacity_j=10_000.0, efficiency=0.9)
+        delta, grid, charge = settle(battery, 100.0, -50.0, 1000)
         assert (delta, grid) == (-50.0, 0.0)
-        assert battery.charge_j == pytest.approx(100.0 - 50.0 / 0.9)
+        assert charge == pytest.approx(100.0 - 50.0 / 0.9)
+
+    def test_spec_is_frozen(self):
+        battery = SimpleBattery(capacity_j=10.0)
+        with pytest.raises(AttributeError):
+            battery.charge_j = 5.0
 
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
-            settle(None, 1.0, 0)
+            settle(None, 0.0, 1.0, 0)
 
     @settings(max_examples=300)
     @given(
@@ -151,26 +150,40 @@ class TestSettle:
     ):
         battery = SimpleBattery(
             capacity_j=capacity,
-            charge_j=capacity * frac,
             max_charge_rate_w=charge_rate,
             max_discharge_rate_w=discharge_rate,
             efficiency=efficiency,
         )
+        charge = capacity * frac
         for delta_p in deltas:
-            storage_delta, grid = settle(battery, delta_p, dt_ms)
+            before = charge
+            storage_delta, grid, charge = settle(battery, charge, delta_p, dt_ms)
             expected = delta_p * dt_ms / 1000.0
             assert storage_delta + grid == pytest.approx(expected, rel=1e-9, abs=1e-9)
-            assert 0.0 <= battery.charge_j <= battery.capacity_j * (1 + 1e-12)
+            assert 0.0 <= charge <= battery.capacity_j * (1 + 1e-12)
+            # the charge moves by the settled energy, less what efficiency burns
+            if storage_delta > 0:
+                assert charge == min(capacity, before + storage_delta * efficiency)
+            elif storage_delta < 0:
+                assert charge == max(0.0, before + storage_delta / efficiency)
+            else:
+                assert charge == before
 
 
 class RecordingController(Controller):
+    """Records (time_ms, engine.charge_j) at each step, and its turn in
+    the shared order list."""
+
     controller_id = "recorder"
 
-    def __init__(self):
-        self.views: list[ControllerView] = []
+    def __init__(self, engine, order):
+        self.engine = engine
+        self.order = order
+        self.seen: list[tuple[int, float]] = []
 
-    def step(self, view: ControllerView) -> None:
-        self.views.append(view)
+    def step(self, time_ms: int) -> None:
+        self.order.append("controller")
+        self.seen.append((time_ms, self.engine.charge_j))
 
 
 def last_tick(grid):
@@ -211,39 +224,38 @@ class TestEngine:
         assert tick["storage_charge_j"] == 200.0
 
     def test_controller_sees_current_power_and_previous_settlement(self):
-        recorder = RecordingController()
+        order: list[str] = []
+
+        class Pv(Actor):
+            actor_id = "pv"
+
+            def power(self, time_ms):
+                order.append("actor")
+                return 100.0
+
         grid = Microgrid(
-            dt_ms=1000, storage=SimpleBattery(capacity_j=1e6, charge_j=0.0)
+            dt_ms=1000, storage=SimpleBattery(capacity_j=1e6, charge_j=40.0)
         )
-        grid.add_actor(StaticActor("pv", 100.0))
+        recorder = RecordingController(grid, order)
+        grid.add_actor(Pv())
         grid.add_controller(recorder)
         grid.step()
         grid.step()
-        first, second = recorder.views
-        assert first.delta_p_w == 100.0
-        assert first.e_last_j == 0.0
-        assert first.storage.charge_j == 0.0  # pre-settlement state
-        assert second.e_last_j == 100.0
-        assert second.storage.charge_j == 100.0
+        assert order == ["actor", "controller"] * 2
+        # each step sees the charge the previous settlement left
+        assert recorder.seen == [(1000, 40.0), (2000, 140.0)]
+        assert grid.charge_j == 240.0
 
-    def test_controller_cannot_mutate_actor_powers(self):
-        recorder = RecordingController()
-        grid = Microgrid(dt_ms=1000)
-        grid.add_actor(StaticActor("pv", 100.0))
-        grid.add_controller(recorder)
-        grid.step()
-        with pytest.raises(TypeError):
-            recorder.views[0].actor_powers["pv"] = 0.0
-
-    def test_controller_storage_is_a_snapshot(self):
-        recorder = RecordingController()
-        battery = SimpleBattery(capacity_j=1e6, charge_j=0.0)
-        grid = Microgrid(dt_ms=1000, storage=battery)
-        grid.add_actor(StaticActor("pv", 100.0))
-        grid.add_controller(recorder)
-        grid.step()
-        recorder.views[0].storage.charge_j = 999.0
-        assert battery.charge_j == 100.0
+    def test_runs_leave_the_spec_unchanged(self):
+        battery = SimpleBattery(capacity_j=1e6, charge_j=40.0)
+        charges = []
+        for _ in range(2):
+            grid = Microgrid(dt_ms=1000, storage=battery)
+            grid.add_actor(StaticActor("pv", 100.0))
+            grid.run(3000)
+            charges.append(grid.monitor.log.columns()["storage_charge_j"].tolist())
+        assert charges == [[140.0, 240.0, 340.0]] * 2
+        assert battery.charge_j == 40.0
 
     def test_actor_added_after_first_step_rejected(self):
         grid = Microgrid(dt_ms=1000)
@@ -276,7 +288,7 @@ class TestEngine:
 
     def test_failing_controller_becomes_step_error(self):
         class Explode(Controller):
-            def step(self, view):
+            def step(self, time_ms):
                 raise RuntimeError("controller bug")
 
         grid = Microgrid(dt_ms=1000)
@@ -363,32 +375,32 @@ class TestMonitorCsv:
 class TestBenchmarkController:
     def test_two_iteration_trace(self):
         ctrl = BenchmarkController([250, 500], runtime_ms=600_000)
-        assert ctrl.step_at(0) == "start"
-        assert ctrl.step_at(600_000) == "advance"
-        assert [(a, v) for a, v, _ in ctrl.events] == [
-            ("start", 250),
-            ("stop", 250),
-            ("start", 500),
+        ctrl.step(0)
+        assert ctrl.events == [("start", 250, 0)]
+        ctrl.step(600_000)
+        assert ctrl.events == [
+            ("start", 250, 0),
+            ("stop", 250, 600_000),
+            ("start", 500, 600_000),
         ]
+        assert not ctrl.done
 
     def test_no_action_before_runtime_elapses(self):
         ctrl = BenchmarkController([250, 500], runtime_ms=600_000)
-        ctrl.step_at(0)
-        assert ctrl.step_at(1000) is None
-        assert ctrl.step_at(599_999) is None
-        assert len(ctrl.events) == 1
+        ctrl.step(0)
+        ctrl.step(1000)
+        ctrl.step(599_999)
+        assert ctrl.events == [("start", 250, 0)]
 
     def test_exhausted_schedule_completes_once(self):
         ctrl = BenchmarkController([250], runtime_ms=1000)
-        assert ctrl.step_at(0) == "start"
-        assert ctrl.step_at(1000) == "complete"
+        ctrl.step(0)
+        assert not ctrl.done
+        ctrl.step(1000)
         assert ctrl.done
-        assert ctrl.step_at(2000) is None
-        assert ctrl.step_at(99_000) is None
-        assert [(a, v) for a, v, _ in ctrl.events] == [
-            ("start", 250),
-            ("complete", 250),
-        ]
+        ctrl.step(2000)
+        ctrl.step(99_000)
+        assert ctrl.events == [("start", 250, 0), ("complete", 250, 1000)]
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_event_counts_match_schedule_length(self, n):
@@ -396,7 +408,7 @@ class TestBenchmarkController:
         ctrl = BenchmarkController(schedule, runtime_ms=10_000)
         t = 0
         while not ctrl.done:
-            ctrl.step_at(t)
+            ctrl.step(t)
             t += 1000
         actions = [a for a, _, _ in ctrl.events]
         assert actions.count("start") == n
@@ -414,11 +426,11 @@ class TestBenchmarkController:
             on_start=lambda v: (running.append(v), log.append(f"+{v}")),
             on_stop=lambda v: (running.remove(v), log.append(f"-{v}")),
         )
-        ctrl.step_at(0)
+        ctrl.step(0)
         assert running == [1]
-        ctrl.step_at(2000)
+        ctrl.step(2000)
         assert running == [4]
-        ctrl.step_at(4000)
+        ctrl.step(4000)
         assert running == []
         assert log == ["+1", "-1", "+4", "-4"]
 

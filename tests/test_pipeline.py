@@ -19,7 +19,6 @@ from gridcalib.config import (
     PRESETS,
     NamespaceActorSpec,
     ScenarioConfig,
-    StorageSpec,
 )
 from gridcalib.emulation import LoadSchedule, MeterListener, MeterSpec, WorkloadSpec
 from gridcalib.errors import (
@@ -30,7 +29,7 @@ from gridcalib.errors import (
     MissingArtifact,
     StepError,
 )
-from gridcalib.microgrid import Monitor, StaticActor
+from gridcalib.microgrid import Monitor, SimpleBattery, StaticActor
 from gridcalib.server import format_exposition, serve_metrics
 from gridcalib.timeseries import COUNTER, GAUGE, MetricStore, query, rate
 from gridcalib.validation import PLOT_HEADER
@@ -243,7 +242,7 @@ class TestRunArtifacts:
             seed=3,
             warmup_ms=0,
             actors=(StaticActor("pv", 100.0),),
-            storage=StorageSpec(capacity_j=300.0),
+            storage=SimpleBattery(capacity_j=300.0),
         )
         art = pipeline.run(cfg, tmp_path / "bat")
         ticks = art.monitor.log.columns()
@@ -264,7 +263,7 @@ class TestRunArtifacts:
 
 def scalar_regression_points(gauge, counters, interval_ms):
     """The regression points as (meter timestamp, x, meter reading), with x
-    one scalar rate() per meter sample and counter, summed in the
+    one scalar rate() per meter sample and counter, added in the
     counters' order."""
     points = []
     for ts, measured in zip(*(column.tolist() for column in gauge.columns())):

@@ -8,10 +8,16 @@ or Attribute node (not docstring text); a method or property only by an
 Attribute node, since a bare name of the same spelling is a local
 variable or a function, never the method. Names are matched by
 spelling, not resolved, so a reader of any same-named attribute counts.
+
+Every field of a dataclass in src/gridcalib must be read, anywhere in
+the package or in bench/*.py, by an Attribute node in load context
+(``x.field``, not an assignment to it), matched by spelling as above.
+
 Only what gridcalib.__all__ exports is exempt.
 """
 
 import ast
+import dataclasses
 import importlib
 from collections import Counter
 from pathlib import Path
@@ -56,10 +62,16 @@ def _definitions(module: str, tree: ast.Module):
                 yield f"{module}.{node.name}.{item.name}", item.name, item, True
 
 
-def test_every_definition_has_a_reader():
+def _parse():
+    """The package's trees by module, and every tree a reader may sit in."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     sources = list(trees.values())
     sources += [ast.parse(path.read_text()) for path in sorted((ROOT / "bench").glob("*.py"))]
+    return trees, sources
+
+
+def test_every_definition_has_a_reader():
+    trees, sources = _parse()
     # reads[method]: a method is read only by Attribute nodes
     reads = {
         method: sum((_read_names(tree, method) for tree in sources), Counter())
@@ -73,3 +85,27 @@ def test_every_definition_has_a_reader():
         and reads[method][name] - _read_names(node, method)[name] <= 0
     ]
     assert unread == [], f"defined but never read: {', '.join(unread)}"
+
+
+def test_every_dataclass_field_has_a_reader():
+    trees, sources = _parse()
+    loads = Counter(
+        node.attr
+        for tree in sources
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+    unread = []
+    for module, tree in trees.items():
+        namespace = importlib.import_module(f"gridcalib.{module}")
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef) or node.name in gridcalib.__all__:
+                continue
+            cls = getattr(namespace, node.name)
+            if dataclasses.is_dataclass(cls):
+                unread += [
+                    f"{module}.{node.name}.{f.name}"
+                    for f in dataclasses.fields(cls)
+                    if not loads[f.name]
+                ]
+    assert unread == [], f"dataclass fields never read: {', '.join(unread)}"

@@ -249,7 +249,8 @@ def test_parse_query_full_form():
     assert e.metric == "e_joules"
     assert e.label_map() == {"ns": "bench", "mode": "dynamic"}
     assert e.window_ms == 2000
-    assert e.summed
+    # the outer sum is optional: both spellings are one query
+    assert e == parse_query('rate(e_joules{ns="bench",mode="dynamic"}[2s])')
 
 
 def test_parse_query_whitespace_insensitive():
@@ -261,7 +262,7 @@ def test_parse_query_whitespace_insensitive():
 
 def test_parse_query_sum_optional_and_no_labels():
     e = parse_query("rate(node_total[2s])")
-    assert not e.summed
+    assert e == parse_query("sum(rate(node_total[2s]))")
     assert e.label_map() == {}
     assert parse_query("rate(node_total{}[2s])").label_map() == {}
 
@@ -420,7 +421,7 @@ def test_index_agrees_with_brute_force_scan(created, name, filters, increments):
     assert store.match(name, filters) == brute
     assert store.match(name) == [s for s in ordered if s.name == name]
 
-    expr = QueryExpr(metric=name, labels=tuple(filters.items()), window_ms=1000, summed=True)
+    expr = QueryExpr(metric=name, labels=tuple(filters.items()), window_ms=1000)
     now = store.current_time_ms()
     total = 0.0
     for s in brute:

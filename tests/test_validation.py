@@ -131,37 +131,33 @@ class TestFitOls:
                     assert center <= sse(report.slope + ds, report.intercept_w + di) + 1e-6
 
 
+def verdicts(slope, intercept_w, r2, **tolerances):
+    report = RegressionReport(
+        slope=slope, intercept_w=intercept_w, r2=r2,
+        residual_median_w=0.0, residual_max_w=0.0, n=10,
+    )
+    cmp = compare_to_ideal(report, **tolerances)
+    return (cmp.slope_ok, cmp.intercept_ok, cmp.r2_ok)
+
+
 class TestCompareToIdeal:
     def test_published_style_deviations(self):
-        report = RegressionReport(
-            slope=1.01, intercept_w=5.23, r2=0.99,
-            residual_median_w=1.16, residual_max_w=4.0, n=100,
-        )
-        cmp = compare_to_ideal(report)
-        assert cmp.slope_delta == pytest.approx(0.01)
-        assert cmp.intercept_w == 5.23
-        assert cmp.slope_ok and cmp.intercept_ok and cmp.r2_ok
+        assert verdicts(1.01, 5.23, 0.99) == (True, True, True)
 
     def test_ideal_line(self):
-        report = RegressionReport(
-            slope=1.0, intercept_w=0.0, r2=1.0,
-            residual_median_w=0.0, residual_max_w=0.0, n=10,
-        )
-        cmp = compare_to_ideal(report)
-        assert (cmp.slope_delta, cmp.intercept_w) == (0.0, 0.0)
-        assert cmp.slope_ok and cmp.intercept_ok and cmp.r2_ok
+        assert verdicts(1.0, 0.0, 1.0) == (True, True, True)
 
     def test_out_of_tolerance_verdicts(self):
-        report = RegressionReport(
-            slope=0.9, intercept_w=20.0, r2=0.5,
-            residual_median_w=9.0, residual_max_w=40.0, n=10,
-        )
-        cmp = compare_to_ideal(report)
-        assert cmp.slope_delta == pytest.approx(-0.1)
-        assert cmp.intercept_w == 20.0
-        assert not cmp.slope_ok
-        assert not cmp.intercept_ok
-        assert not cmp.r2_ok
+        assert verdicts(0.9, 20.0, 0.5) == (False, False, False)
+
+    def test_verdicts_at_tolerance_boundaries(self):
+        # each bound is inclusive; the tolerances are exact binary fractions
+        tol = dict(slope_tolerance=0.25, intercept_tolerance_w=10.0, r2_min=0.75)
+        assert verdicts(1.25, 10.0, 0.75, **tol) == (True, True, True)
+        assert verdicts(0.75, -10.0, 0.75, **tol) == (True, True, True)
+        step = 2.0 ** -40
+        assert verdicts(1.25 + step, 10.0 + step, 0.75 - step, **tol) == (False, False, False)
+        assert verdicts(0.75 - step, -10.0 - step, 0.75, **tol) == (False, False, True)
 
 
 class TestSerialization:
