@@ -3,12 +3,13 @@
 The spec dataclasses are the schema: ScenarioConfig and the specs it
 holds (WorkloadSpec, LoadSchedule, MeterSpec, ApproximationParams,
 NamespaceActorSpec, and the microgrid's StaticActor, TraceActor and
-SimpleBattery, which the engine runs as parsed). One walker reads their fields both
-ways: parse_config checks a JSON object against them, config_to_dict
-writes a config back. Each JSON key sits at its field's path. The parser
-rejects unknown fields at every nesting level and reports problems with
-the full field path ("workloads[0].kind: ..."), so typos in a scenario
-sweep fail loudly instead of silently running defaults.
+SimpleBattery, which the engine runs as parsed). One walker reads their
+fields both ways: parse_config checks a JSON object against them,
+config_to_dict writes a config back. Each JSON key sits at its field's
+path. The parser rejects unknown fields at every nesting level and
+reports problems with the full field path ("workloads[0].kind: ..."),
+so typos in a scenario sweep fail loudly instead of silently running
+defaults.
 """
 
 from __future__ import annotations
