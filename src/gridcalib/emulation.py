@@ -55,7 +55,6 @@ DEFAULT_ITERATION_RUNTIME_MS = 600_000
 MAX_ERROR_V = 0.01
 MAX_ERROR_I = 0.015
 MAX_ERROR_PHI = 0.01
-COMBINED_ERROR_MAX = 0.035
 
 DEFAULT_VOLTAGE_V = 230.0
 DEFAULT_SYSTEM_BASELINE_W = 5.0
@@ -235,10 +234,6 @@ class MeterSpec:
         ):
             if not 0 <= value <= cap:
                 raise InvalidField(f"{what}: must be in [0, {cap}], got {value!r}")
-        if self.combined_error() > COMBINED_ERROR_MAX:
-            raise ValueError(
-                f"combined error {self.combined_error()} exceeds {COMBINED_ERROR_MAX}"
-            )
         if self.sample_interval_ms <= 0:
             raise InvalidField(
                 f"sample_interval_ms: must be positive, got {self.sample_interval_ms}"

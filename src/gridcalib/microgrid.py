@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 from .attribution import left_sum
 from .errors import InvalidField, StepError
 from .signals import Clock, VirtualClock
-from .ticklog import TickLog, csv_bytes
+from .ticklog import TickLog, columns_csv
 
 DEFAULT_STEP_MS = 1000
 
@@ -176,7 +176,7 @@ class Monitor:
         self.log = TickLog(MONITOR_COLUMNS, int_columns=2)
 
     def csv_bytes(self) -> bytes:
-        return csv_bytes(self.log.header, self.log.rows())
+        return columns_csv(self.log.header, list(self.log.columns().values()))
 
 
 class Microgrid:

@@ -6,10 +6,11 @@ power once per collection, namespace actors report their share of it as
 microgrid consumers, the benchmark controller walks the load schedule,
 and a post-pass turns the run into CSV/JSON artifacts. The calibrated
 power table serialises the columns the stage logged on each tick, so
-it matches the monitor's actor powers by construction. Every CSV goes
-through the one encoder, ticklog.csv_bytes. Everything is
-deterministic under virtual time: the same config and seed produce
-byte-identical files.
+it matches the monitor's actor powers by construction. The numeric
+tables are encoded from their columns by ticklog.columns_csv; the energy
+summary and the events, which hold strings, go through ticklog.csv_bytes.
+Everything is deterministic under virtual time: the same config and seed
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .errors import (
 )
 from .microgrid import BenchmarkController, Microgrid, Monitor
 from .signals import VirtualClock, WallClock
+from .ticklog import columns_csv
 from .ticklog import csv_bytes as _csv_bytes
 from .timeseries import GAUGE, MetricStore, Series, rates
 from .validation import (
@@ -56,7 +57,6 @@ from .validation import (
     RegressionReport,
     compare_to_ideal,
     fit_ols,
-    plot_rows,
     report_to_json,
 )
 from .wire import METER_GAUGE_METRIC, POWER_COUNTER_METRIC
@@ -277,7 +277,7 @@ def _write_artifacts(runtime: _Runtime, out: Path) -> RunArtifacts:
     held while the next one is built."""
     config, monitor = runtime.config, runtime.engine.monitor
     _atomic_write(out / MONITOR_CSV, monitor.csv_bytes())
-    _atomic_write(out / CALIBRATED_CSV, _csv_bytes(*_calibrated_table(runtime.stage)))
+    _atomic_write(out / CALIBRATED_CSV, columns_csv(*_calibrated_table(runtime.stage)))
     energy_header, energy_rows, energy_wh = _energy_summary(runtime.stage)
     _atomic_write(out / ENERGY_CSV, _csv_bytes(energy_header, energy_rows))
     report, skipped = _write_regression(runtime, out)
@@ -309,22 +309,22 @@ def _write_regression(
     report, skipped, points = _node_regression(runtime.config, runtime.gauge, runtime.store)
     if report is not None:
         _atomic_write(out / REGRESSION_JSON, (report_to_json(report) + "\n").encode())
-        plot = plot_rows(*points[1:], report)
+        fitted = report.slope * points[1] + report.intercept_w
+        plot = [*points[1:], fitted, points[2] - fitted]
     else:
         payload = json.dumps({"skipped": skipped}, sort_keys=True) + "\n"
         _atomic_write(out / REGRESSION_JSON, payload.encode())
-        plot = ()
-    _atomic_write(out / REGRESSION_CSV, _csv_bytes(PLOT_HEADER, plot))
+        plot = []
+    _atomic_write(out / REGRESSION_CSV, columns_csv(PLOT_HEADER, plot))
     return report, skipped
 
 
-def _calibrated_table(stage: CalibrationStage | None) -> tuple[list[str], Iterator[tuple]]:
+def _calibrated_table(stage: CalibrationStage | None) -> tuple[list[str], list[np.ndarray]]:
     """Per-process and per-namespace calibrated power, one row per engine
     tick: the snapshot the namespace actors read on that tick, totalled
-    per namespace by the same member_sum. The rows are built as they are
-    iterated."""
+    per namespace by the same member_sum."""
     if stage is None:
-        return ["time_ms"], iter(())
+        return ["time_ms"], []
     logged = stage.log.columns()
     pids = [pid for pid, _ in stage.processes]
     header = ["time_ms", *(f"{p}_{mode}_w" for p in pids for mode in ("dyn", "idle"))]
@@ -333,7 +333,7 @@ def _calibrated_table(stage: CalibrationStage | None) -> tuple[list[str], Iterat
     for ns, members in stage.namespaces.items():
         header += [f"ns.{ns}_dyn_w", f"ns.{ns}_idle_w"]
         columns += [member_sum(dyn, members), member_sum(idle, members)]
-    return header, zip(*(column.tolist() for column in columns))
+    return header, columns
 
 
 def _energy_summary(
@@ -407,13 +407,13 @@ def _truth_csv(emitter: PowerModelEmitter | None) -> bytes:
     header = ["time_ms", *(f"{p}_true_{mode}_w" for p in pids for mode in ("dyn", "idle"))]
     header.append("system_true_dyn_w")
     if emitter is None:
-        return _csv_bytes(header + ["node_true_total_w"], [])
+        return columns_csv(header + ["node_true_total_w"], [])
     logged = emitter.truth.columns()
     dyn = [logged[f"{p}_true_dyn_w"] for p in pids]
     idle = [logged[f"{p}_true_idle_w"] for p in pids]
     total = node_true_total(dyn, idle, logged["system_true_dyn_w"])
     columns = [logged[name] for name in header] + [total]
-    return _csv_bytes(header + ["node_true_total_w"], zip(*(c.tolist() for c in columns)))
+    return columns_csv(header + ["node_true_total_w"], columns)
 
 
 # --- artifact consumers --------------------------------------------------------

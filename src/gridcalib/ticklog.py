@@ -1,8 +1,10 @@
-"""One columnar log for per-tick records, and the one CSV encoder.
+"""One columnar log for per-tick records, and the two CSV encoders.
 
 A TickLog is a header plus a flat array("d"); each tick appends one row
 with a single array.fromlist, 8 bytes a cell. Its leading int columns (tick
 index, time in ms) are exact in float64 up to 2**53 and read back as ints.
+columns_csv encodes numeric columns such as a TickLog's, csv_bytes rows
+that hold strings; both write the same bytes for the same numbers.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from array import array
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,10 +47,6 @@ class TickLog:
             for j, name in enumerate(self.header)
         }
 
-    def rows(self) -> Iterator[tuple]:
-        """Rows of Python ints and floats, the cells csv_bytes writes."""
-        return zip(*(column.tolist() for column in self.columns().values()))
-
 
 def csv_bytes(header: Sequence[str], rows: Iterable[Sequence]) -> bytes:
     """CSV with \\r\\n line ends. The csv module writes str(cell), which
@@ -59,3 +57,18 @@ def csv_bytes(header: Sequence[str], rows: Iterable[Sequence]) -> bytes:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue().encode()
+
+
+BLOCK_ROWS = 512
+
+
+def columns_csv(header: Sequence[str], columns: Sequence[np.ndarray]) -> bytes:
+    """What csv_bytes writes for the rows of these equal-length int or
+    float columns, encoded BLOCK_ROWS rows at a time so no str of the
+    whole body is built. csv never quotes a number and writes str(cell),
+    which for a Python int or float equals its repr."""
+    blocks = [csv_bytes(header, ())]
+    for start in range(0, len(columns[0]) if columns else 0, BLOCK_ROWS):
+        texts = [list(map(repr, column[start:start + BLOCK_ROWS].tolist())) for column in columns]
+        blocks.append(("\r\n".join(map(",".join, zip(*texts))) + "\r\n").encode())
+    return b"".join(blocks)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .errors import DegenerateX, TooFewPoints
+
+DOT_CHUNK = 10_000  # OpenBLAS splits a longer dot product across threads
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,26 @@ class IdealComparison:
     r2_ok: bool
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b over chunks of at most DOT_CHUNK entries, added left to
+    right, since a threaded dot costs more than it saves here and its
+    last bits depend on the thread count. Up to DOT_CHUNK entries it is
+    one np.dot."""
+    total = float(np.dot(a[:DOT_CHUNK], b[:DOT_CHUNK]))
+    for start in range(DOT_CHUNK, len(a), DOT_CHUNK):
+        total += float(np.dot(a[start:start + DOT_CHUNK], b[start:start + DOT_CHUNK]))
+    return total
+
+
+def sorted_median(values: np.ndarray) -> float:
+    """np.median of a non-empty float array, bit for bit: the mean of the
+    middle value or two, added from 0.0 as np.mean adds (so -0.0 reads
+    0.0). np.median itself imports numpy.ma on its first call."""
+    s = np.sort(values)
+    k = len(s) // 2
+    return float(0.0 + s[k] if len(s) % 2 else (0.0 + s[k - 1] + s[k]) / 2)
+
+
 def fit_ols(x, y) -> RegressionReport:
     """Least-squares line through the points (x[i], y[i]) with intercept.
 
@@ -50,20 +71,20 @@ def fit_ols(x, y) -> RegressionReport:
     if len(x) < 2:
         raise TooFewPoints(f"need at least 2 points, got {len(x)}")
     dx = x - x.mean()
-    sxx = float(np.dot(dx, dx))
+    sxx = _dot(dx, dx)
     if sxx == 0.0:
         raise DegenerateX("all x values identical; slope undefined")
-    slope = float(np.dot(dx, y - y.mean()) / sxx)
+    slope = _dot(dx, y - y.mean()) / sxx
     intercept = float(y.mean() - slope * x.mean())
     residuals = y - (slope * x + intercept)
-    sst = float(np.dot(y - y.mean(), y - y.mean()))
-    ssr = float(np.dot(residuals, residuals))
+    sst = _dot(y - y.mean(), y - y.mean())
+    ssr = _dot(residuals, residuals)
     r2 = 1.0 if sst == 0.0 else 1.0 - ssr / sst
     return RegressionReport(
         slope=slope,
         intercept_w=intercept,
         r2=r2,
-        residual_median_w=float(np.median(np.abs(residuals))),
+        residual_median_w=sorted_median(np.abs(residuals)),
         residual_max_w=float(np.max(np.abs(residuals))),
         n=len(x),
     )
@@ -88,12 +109,3 @@ def report_to_json(report: RegressionReport) -> str:
 
 
 PLOT_HEADER = ["x_w", "y_w", "fitted_w", "residual_w"]
-
-
-def plot_rows(
-    x: np.ndarray, y: np.ndarray, report: RegressionReport
-) -> Iterator[tuple[float, float, float, float]]:
-    """Plot-ready rows under PLOT_HEADER: every point with its fitted value
-    and residual, as Python floats."""
-    fitted = report.slope * x + report.intercept_w
-    return zip(x.tolist(), y.tolist(), fitted.tolist(), (y - fitted).tolist())

@@ -503,7 +503,8 @@ class TestPowerModelEmitter:
             for ns, pid in (("bench", "a"), ("bench", "b"), (SYSTEM_NAMESPACE, "system"))
         ]
         # with gain 1 the approximated node dynamic power is the true one
-        for t, dyn_a, dyn_b, _, _, system in emitter.truth.rows():
+        logged = emitter.truth.columns().values()
+        for t, dyn_a, dyn_b, _, _, system in zip(*(c.tolist() for c in logged)):
             total = sum(rate(series, t - 1000, t) for series in dyn)
             assert total == pytest.approx(dyn_a + dyn_b + system, rel=1e-9)
 

@@ -186,8 +186,7 @@ class RecordingController(Controller):
 
 def last_tick(grid):
     """The monitor's newest row, by column name."""
-    log = grid.monitor.log
-    return dict(zip(log.header, list(log.rows())[-1]))
+    return {name: column[-1].item() for name, column in grid.monitor.log.columns().items()}
 
 
 class TestEngine:

@@ -572,10 +572,11 @@ class TestServer:
 
 class TestMemory:
     # a run holds its store and three tick logs, and in the post-pass one
-    # artifact's rows and text at a time: about 620 B a tick on preset
-    # "regression", where building every table before writing any took
-    # about 1060 B and per-tick record objects about 3300 B
-    BYTES_PER_TICK = 800
+    # artifact's bytes and one block of its text at a time: about 340 B a
+    # tick on preset "regression", where a csv.writer over every row of
+    # the artifact took about 620 B, building every table before writing
+    # any about 1060 B and per-tick record objects about 3300 B
+    BYTES_PER_TICK = 500
     # a returned RunArtifacts holds the store and the tick logs, no
     # per-tick rows: about 220 B a tick on preset "regression"
     HELD_BYTES_PER_TICK = 400

@@ -7,16 +7,20 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcalib.errors import DegenerateX, TooFewPoints
-from gridcalib.ticklog import csv_bytes
+from gridcalib.ticklog import columns_csv
 from gridcalib.validation import (
+    DOT_CHUNK,
     PLOT_HEADER,
     RegressionReport,
+    _dot,
     compare_to_ideal,
     fit_ols,
-    plot_rows,
     report_to_json,
+    sorted_median,
 )
 
 
@@ -31,7 +35,7 @@ def obs(xy_pairs):
 
 
 def columns(points):
-    """The x and y columns fit_ols and plot_rows take."""
+    """The x and y columns fit_ols takes."""
     return np.array([p.x_w for p in points]), np.array([p.y_w for p in points])
 
 
@@ -173,7 +177,9 @@ class TestSerialization:
     def test_plot_csv_layout(self):
         points = obs([(1, 6), (2, 7), (3, 8)])
         report = fit(points)
-        lines = csv_bytes(PLOT_HEADER, plot_rows(*columns(points), report)).decode().split("\r\n")
+        x, y = columns(points)
+        fitted = report.slope * x + report.intercept_w
+        lines = columns_csv(PLOT_HEADER, [x, y, fitted, y - fitted]).decode().split("\r\n")
         assert lines[0] == "x_w,y_w,fitted_w,residual_w"
         first = lines[1].split(",")
         assert float(first[0]) == 1.0
@@ -186,3 +192,45 @@ class TestSerialization:
             fit_ols([0.0, math.nan, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             fit_ols([0.0, 1.0, 2.0], [1.0, math.inf, 3.0])
+
+
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestKernels:
+    """The median and dot product fit_ols takes instead of numpy's own."""
+
+    @pytest.mark.parametrize("n", [*range(1, 12), 99, 100, 101, 1000, 1001, 4999, 5000])
+    def test_sorted_median_is_np_median(self, n):
+        rng = np.random.default_rng(n)
+        pool = np.array([-0.0, 0.0, 5e-324, 0.1, 0.2, 0.30000000000000004, 1.5, -2.25, 1e16,
+                         1.7976931348623157e308, -1.7976931348623157e308])
+        for values in (
+            rng.choice(pool, size=n),  # mostly duplicates
+            rng.choice(rng.normal(size=max(1, n // 3)), size=n),
+            np.abs(rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)),
+        ):
+            assert bits(sorted_median(values)) == bits(np.median(values))
+
+    @pytest.mark.parametrize("values", [[-0.0], [-0.0, -0.0], [1.0, -0.0, -0.0], [-0.0, -0.0, 0.0, 2.0]])
+    def test_sorted_median_of_negative_zeros(self, values):
+        assert bits(sorted_median(np.array(values))) == bits(np.median(values)) == bits(0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60))
+    def test_sorted_median_any_finite_floats(self, values):
+        values = np.array(values + values[: len(values) // 2])  # duplicates
+        with np.errstate(over="ignore"):  # two middle values near the float max
+            assert bits(sorted_median(values)) == bits(np.median(values))
+
+    @pytest.mark.parametrize("n", [1, 2, DOT_CHUNK - 1, DOT_CHUNK])
+    def test_dot_up_to_one_chunk_is_np_dot(self, n):
+        a, b = np.random.default_rng(n).normal(size=(2, n))
+        assert bits(_dot(a, b)) == bits(np.dot(a, b))
+
+    @pytest.mark.parametrize("n", [DOT_CHUNK + 1, 2 * DOT_CHUNK, 2 * DOT_CHUNK + 7])
+    def test_dot_over_chunks_covers_every_entry_once(self, n):
+        a, b = np.random.default_rng(n).normal(size=(2, n))
+        assert _dot(a, b) == pytest.approx(math.fsum(a * b), rel=1e-12)
+        assert _dot(a[:-1], a[1:]) == pytest.approx(math.fsum(a[:-1] * a[1:]), rel=1e-12)
