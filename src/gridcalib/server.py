@@ -5,9 +5,15 @@ GET /metrics renders the latest sample of every series as one text line:
     NAME{K="V",...} VALUE TIMESTAMP_MS
 
 with floats in shortest round-trip form and the label braces omitted for
-label-less series. GET /query?expr=... evaluates a rate query and returns
-a JSON scalar. Handlers never mutate the store, so any number of them may
-run concurrently against the writer's consistent-prefix guarantee.
+label-less series. Each series renders its line once per newest sample
+and keeps it (Series.exposition_line), so a scrape of a store that has
+not changed only joins the kept lines. GET /query?expr=... evaluates a
+rate query and returns {"value_w": ..., "uncovered": ...}: the summed
+rate, and how many matching series do not cover their window. Handlers
+never change a sample, so any number of them may run concurrently
+against the writer's consistent-prefix guarantee; the only state they
+write is each series' exposition memo, which one reference store
+publishes whole.
 """
 
 from __future__ import annotations
@@ -18,20 +24,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from .errors import BindError, KindMismatch, ParseError
-from .timeseries import MetricStore, query
+from .timeseries import MetricStore, evaluate
 
 
 def format_exposition(store: MetricStore) -> str:
-    lines = []
-    for series in store.series():
-        # the last sample straight from the columns, timestamp count first
-        # as Series.last() does, without building a Sample per series
-        n = len(series._ts)
-        if n:
-            lines.append(
-                f"{series.exposition_name} {series._values[n - 1]!r} {series._ts[n - 1]}\n"
-            )
-    return "".join(lines)
+    """Every series' newest-sample line in key order; empty series add none."""
+    return "".join([series.exposition_line() for series in store.series()])
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -49,11 +47,11 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(400, {"error": "missing expr parameter"})
                 return
             try:
-                value = query(self.server.store, exprs[0])
+                result = evaluate(self.server.store, exprs[0])
             except (ParseError, KindMismatch) as exc:  # KindMismatch: rate() of a gauge
                 self._send_json(400, {"error": str(exc)})
                 return
-            self._send_json(200, {"value_w": value})
+            self._send_json(200, {"value_w": result.value_w, "uncovered": result.uncovered})
             return
         self._send_json(404, {"error": f"no such path {parsed.path!r}"})
 

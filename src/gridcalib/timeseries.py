@@ -25,9 +25,12 @@ in which each metric name's series are contiguous, and a frozenset of
 series per label pair. Creation publishes each as a new immutable
 object by swapping one reference and never changes one in place.
 Readers use only these snapshots and never iterate the mutable
-key-to-series dict, so a concurrent creation cannot break a read. Every
-append raises the store's watermark, the largest timestamp it holds,
-which never decreases.
+key-to-series dict, so a concurrent creation cannot break a read. The
+store keeps no clock of its own: a query ends each series' window at
+that series' newest sample. Readers alone write a series' exposition
+memo, one immutable (timestamp, line) tuple published by one reference
+store, so two readers can at worst render the same line twice, and an
+append never touches it.
 """
 
 from __future__ import annotations
@@ -63,24 +66,6 @@ class Sample(NamedTuple):
     value: float
 
 
-class _Watermark:
-    """Largest timestamp appended to any series that shares this object."""
-
-    __slots__ = ("ms", "_lock")
-
-    def __init__(self) -> None:
-        self.ms = 0
-        self._lock = threading.Lock()
-
-    def advance(self, ts: int) -> None:
-        # Writers of different series may run on different threads (the
-        # meter listener and the scenario); the lock keeps a smaller
-        # timestamp from overwriting a larger one.
-        with self._lock:
-            if ts > self.ms:
-                self.ms = ts
-
-
 def _series_key(name: str, labels: Mapping[str, str] | None):
     """Store key of a series: its name and its label pairs sorted by key."""
     return (name, tuple(sorted((labels or {}).items())))
@@ -89,8 +74,7 @@ def _series_key(name: str, labels: Mapping[str, str] | None):
 class Series:
     """One metric stream with a fixed name, label set, and kind.
 
-    A series keeps every sample appended to it. A series made by a
-    MetricStore raises that store's watermark on append.
+    A series keeps every sample appended to it.
     """
 
     def __init__(
@@ -109,7 +93,8 @@ class Series:
         # The /metrics line prefix: NAME{K="V",...}, labels sorted by key.
         body = ",".join(f'{k}="{v}"' for k, v in self.key[1])
         self.exposition_name = f"{self.name}{{{body}}}" if body else self.name
-        self._watermark = _Watermark()
+        # (timestamp, line) of the newest sample exposition_line() rendered
+        self._exposition = (-1, "")
         self._ts = array("q")
         self._values = array("d")
 
@@ -144,8 +129,6 @@ class Series:
         # Value first, timestamp last: readers key off len(_ts).
         values.append(val)
         ts_col.append(ts)
-        if ts > self._watermark.ms:
-            self._watermark.advance(ts)
 
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
         """The timestamps and values as numpy arrays over copies of the
@@ -155,6 +138,22 @@ class Series:
             np.frombuffer(self._ts[:n], np.int64),
             np.frombuffer(self._values[:n], np.float64),
         )
+
+    def exposition_line(self) -> str:
+        """The /metrics line of the newest sample, NAME{...} VALUE TIMESTAMP_MS
+        and a newline, or "" for an empty series. It is rendered once per
+        newest sample: timestamps strictly increase, so the timestamp names
+        the sample the memo holds."""
+        n = len(self._ts)  # the count first, as in last()
+        if not n:
+            return ""
+        ts = self._ts[n - 1]
+        memo = self._exposition
+        if memo[0] != ts:
+            memo = self._exposition = (
+                ts, f"{self.exposition_name} {self._values[n - 1]!r} {ts}\n"
+            )
+        return memo[1]
 
     def last(self) -> Sample | None:
         n = len(self._ts)
@@ -322,7 +321,6 @@ class MetricStore:
     def __init__(self):
         self._series: dict[tuple[str, tuple[tuple[str, str], ...]], Series] = {}
         self._lock = threading.Lock()
-        self._watermark = _Watermark()
         # The read index. Creation replaces its immutable parts under _lock;
         # readers only look them up.
         self._ordered: tuple[Series, ...] = ()
@@ -348,7 +346,6 @@ class MetricStore:
     def _create(self, name: str, labels: Mapping[str, str] | None, kind: str) -> Series:
         """Build a series and publish it to every read structure (under _lock)."""
         series = Series(name, labels, kind)
-        series._watermark = self._watermark
         ordered = list(self._ordered)
         insort(ordered, series, key=_KEY)
         self._ordered = tuple(ordered)
@@ -390,24 +387,38 @@ class MetricStore:
             return list(named)
         return [series for series in named if series in hits]
 
-    def current_time_ms(self) -> int:
-        """Largest sample timestamp seen across all series (0 when empty)."""
-        return self._watermark.ms
+
+class QueryResult(NamedTuple):
+    value_w: float
+    uncovered: int  # matching series whose samples do not cover the window
 
 
-def query(store: MetricStore, expr: QueryExpr | str) -> float:
-    """Evaluate a rate query at the store's current time.
+def evaluate(store: MetricStore, expr: QueryExpr | str) -> QueryResult:
+    """Evaluate a rate query over every series its selector matches.
 
-    Matching series whose samples do not cover the window contribute 0.0,
-    and a selector matching nothing sums to 0.0.
+    Each series' window ends at its own newest sample, as a calibration
+    collection's does: counters are sampled only at emissions, so a
+    window that ended at any later instant would fall past them. A
+    series whose samples do not cover its window adds 0.0 to the sum and
+    1 to `uncovered`; a selector matching nothing sums to 0.0.
     """
     if isinstance(expr, str):
         expr = parse_query(expr)
-    now = store.current_time_ms()
+    window_ms = expr.window_ms
     total = 0.0
+    uncovered = 0
     for series in store.match(expr.metric, expr.label_map()):
+        # the newest timestamp without a method call per series; an empty
+        # series reads as one ending at 0, whose window no sample covers
+        ts = series._ts
+        end = ts[-1] if ts else 0
         try:
-            total += rate(series, now - expr.window_ms, now)
+            total += rate(series, end - window_ms, end)
         except EmptyWindow:
-            continue
-    return total
+            uncovered += 1
+    return QueryResult(total, uncovered)
+
+
+def query(store: MetricStore, expr: QueryExpr | str) -> float:
+    """evaluate()'s summed rate in watts."""
+    return evaluate(store, expr).value_w

@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import DegenerateX, TooFewPoints
 
-DOT_CHUNK = 10_000  # OpenBLAS splits a longer dot product across threads
-
 
 @dataclass(frozen=True)
 class RegressionReport:
@@ -38,14 +36,10 @@ class IdealComparison:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a . b over chunks of at most DOT_CHUNK entries, added left to
-    right, since a threaded dot costs more than it saves here and its
-    last bits depend on the thread count. Up to DOT_CHUNK entries it is
-    one np.dot."""
-    total = float(np.dot(a[:DOT_CHUNK], b[:DOT_CHUNK]))
-    for start in range(DOT_CHUNK, len(a), DOT_CHUNK):
-        total += float(np.dot(a[start:start + DOT_CHUNK], b[start:start + DOT_CHUNK]))
-    return total
+    """a . b as numpy's own pairwise sum of the products. np.dot would run
+    OpenBLAS, whose last bits depend on the CPU kernel it picks at load
+    time and on its thread count."""
+    return float(np.add.reduce(np.multiply(a, b)))
 
 
 def sorted_median(values: np.ndarray) -> float:

@@ -25,6 +25,11 @@ consumer charge and drain a lossy battery, one with both rate limits
 and one without. Their digests were made at commit 9765b90, before the
 engine came to keep the battery's charge, and a test checks that the
 two runs reach every bound settlement clamps to.
+
+The cpu-offset and four-workloads-even regression_report.json and
+regression_points.csv digests were re-made when the regression's dot
+products came to be numpy's own pairwise sums in place of OpenBLAS's
+ddot, whose last bits depend on the CPU kernel OpenBLAS picks.
 """
 
 import csv
@@ -130,8 +135,8 @@ GOLDEN = {
         "events.csv": "e5fc45b3ff34c4e7001431b9f345553c4519d41f8d8df53a9eca9041b87a4be3",
         "ground_truth.csv": "01da4f982a4faea86f198d1d277a6a329ed70cc59680dcfaec48a9ba662e0776",
         "monitor.csv": "4c3f9525f74c315cce84da64da0554f2415bfa4c0eba301cb4406b9ebf8aadd4",
-        "regression_points.csv": "3ef16dc2f46c8371c3a2d3a37396f3c9980c8e18a222f7aa02c8788b0730d0f6",
-        "regression_report.json": "52f4c72bf55b8095c4025309d6d73035b1a61fb0309b90b17edc2568be6fb3f4",
+        "regression_points.csv": "58be3bc7ca64be3d355ff236b1e93b12a0bf506c47a0bc19aa7493691c7f1279",
+        "regression_report.json": "5cc971dbce459735ff197b81edfc26534571958fe9a35b27f4eee8bf23848131",
     },
     "regression": {
         "calibrated_power.csv": "93f8308c4165a47610b203a49a1a7ca45960a7503072f057e071af72a21f0b10",
@@ -167,8 +172,8 @@ GOLDEN = {
         "monitor.csv": "b5b31aae50acac4a69490a48e89f9ff386b4ce9b9d9efcedbdc26e588328719e",
         "calibrated_power.csv": "eeac277121ae911d0fb8b00eede96df3b44879649c5321c67443a274966eb83f",
         "energy_summary.csv": "06663913b3c0109a838cfa5ecc0bd4e69fa176725614288d89a9f9fc9b794561",
-        "regression_report.json": "2e89d28c75f8ed7cc0fbc59426e09e3e1b35aea3038342f4e0a12a665e021e0e",
-        "regression_points.csv": "0eb55b64eb6f358aca94a949aaac2727528be2e31c1a7563d0c2bffa3ac8c0da",
+        "regression_report.json": "c754c47baa52159782609438ccd39926c98e7c14e6e6a6fad2923718bc5883c7",
+        "regression_points.csv": "7b3b41fa78aaff9a6cff25d500bb8186a7a7d571ae678229d9a6bf99f31472ac",
         "ground_truth.csv": "8aa7bd92aa4544e5f63e53ff3debb27d1ef107ce6ca80bc7c4cfdacbdc39b5b4",
         "events.csv": "a68e425511f8c8ec65dfb0f71f043c1419376bb3e04fdf2da0cb4c8209aded63",
         "config.json": "2861d9646c16601810bd0cd1ca7fefbd695bb5ae6514102d743471e4aa42e765",

@@ -20,7 +20,15 @@ from gridcalib.config import (
     NamespaceActorSpec,
     ScenarioConfig,
 )
-from gridcalib.emulation import LoadSchedule, MeterListener, MeterSpec, WorkloadSpec
+from gridcalib.emulation import (
+    LoadBank,
+    LoadSchedule,
+    MeterEmitter,
+    MeterListener,
+    MeterSpec,
+    PowerModelEmitter,
+    WorkloadSpec,
+)
 from gridcalib.errors import (
     BindError,
     ConfigError,
@@ -31,9 +39,16 @@ from gridcalib.errors import (
 )
 from gridcalib.microgrid import Monitor, SimpleBattery, StaticActor
 from gridcalib.server import format_exposition, serve_metrics
-from gridcalib.timeseries import COUNTER, GAUGE, MetricStore, query, rate
+from gridcalib.signals import VirtualClock
+from gridcalib.timeseries import COUNTER, GAUGE, MetricStore, QueryResult, evaluate, query, rate
 from gridcalib.validation import PLOT_HEADER
-from gridcalib.wire import METER_GAUGE_METRIC, NAMESPACE_LABEL, POWER_COUNTER_METRIC
+from gridcalib.wire import (
+    METER_GAUGE_METRIC,
+    MODE_DYNAMIC,
+    MODE_LABEL,
+    NAMESPACE_LABEL,
+    POWER_COUNTER_METRIC,
+)
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -163,6 +178,52 @@ class TestRunArtifacts:
             budget = max(0.0, meter[time_ms] - art.m_idle_w)
             assert idle_w == pytest.approx(art.m_idle_w, rel=1e-9), time_ms
             assert dyn_w == pytest.approx(budget, rel=1e-9, abs=1e-9), time_ms
+
+    @pytest.mark.parametrize("emission_interval_ms", [1500, 2000])
+    def test_query_reads_the_emitted_dynamic_power_between_emissions(self, emission_interval_ms):
+        # preset regression's node on one-second ticks: the meter samples
+        # every tick, the counters only at emissions, so most query
+        # instants fall between two emissions
+        cfg = PRESETS["regression"]
+        clock = VirtualClock()
+        store = MetricStore()
+        bank = LoadBank()
+        emitter = PowerModelEmitter(
+            store,
+            cfg.workloads,
+            bank,
+            clock,
+            params=cfg.approximation,
+            system_baseline_w=cfg.system_baseline_w,
+            emission_interval_ms=emission_interval_ms,
+            seed=cfg.seed,
+        )
+        gauge = store.get_or_create(METER_GAUGE_METRIC, {}, GAUGE)
+        MeterEmitter(cfg.meter, lambda: emitter.node_total_w, clock, gauge.append)
+        expr = f'sum(rate({POWER_COUNTER_METRIC}{{{MODE_LABEL}="{MODE_DYNAMIC}"}}[2s]))'
+        gain = cfg.approximation.gain
+        covered = 0
+        for tick in range(1, 121):
+            bank.set_level("rps", 250.0 * (tick // 15 + 1))
+            clock.advance(1000)
+            truth = emitter.truth.columns()
+            # each emission's node dynamic power holds since the one before
+            ends = [0, *truth["time_ms"].tolist()]
+            node_dyn = (truth["svc_true_dyn_w"] + truth["system_true_dyn_w"]) / gain
+            last = ends[-1]
+            got = evaluate(store, expr)
+            if last < 2000:
+                assert got == QueryResult(0.0, 2), tick  # svc and system
+                continue
+            joules = sum(
+                p * (min(t1, last) - max(t0, last - 2000)) / 1000
+                for t0, t1, p in zip(ends, ends[1:], node_dyn.tolist())
+                if t1 > last - 2000
+            )
+            assert got.uncovered == 0, tick
+            assert got.value_w == pytest.approx(joules / 2, rel=1e-9), tick
+            covered += 1
+        assert covered == 120 - (2 if emission_interval_ms == 1500 else 1)
 
     def test_calibrated_csv_columns(self, leak_art):
         rows = read_csv(leak_art.calibrated_csv)
@@ -332,7 +393,7 @@ class TestRegressionX:
         [gauge] = store.match(METER_GAUGE_METRIC)
         report, skipped, _ = pipeline._node_regression(config, gauge, store)
         assert report is not None and skipped is None
-        t = store.current_time_ms() + 1000
+        t = max(series.last_timestamp() for series in store.series()) + 1000
         for series in store.series():
             series.append((t, series.last().value))
 
@@ -525,8 +586,8 @@ class TestServer:
         expr = f'sum(rate({POWER_COUNTER_METRIC}{{{NAMESPACE_LABEL}="bench"}}[2s]))'
         url = base + "/query?" + urllib.parse.urlencode({"expr": expr})
         _, body = self.get(url)
-        got = json.loads(body)["value_w"]
-        assert got == pytest.approx(query(store, expr), rel=1e-9)
+        assert json.loads(body) == evaluate(store, expr)._asdict()
+        assert json.loads(body)["value_w"] == query(store, expr) > 0
 
     def test_malformed_expr_400(self, served):
         _, base = served

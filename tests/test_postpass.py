@@ -1,15 +1,19 @@
 """The post-pass's numeric paths, each run in a fresh interpreter.
 
 The regression's bytes must not depend on how many threads OpenBLAS
-uses, and a run must not reach numpy's lazily imported numpy.ma, whose
-first import costs more than the whole fit. Both only show in a process
-that has not run anything else, so each check starts its own.
+uses or on which CPU kernel it picks, and a run must not reach numpy's
+lazily imported numpy.ma, whose first import costs more than the whole
+fit. Each only shows in a process that has not run anything else, so
+each check starts its own.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from gridcalib import pipeline
 
@@ -25,6 +29,15 @@ from gridcalib.config import preset_config
 from gridcalib.emulation import MeterSpec
 config = dataclasses.replace(preset_config("gpu-leakage"), meter=MeterSpec(sample_interval_ms=250))
 assert pipeline.run(config, sys.argv[1]).regression.n > 10_000
+"""
+
+GOLDEN_RUNS = """
+import sys
+from pathlib import Path
+from gridcalib import pipeline
+from gridcalib.config import preset_config
+for name in ("regression", "cpu-offset"):
+    pipeline.run(preset_config(name), Path(sys.argv[1]) / name)
 """
 
 COLD_RUN = """
@@ -54,6 +67,24 @@ def test_long_regression_is_the_same_for_any_blas_thread_count(tmp_path):
         _python(LONG_RUN, tmp_path / threads, OPENBLAS_NUM_THREADS=threads)
     for name in pipeline.ARTIFACT_NAMES:
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
+def _openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in blas["name"]
+
+
+@pytest.mark.skipif(not _openblas(), reason="numpy is not built against OpenBLAS")
+def test_golden_presets_are_the_same_under_any_openblas_kernel(tmp_path):
+    # a DYNAMIC_ARCH OpenBLAS picks its kernel by CPU at load time, and
+    # each kernel adds a dot product in its own order; Nehalem (SSE only)
+    # stands in for a machine other than this one
+    _python(GOLDEN_RUNS, tmp_path / "default")
+    _python(GOLDEN_RUNS, tmp_path / "nehalem", OPENBLAS_CORETYPE="Nehalem")
+    for preset in ("regression", "cpu-offset"):
+        for name in pipeline.ARTIFACT_NAMES:
+            default = (tmp_path / "default" / preset / name).read_bytes()
+            assert default == (tmp_path / "nehalem" / preset / name).read_bytes(), (preset, name)
 
 
 def test_a_run_does_not_import_numpy_ma(tmp_path):

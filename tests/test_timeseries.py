@@ -22,8 +22,10 @@ from gridcalib.timeseries import (
     GAUGE,
     MetricStore,
     QueryExpr,
+    QueryResult,
     Sample,
     Series,
+    evaluate,
     parse_query,
     query,
     rate,
@@ -328,14 +330,20 @@ def test_query_uncovered_series_contributes_zero():
     store.append("e", {"i": "1"}, COUNTER, (3500, 0.0))
     store.append("e", {"i": "1"}, COUNTER, (4000, 100.0))
     assert query(store, "sum(rate(e[2s]))") == pytest.approx(10.0, rel=1e-12)
+    assert evaluate(store, "sum(rate(e[2s]))") == QueryResult(query(store, "sum(rate(e[2s]))"), 1)
+    store.get_or_create("e", {"i": "2"}, COUNTER)  # no samples: covers no window
+    assert evaluate(store, "sum(rate(e[2s]))").uncovered == 2
+    assert evaluate(store, "sum(rate(missing[2s]))") == QueryResult(0.0, 0)
 
 
 def test_query_at_explicit_time():
-    # a query reads at the store's watermark, so the samples end at the
-    # wanted instant
+    # each series' window ends at its own newest sample, so a series whose
+    # samples stop before another's is still read over a whole window
     store = ramp_store(end_ms=3000)
-    assert store.current_time_ms() == 3000
-    assert query(store, 'sum(rate(e_joules{ns="bench"}[2s]))') == pytest.approx(20.0, rel=1e-12)
+    store.append("e_joules", {"ns": "bench", "idx": "0"}, COUNTER, (4500, 45.0))
+    got = evaluate(store, 'sum(rate(e_joules{ns="bench"}[2s]))')
+    assert got.value_w == pytest.approx(20.0, rel=1e-12)
+    assert got.uncovered == 0
 
 
 # properties
@@ -376,11 +384,11 @@ def test_query_matches_per_series_sum(n_series, n_windows):
         for t in range(0, now + 1, 1000):
             store.append("e", {"i": str(i)}, COUNTER, (t, slope * t / 1000))
     expected = sum(rate(series, now - 2000, now) for series in store.match("e"))
-    assert store.current_time_ms() == now
+    assert all(series.last_timestamp() == now for series in store.match("e"))
     assert query(store, "sum(rate(e[2s]))") == pytest.approx(expected, rel=1e-9)
 
 
-# store index: postings, key order and watermark
+# store index: postings and key order
 
 def _key(series):
     return (series.name, tuple(sorted(series.labels.items())))
@@ -422,35 +430,61 @@ def test_index_agrees_with_brute_force_scan(created, name, filters, increments):
     assert store.match(name) == [s for s in ordered if s.name == name]
 
     expr = QueryExpr(metric=name, labels=tuple(filters.items()), window_ms=1000)
-    now = store.current_time_ms()
-    total = 0.0
+    total, uncovered = 0.0, 0
     for s in brute:
+        end = s.last_timestamp()
         try:
-            total += rate(s, now - 1000, now)
+            total += rate(s, end - 1000, end)
         except EmptyWindow:
-            continue
-    assert query(store, expr) == total  # bit-identical: same summation order
+            uncovered += 1
+    assert evaluate(store, expr) == (total, uncovered)  # bit-identical: same summation order
 
 
-def test_watermark_tracks_appends_both_ways():
+def uncached_exposition(store):
+    """format_exposition as it was before the per-series memo: every line
+    rendered from the columns on every call."""
+    lines = []
+    for series in store.series():
+        n = len(series._ts)
+        if n:
+            lines.append(
+                f"{series.exposition_name} {series._values[n - 1]!r} {series._ts[n - 1]}\n"
+            )
+    return "".join(lines)
+
+
+def test_exposition_memo_agrees_with_uncached_render():
     store = MetricStore()
-    assert store.current_time_ms() == 0
-    handle = store.get_or_create("e", {"ns": "a"}, COUNTER)
-    handle.append((4000, 1.0))  # the emitter and meter path
-    assert store.current_time_ms() == 4000
-    store.append("e", {"ns": "b"}, COUNTER, (2500, 1.0))
-    assert store.current_time_ms() == 4000
-    store.append("e", {"ns": "b"}, COUNTER, (7000, 2.0))
-    assert store.current_time_ms() == 7000
-    with pytest.raises(NonMonotonicTimestamp):
-        handle.append((4000, 3.0))
-    handle.append((6000, 3.0))
-    assert store.current_time_ms() == max(s.last_timestamp() for s in store.series()) == 7000
+    steps = [
+        lambda: store.append("e", {"ns": "a", "mode": "dynamic"}, COUNTER, (1000, 1.5)),
+        lambda: store.append("e", {"ns": "b", "mode": "idle"}, COUNTER, (1000, 0.1)),  # new series
+        lambda: store.append("e", {"ns": "a", "mode": "dynamic"}, COUNTER, (2000, 2.25)),  # new sample
+        lambda: store.get_or_create("e", {"ns": "c"}, COUNTER),  # empty series
+        lambda: store.append("meter_watts", {}, GAUGE, (1500, 1e-05)),  # label-less gauge
+        lambda: store.append("meter_watts", {}, GAUGE, (2500, 231.0)),
+        lambda: store.append("e", {"ns": "c"}, COUNTER, (3000, 0.0)),  # the empty one fills
+    ]
+    for step in steps:
+        step()
+        assert format_exposition(store) == uncached_exposition(store)
+        assert format_exposition(store) == uncached_exposition(store)  # served from the memo
+    assert format_exposition(store).splitlines()[-1] == "meter_watts 231.0 2500"
 
-    alone = Series("e", {"ns": "a"}, COUNTER)
-    alone.append((9000, 1.0))
-    assert alone.last() == Sample(9000, 1.0)
-    assert store.current_time_ms() == 7000
+
+def test_exposition_append_changes_only_its_own_line():
+    store = ramp_store()
+    before = format_exposition(store)
+    assert format_exposition(store) == before
+    [moved] = store.match("e_joules", {"ns": "other", "idx": "0"})
+    moved.append((6000, 61.0))
+    after = format_exposition(store)
+    assert after == uncached_exposition(store)
+    changed = [
+        (old, new) for old, new in zip(before.splitlines(), after.splitlines()) if old != new
+    ]
+    assert changed == [(
+        'e_joules{idx="0",ns="other"} 50.0 5000', 'e_joules{idx="0",ns="other"} 61.0 6000'
+    )]
 
 
 def test_reads_race_series_creation():
@@ -473,7 +507,7 @@ def test_reads_race_series_creation():
             stop.set()
 
     def read():
-        last = 0
+        newest = {}  # series key -> timestamp on its last exposition line read
         try:
             while not stop.is_set():
                 store.series()
@@ -484,9 +518,13 @@ def test_reads_race_series_creation():
                 query(store, expr)
                 assert store.match("missing") == []
                 format_exposition(store)
-                now = store.current_time_ms()
-                assert now >= last, f"watermark fell from {last} to {now}"
-                last = now
+                for series in store.series():
+                    line = series.exposition_line()
+                    if line:
+                        ts = int(line.rsplit(" ", 1)[1])
+                        last = newest.get(series.key, -1)
+                        assert ts >= last, f"{series.key}: line fell from {last} to {ts}"
+                        newest[series.key] = ts
         except Exception as exc:  # reported below
             errors.append(exc)
 
@@ -504,4 +542,4 @@ def test_reads_race_series_creation():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in readers + [writer])
     assert errors == []
-    assert store.current_time_ms() == 200_500
+    assert format_exposition(store) == uncached_exposition(store)

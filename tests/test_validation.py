@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from gridcalib.errors import DegenerateX, TooFewPoints
 from gridcalib.ticklog import columns_csv
 from gridcalib.validation import (
-    DOT_CHUNK,
     PLOT_HEADER,
     RegressionReport,
     _dot,
@@ -199,7 +198,7 @@ def bits(value) -> bytes:
 
 
 class TestKernels:
-    """The median and dot product fit_ols takes instead of numpy's own."""
+    """The median and dot product fit_ols takes in place of np.median and np.dot."""
 
     @pytest.mark.parametrize("n", [*range(1, 12), 99, 100, 101, 1000, 1001, 4999, 5000])
     def test_sorted_median_is_np_median(self, n):
@@ -224,12 +223,10 @@ class TestKernels:
         with np.errstate(over="ignore"):  # two middle values near the float max
             assert bits(sorted_median(values)) == bits(np.median(values))
 
-    @pytest.mark.parametrize("n", [1, 2, DOT_CHUNK - 1, DOT_CHUNK])
-    def test_dot_up_to_one_chunk_is_np_dot(self, n):
-        a, b = np.random.default_rng(n).normal(size=(2, n))
-        assert bits(_dot(a, b)) == bits(np.dot(a, b))
-
-    @pytest.mark.parametrize("n", [DOT_CHUNK + 1, 2 * DOT_CHUNK, 2 * DOT_CHUNK + 7])
+    # numpy's pairwise sum adds the products in blocks of 128; the
+    # lengths around 10000 are where OpenBLAS would split a dot product
+    # across threads
+    @pytest.mark.parametrize("n", [1, 2, 9999, 10_000, 10_001, 20_000, 20_007])
     def test_dot_over_chunks_covers_every_entry_once(self, n):
         a, b = np.random.default_rng(n).normal(size=(2, n))
         assert _dot(a, b) == pytest.approx(math.fsum(a * b), rel=1e-12)
