@@ -23,11 +23,11 @@ from statistics import fmean
 from typing import NamedTuple, Sequence
 
 from .attribution import left_sum
-from .errors import DegenerateDenominator, EmptyWindow, StaleSignal, ZeroNodeIdle
+from .errors import DegenerateDenominator, StaleSignal, ZeroNodeIdle
 from .microgrid import Controller
 from .signals import Clock, Signal
 from .ticklog import TickLog
-from .timeseries import Series, rate
+from .timeseries import Series, trailing_rate
 from .wire import SYSTEM_NAMESPACE
 
 # denominator guard: approximated system power this close to the node total
@@ -212,19 +212,13 @@ class CalibrationStage(Controller):
     def _collect(self) -> None:
         # the snapshot is replaced only when the whole collection succeeds
         last = self._gauge.last()
-        # the window ends at the counters' newest sample, not at the
-        # collection instant: they are sampled only at emissions, and
-        # the emitter appends every counter at once
-        end = self._counters[0].last_timestamp()
-        if last is None or end is None:
-            raise LookupError("no meter or counter samples yet")
-        start = end - self.window_ms
+        if last is None:
+            raise LookupError("no meter samples yet")
+        # the emitter appends every counter at once, so all windows end together
         watts = []
         for series in self._counters:
-            try:
-                watts.append(rate(series, start, end))
-            except EmptyWindow:  # a counter that does not cover the window reads 0
-                watts.append(0.0)
+            w = trailing_rate(series, self.window_ms)
+            watts.append(0.0 if w is None else w)  # an uncovered window reads 0
         k = len(self.processes)
         self.snapshot = calibrate(
             tuple(watts[:k]), tuple(watts[k:]), last.value, self.m_idle_w, self._system

@@ -491,8 +491,8 @@ class _MeterIngestHandler(socketserver.StreamRequestHandler):
                 record = json.loads(line)
                 power_w = float(record["power_w"])
                 ts_ms = int(record["ts_ms"])
-            except (ValueError, KeyError, TypeError):
-                continue  # malformed line: skip, keep the stream alive
+            except (ValueError, KeyError, TypeError, OverflowError):
+                continue  # malformed line, or a number past int/float: skip it
             self.server.ingest(ts_ms, power_w)
 
 

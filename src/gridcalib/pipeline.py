@@ -4,9 +4,10 @@ run() wires the full stack under one clock: workload emulation feeds the
 metric store, one calibration stage turns it into per-process calibrated
 power once per collection, namespace actors report their share of it as
 microgrid consumers, the benchmark controller walks the load schedule,
-and a post-pass turns the run into CSV/JSON artifacts. The calibrated
-power table serialises the columns the stage logged on each tick, so
-it matches the monitor's actor powers by construction. The numeric
+and a post-pass walks ARTIFACTS, the one table of the run's files,
+building and writing each in turn. The calibrated power table
+serialises the columns the stage logged on each tick, so it matches
+the monitor's actor powers by construction. The numeric
 tables are encoded from their columns by ticklog.columns_csv; the energy
 summary and the events, which hold strings, go through ticklog.csv_bytes.
 Everything is deterministic under virtual time: the same config and seed
@@ -19,7 +20,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,17 +71,6 @@ TRUTH_CSV = "ground_truth.csv"
 EVENTS_CSV = "events.csv"
 CONFIG_JSON = "config.json"
 
-ARTIFACT_NAMES = [
-    MONITOR_CSV,
-    CALIBRATED_CSV,
-    ENERGY_CSV,
-    REGRESSION_JSON,
-    REGRESSION_CSV,
-    TRUTH_CSV,
-    EVENTS_CSV,
-    CONFIG_JSON,
-]
-
 # how long a live run waits for the meter listener to store a reading
 # that has already been published over TCP
 METER_WAIT_S = 5.0
@@ -88,15 +78,11 @@ METER_WAIT_S = 5.0
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-def _artifact_path(name: str) -> property:
-    return property(lambda self: self.out_dir / name)
-
-
 @dataclass
 class RunArtifacts:
-    """Paths of everything run() wrote, plus live handles for callers
-    that want to inspect the run without re-reading the files: the
-    per-tick records are the handles' tick logs (stage.log,
+    """The directory run() wrote ARTIFACT_NAMES to, plus live handles
+    for callers that want to inspect the run without re-reading the
+    files: the per-tick records are the handles' tick logs (stage.log,
     emitter.truth, monitor.log)."""
 
     out_dir: Path
@@ -108,16 +94,7 @@ class RunArtifacts:
     regression: RegressionReport | None
     regression_skipped: str | None
     m_idle_w: float
-    energy_wh: dict[str, float] = field(default_factory=dict)
-
-    monitor_csv = _artifact_path(MONITOR_CSV)
-    calibrated_csv = _artifact_path(CALIBRATED_CSV)
-    energy_csv = _artifact_path(ENERGY_CSV)
-    regression_json = _artifact_path(REGRESSION_JSON)
-    regression_csv = _artifact_path(REGRESSION_CSV)
-    truth_csv = _artifact_path(TRUTH_CSV)
-    events_csv = _artifact_path(EVENTS_CSV)
-    config_json = _artifact_path(CONFIG_JSON)
+    energy_wh: dict[str, float]
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -128,7 +105,9 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 
 class _Runtime:
-    """Everything run() builds before stepping the engine."""
+    """Everything run() builds before stepping the engine, and what the
+    artifact builders keep of the post-pass: the energy totals and the
+    node regression."""
 
     def __init__(self, config: ScenarioConfig, clock, store: MetricStore):
         self.config = config
@@ -145,6 +124,8 @@ class _Runtime:
         self.stage: CalibrationStage | None = None
         self.m_idle_w = 0.0
         self.engine: Microgrid | None = None
+        self.energy_wh: dict[str, float] = {}
+        self.fit: tuple | None = None  # _node_regression's result, once fitted
 
     def build(self, wall_clock: bool) -> None:
         config, clock, store = self.config, self.clock, self.store
@@ -272,53 +253,6 @@ def run(
     return _write_artifacts(runtime, out)
 
 
-def _write_artifacts(runtime: _Runtime, out: Path) -> RunArtifacts:
-    """Build, encode and write each artifact in turn, so no table is
-    held while the next one is built."""
-    config, monitor = runtime.config, runtime.engine.monitor
-    _atomic_write(out / MONITOR_CSV, monitor.csv_bytes())
-    _atomic_write(out / CALIBRATED_CSV, columns_csv(*_calibrated_table(runtime.stage)))
-    energy_header, energy_rows, energy_wh = _energy_summary(runtime.stage)
-    _atomic_write(out / ENERGY_CSV, _csv_bytes(energy_header, energy_rows))
-    report, skipped = _write_regression(runtime, out)
-    _atomic_write(out / TRUTH_CSV, _truth_csv(runtime.emitter))
-    events = list(runtime.benchmark.events) if runtime.benchmark is not None else []
-    _atomic_write(out / EVENTS_CSV, _csv_bytes(["action", "value", "time_ms"], events))
-    config_payload = json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n"
-    _atomic_write(out / CONFIG_JSON, config_payload.encode())
-
-    return RunArtifacts(
-        out_dir=out,
-        store=runtime.store,
-        monitor=monitor,
-        events=events,
-        emitter=runtime.emitter,
-        stage=runtime.stage,
-        regression=report,
-        regression_skipped=skipped,
-        m_idle_w=runtime.m_idle_w,
-        energy_wh=energy_wh,
-    )
-
-
-def _write_regression(
-    runtime: _Runtime, out: Path
-) -> tuple[RegressionReport | None, str | None]:
-    """Fit and write the regression report and its points; the points
-    are dropped when this returns."""
-    report, skipped, points = _node_regression(runtime.config, runtime.gauge, runtime.store)
-    if report is not None:
-        _atomic_write(out / REGRESSION_JSON, (report_to_json(report) + "\n").encode())
-        fitted = report.slope * points[1] + report.intercept_w
-        plot = [*points[1:], fitted, points[2] - fitted]
-    else:
-        payload = json.dumps({"skipped": skipped}, sort_keys=True) + "\n"
-        _atomic_write(out / REGRESSION_JSON, payload.encode())
-        plot = []
-    _atomic_write(out / REGRESSION_CSV, columns_csv(PLOT_HEADER, plot))
-    return report, skipped
-
-
 def _calibrated_table(stage: CalibrationStage | None) -> tuple[list[str], list[np.ndarray]]:
     """Per-process and per-namespace calibrated power, one row per engine
     tick: the snapshot the namespace actors read on that tick, totalled
@@ -416,17 +350,91 @@ def _truth_csv(emitter: PowerModelEmitter | None) -> bytes:
     return columns_csv(header + ["node_true_total_w"], columns)
 
 
+def _regression(runtime: _Runtime) -> tuple:
+    """The node regression that the report and its points share, fitted
+    when the first of them is built."""
+    if runtime.fit is None:
+        runtime.fit = _node_regression(runtime.config, runtime.gauge, runtime.store)
+    return runtime.fit
+
+
+def _json_bytes(payload: dict, indent: int | None = None) -> bytes:
+    return (json.dumps(payload, indent=indent, sort_keys=True) + "\n").encode()
+
+
+def _energy_csv(runtime: _Runtime) -> bytes:
+    header, rows, runtime.energy_wh = _energy_summary(runtime.stage)
+    return _csv_bytes(header, rows)
+
+
+def _regression_json(runtime: _Runtime) -> bytes:
+    report, skipped, _ = _regression(runtime)
+    if report is None:
+        return _json_bytes({"skipped": skipped})
+    return (report_to_json(report) + "\n").encode()
+
+
+def _regression_csv(runtime: _Runtime) -> bytes:
+    report, skipped, points = _regression(runtime)
+    runtime.fit = report, skipped, None  # the points are not held past their file
+    if report is None:
+        return columns_csv(PLOT_HEADER, [])
+    fitted = report.slope * points[1] + report.intercept_w
+    return columns_csv(PLOT_HEADER, [*points[1:], fitted, points[2] - fitted])
+
+
+def _events(runtime: _Runtime) -> list[tuple[str, float, int]]:
+    return list(runtime.benchmark.events) if runtime.benchmark is not None else []
+
+
+# Every artifact of a run, in the order it is built and written. Each
+# builder takes the finished runtime and returns the file's bytes; it looks
+# its functions up in this module when it runs, so a rebound one is called.
+ARTIFACTS = (
+    (MONITOR_CSV, lambda runtime: runtime.engine.monitor.csv_bytes()),
+    (CALIBRATED_CSV, lambda runtime: columns_csv(*_calibrated_table(runtime.stage))),
+    (ENERGY_CSV, _energy_csv),
+    (REGRESSION_JSON, _regression_json),
+    (REGRESSION_CSV, _regression_csv),
+    (TRUTH_CSV, lambda runtime: _truth_csv(runtime.emitter)),
+    (EVENTS_CSV, lambda runtime: _csv_bytes(["action", "value", "time_ms"], _events(runtime))),
+    (CONFIG_JSON, lambda runtime: _json_bytes(config_to_dict(runtime.config), indent=2)),
+)
+
+ARTIFACT_NAMES = [name for name, _ in ARTIFACTS]
+
+
+def _write_artifacts(runtime: _Runtime, out: Path) -> RunArtifacts:
+    """Build, encode and write each artifact in table order, so no table
+    is held while the next one is built."""
+    for name, build in ARTIFACTS:
+        _atomic_write(out / name, build(runtime))
+    report, skipped, _ = _regression(runtime)
+    return RunArtifacts(
+        out_dir=out,
+        store=runtime.store,
+        monitor=runtime.engine.monitor,
+        events=_events(runtime),
+        emitter=runtime.emitter,
+        stage=runtime.stage,
+        regression=report,
+        regression_skipped=skipped,
+        m_idle_w=runtime.m_idle_w,
+        energy_wh=runtime.energy_wh,
+    )
+
+
 # --- artifact consumers --------------------------------------------------------
 
 
-def _read_energy_rows(path: Path) -> list[dict]:
+def _read_artifact(artifacts_dir: str | Path, name: str):
+    """One artifact of a run directory, parsed: a JSON file's object or a
+    CSV file's rows. MissingArtifact names the file when it is not there."""
+    path = Path(artifacts_dir) / name
+    if not path.exists():
+        raise MissingArtifact(f"missing artifact: {path}")
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-def _load_regression_json(path: Path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh) if name.endswith(".json") else list(csv.DictReader(fh))
 
 
 def report(artifacts_dir: str | Path, floor_wh: float = 1.0) -> str:
@@ -435,13 +443,7 @@ def report(artifacts_dir: str | Path, floor_wh: float = 1.0) -> str:
     Processes under floor_wh are grouped into an "other" bucket, the way
     long tails usually are in per-service energy reports.
     """
-    out = Path(artifacts_dir)
-    energy_path = out / ENERGY_CSV
-    regression_path = out / REGRESSION_JSON
-    for path in (energy_path, regression_path):
-        if not path.exists():
-            raise MissingArtifact(f"missing artifact: {path}")
-    rows = _read_energy_rows(energy_path)
+    rows = _read_artifact(artifacts_dir, ENERGY_CSV)
     entries = [
         (row["process"], row["namespace"], float(row["energy_wh"])) for row in rows
     ]
@@ -463,7 +465,7 @@ def report(artifacts_dir: str | Path, floor_wh: float = 1.0) -> str:
         lines.append("(no processes)")
     lines.append(f"{'total':<24} {'':<12} {total:>12.3f} {100.0 if total > 0 else 0.0:>7.1f}%")
 
-    data = _load_regression_json(regression_path)
+    data = _read_artifact(artifacts_dir, REGRESSION_JSON)
     if "skipped" in data:
         lines.append(f"regression: skipped ({data['skipped']})")
     else:
@@ -485,18 +487,11 @@ def validate(artifacts_dir: str | Path) -> RegressionReport | None:
     """Re-fit the stored regression points and check them against the
     stored report. Returns the recomputed report, or None when the run
     skipped regression."""
-    out = Path(artifacts_dir)
-    points_path = out / REGRESSION_CSV
-    report_path = out / REGRESSION_JSON
-    for path in (points_path, report_path):
-        if not path.exists():
-            raise MissingArtifact(f"missing artifact: {path}")
-    data = _load_regression_json(report_path)
+    rows = _read_artifact(artifacts_dir, REGRESSION_CSV)
+    data = _read_artifact(artifacts_dir, REGRESSION_JSON)
     if "skipped" in data:
         return None
     stored = RegressionReport(**data)
-    with open(points_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
     x = np.array([float(r["x_w"]) for r in rows])
     y = np.array([float(r["y_w"]) for r in rows])
     recomputed = fit_ols(x, y)

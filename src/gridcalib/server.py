@@ -8,8 +8,9 @@ with floats in shortest round-trip form and the label braces omitted for
 label-less series. Each series renders its line once per newest sample
 and keeps it (Series.exposition_line), so a scrape of a store that has
 not changed only joins the kept lines. GET /query?expr=... evaluates a
-rate query and returns {"value_w": ..., "uncovered": ...}: the summed
-rate, and how many matching series do not cover their window. Handlers
+rate query and returns {"value_w": ..., "uncovered": ..., "matched": ...}:
+the summed rate, how many matching series do not cover their window,
+and how many series the selector matched. Handlers
 never change a sample, so any number of them may run concurrently
 against the writer's consistent-prefix guarantee; the only state they
 write is each series' exposition memo, which one reference store
@@ -51,7 +52,7 @@ class _Handler(BaseHTTPRequestHandler):
             except (ParseError, KindMismatch) as exc:  # KindMismatch: rate() of a gauge
                 self._send_json(400, {"error": str(exc)})
                 return
-            self._send_json(200, {"value_w": result.value_w, "uncovered": result.uncovered})
+            self._send_json(200, result._asdict())
             return
         self._send_json(404, {"error": f"no such path {parsed.path!r}"})
 

@@ -388,35 +388,44 @@ class MetricStore:
         return [series for series in named if series in hits]
 
 
+def trailing_rate(series: Series, window_ms: int) -> float | None:
+    """rate() over the window_ms that ends at the series' newest sample,
+    or None when no samples cover it. Counters are sampled only at
+    emissions, so a window that ended any later would fall past them."""
+    ts = series._ts  # the newest timestamp without a method call
+    end = ts[-1] if ts else 0
+    try:
+        return rate(series, end - window_ms, end)
+    except EmptyWindow:
+        return None
+
+
 class QueryResult(NamedTuple):
     value_w: float
     uncovered: int  # matching series whose samples do not cover the window
+    matched: int  # series the selector matched: 0 W from none is not an idle 0 W
 
 
 def evaluate(store: MetricStore, expr: QueryExpr | str) -> QueryResult:
     """Evaluate a rate query over every series its selector matches.
 
-    Each series' window ends at its own newest sample, as a calibration
-    collection's does: counters are sampled only at emissions, so a
-    window that ended at any later instant would fall past them. A
-    series whose samples do not cover its window adds 0.0 to the sum and
-    1 to `uncovered`; a selector matching nothing sums to 0.0.
+    Each series' window ends at its own newest sample (trailing_rate),
+    as a calibration collection's does. A series whose samples do not
+    cover its window adds 0.0 to the sum and 1 to `uncovered`; a
+    selector matching nothing sums to 0.0 with `matched` 0.
     """
     if isinstance(expr, str):
         expr = parse_query(expr)
-    window_ms = expr.window_ms
     total = 0.0
     uncovered = 0
-    for series in store.match(expr.metric, expr.label_map()):
-        # the newest timestamp without a method call per series; an empty
-        # series reads as one ending at 0, whose window no sample covers
-        ts = series._ts
-        end = ts[-1] if ts else 0
-        try:
-            total += rate(series, end - window_ms, end)
-        except EmptyWindow:
+    matched = store.match(expr.metric, expr.label_map())
+    for series in matched:
+        watts = trailing_rate(series, expr.window_ms)
+        if watts is None:
             uncovered += 1
-    return QueryResult(total, uncovered)
+        else:
+            total += watts
+    return QueryResult(total, uncovered, len(matched))
 
 
 def query(store: MetricStore, expr: QueryExpr | str) -> float:

@@ -18,7 +18,7 @@ from gridcalib.calibration import calibrate, dynamic_factors
 from gridcalib.config import PRESETS
 from gridcalib.emulation import ApproximationParams, MeterSpec, active_power, meter_sample
 from gridcalib.microgrid import SimpleBattery, settle
-from gridcalib.pipeline import ARTIFACT_NAMES, run
+from gridcalib.pipeline import ARTIFACT_NAMES, CALIBRATED_CSV, run
 from gridcalib.timeseries import COUNTER, MetricStore, rate
 from gridcalib.validation import fit_ols
 from gridcalib.wire import (
@@ -53,7 +53,7 @@ def cpu_run(tmp_path_factory):
 def _column(art, name):
     """One column of calibrated_power.csv. Floats are written as their
     repr, so each cell reads back to the value the run computed."""
-    with open(art.calibrated_csv, newline="") as fh:
+    with open(art.out_dir / CALIBRATED_CSV, newline="") as fh:
         return [float(row[name]) for row in csv.DictReader(fh)]
 
 

@@ -631,3 +631,29 @@ class TestMeterWireProtocol:
         finally:
             listener.shutdown()
             listener.server_close()
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            '{"power_w": 300.0, "ts_ms": 1e999}',  # json reads inf; int(inf) overflows
+            '{"power_w": 1' + "0" * 400 + ', "ts_ms": 2000}',  # float() of it overflows
+        ],
+        ids=["ts_ms_inf", "power_w_past_float"],
+    )
+    def test_overflowing_number_skipped_and_stream_kept(self, bad_line):
+        gauge = meter_gauge()
+        listener = MeterListener(("127.0.0.1", 0), gauge)
+        listener.serve_in_background()
+        try:
+            lines = ['{"power_w": 260.0, "ts_ms": 1000}', bad_line, '{"power_w": 401.0, "ts_ms": 3000}']
+            with socket.create_connection(listener.server_address[:2], timeout=5.0) as sock:
+                sock.sendall("".join(line + "\n" for line in lines).encode())
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                if gauge.last_timestamp() == 3000:
+                    break
+                time.sleep(0.01)
+            assert samples(gauge) == [(1000, 260.0), (3000, 401.0)]
+        finally:
+            listener.shutdown()
+            listener.server_close()

@@ -122,7 +122,7 @@ class TestRunArtifacts:
             assert (tmp_path / "min" / name).exists()
         assert art.regression is None
         assert art.regression_skipped == "no workloads"
-        assert json.loads(art.regression_json.read_text()) == {"skipped": "no workloads"}
+        assert json.loads((art.out_dir / pipeline.REGRESSION_JSON).read_text()) == {"skipped": "no workloads"}
 
     def test_out_dir_required(self):
         with pytest.raises(ConfigError, match="outputs"):
@@ -134,7 +134,7 @@ class TestRunArtifacts:
         cfg = dataclasses.replace(PRESETS["minimal"], outputs=str(tmp_path / "fromcfg"))
         art = pipeline.run(cfg)
         assert art.out_dir == tmp_path / "fromcfg"
-        assert art.monitor_csv.exists()
+        assert (art.out_dir / pipeline.MONITOR_CSV).exists()
 
     @pytest.mark.parametrize("interval_ms", [1000, 3000])
     @pytest.mark.parametrize(
@@ -145,7 +145,7 @@ class TestRunArtifacts:
         # when signals collect less often than the engine ticks
         cfg = make_config(signal_interval_ms=interval_ms)
         art = pipeline.run(cfg, tmp_path)
-        rows = read_csv(art.calibrated_csv)  # floats written as repr read back exactly
+        rows = read_csv(art.out_dir / pipeline.CALIBRATED_CSV)  # floats written as repr read back exactly
         assert len(rows) == len(art.monitor.log)
         ticks = art.monitor.log.columns()
         for spec in cfg.actors:
@@ -213,7 +213,7 @@ class TestRunArtifacts:
             last = ends[-1]
             got = evaluate(store, expr)
             if last < 2000:
-                assert got == QueryResult(0.0, 2), tick  # svc and system
+                assert got == QueryResult(0.0, 2, 2), tick  # svc and system
                 continue
             joules = sum(
                 p * (min(t1, last) - max(t0, last - 2000)) / 1000
@@ -226,7 +226,7 @@ class TestRunArtifacts:
         assert covered == 120 - (2 if emission_interval_ms == 1500 else 1)
 
     def test_calibrated_csv_columns(self, leak_art):
-        rows = read_csv(leak_art.calibrated_csv)
+        rows = read_csv(leak_art.out_dir / pipeline.CALIBRATED_CSV)
         assert len(rows) == 60
         expected = {
             "time_ms",
@@ -244,7 +244,7 @@ class TestRunArtifacts:
         assert all(float(r["system_dyn_w"]) == 0.0 for r in rows)
 
     def test_energy_shares_sum_to_100(self, leak_art):
-        rows = read_csv(leak_art.energy_csv)
+        rows = read_csv(leak_art.out_dir / pipeline.ENERGY_CSV)
         assert rows, "energy summary should not be empty"
         assert sum(float(r["share_pct"]) for r in rows) == pytest.approx(100.0)
         energies = [float(r["energy_wh"]) for r in rows]
@@ -252,9 +252,9 @@ class TestRunArtifacts:
 
     def test_energy_matches_trapezoid_of_csv(self, leak_art):
         # cross-file oracle: summary Wh == trapezoid over the power CSV
-        power_rows = read_csv(leak_art.calibrated_csv)
+        power_rows = read_csv(leak_art.out_dir / pipeline.CALIBRATED_CSV)
         times_s = np.array([float(r["time_ms"]) for r in power_rows]) / 1000.0
-        for entry in read_csv(leak_art.energy_csv):
+        for entry in read_csv(leak_art.out_dir / pipeline.ENERGY_CSV):
             pid = entry["process"]
             watts = np.array(
                 [float(r[f"{pid}_dyn_w"]) + float(r[f"{pid}_idle_w"]) for r in power_rows]
@@ -263,7 +263,7 @@ class TestRunArtifacts:
             assert float(entry["energy_wh"]) == pytest.approx(wh, rel=1e-6)
 
     def test_truth_csv_shape(self, leak_art):
-        rows = read_csv(leak_art.truth_csv)
+        rows = read_csv(leak_art.out_dir / pipeline.TRUTH_CSV)
         # one row per emission, warmup included
         assert len(rows) == 70
         assert set(rows[0]) == {
@@ -275,7 +275,7 @@ class TestRunArtifacts:
         }
 
     def test_events_csv(self, leak_art):
-        rows = read_csv(leak_art.events_csv)
+        rows = read_csv(leak_art.out_dir / pipeline.EVENTS_CSV)
         assert [(r["action"], float(r["value"])) for r in rows] == [
             ("start", 5.0),
             ("stop", 5.0),
@@ -286,7 +286,7 @@ class TestRunArtifacts:
     def test_config_json_reparses(self, leak_art):
         from gridcalib.config import parse_config
 
-        data = json.loads(leak_art.config_json.read_text())
+        data = json.loads((leak_art.out_dir / pipeline.CONFIG_JSON).read_text())
         assert parse_config(data) == leakage_config()
 
     def test_determinism_byte_identical(self, tmp_path):
@@ -412,8 +412,8 @@ class TestRegressionSkipped:
     def test_skip_reason_in_the_artifacts(self, tmp_path, overrides, reason):
         art = pipeline.run(leakage_config(**overrides), tmp_path / "r")
         assert art.regression is None and art.regression_skipped == reason
-        assert json.loads(art.regression_json.read_text()) == {"skipped": reason}
-        assert art.regression_csv.read_bytes() == ",".join(PLOT_HEADER).encode() + b"\r\n"
+        assert json.loads((art.out_dir / pipeline.REGRESSION_JSON).read_text()) == {"skipped": reason}
+        assert (art.out_dir / pipeline.REGRESSION_CSV).read_bytes() == ",".join(PLOT_HEADER).encode() + b"\r\n"
 
 
 class TestRegressionArtifacts:
@@ -422,11 +422,11 @@ class TestRegressionArtifacts:
         recomputed = pipeline.validate(leak_art.out_dir)
         assert recomputed.slope == pytest.approx(leak_art.regression.slope, rel=1e-9)
         assert recomputed.n == leak_art.regression.n
-        rows = read_csv(leak_art.regression_csv)
+        rows = read_csv(leak_art.out_dir / pipeline.REGRESSION_CSV)
         assert len(rows) == leak_art.regression.n
 
     def test_stored_json_fields(self, leak_art):
-        data = json.loads(leak_art.regression_json.read_text())
+        data = json.loads((leak_art.out_dir / pipeline.REGRESSION_JSON).read_text())
         assert set(data) == {
             "slope",
             "intercept_w",
@@ -588,6 +588,18 @@ class TestServer:
         _, body = self.get(url)
         assert json.loads(body) == evaluate(store, expr)._asdict()
         assert json.loads(body)["value_w"] == query(store, expr) > 0
+
+    def test_query_counts_matched_series(self, served):
+        # a selector that matches nothing reads 0 W like an idle node;
+        # matched tells the two apart
+        _, base = served
+
+        def served_query(namespace):
+            expr = f'sum(rate({POWER_COUNTER_METRIC}{{{NAMESPACE_LABEL}="{namespace}"}}[2s]))'
+            return json.loads(self.get(base + "/query?" + urllib.parse.urlencode({"expr": expr}))[1])
+
+        assert served_query("bench")["matched"] > 0
+        assert served_query("bnech") == {"value_w": 0.0, "uncovered": 0, "matched": 0}
 
     def test_malformed_expr_400(self, served):
         _, base = served

@@ -30,6 +30,7 @@ from gridcalib.timeseries import (
     query,
     rate,
     rates,
+    trailing_rate,
 )
 
 
@@ -330,10 +331,21 @@ def test_query_uncovered_series_contributes_zero():
     store.append("e", {"i": "1"}, COUNTER, (3500, 0.0))
     store.append("e", {"i": "1"}, COUNTER, (4000, 100.0))
     assert query(store, "sum(rate(e[2s]))") == pytest.approx(10.0, rel=1e-12)
-    assert evaluate(store, "sum(rate(e[2s]))") == QueryResult(query(store, "sum(rate(e[2s]))"), 1)
+    assert evaluate(store, "sum(rate(e[2s]))") == QueryResult(query(store, "sum(rate(e[2s]))"), 1, 2)
     store.get_or_create("e", {"i": "2"}, COUNTER)  # no samples: covers no window
     assert evaluate(store, "sum(rate(e[2s]))").uncovered == 2
-    assert evaluate(store, "sum(rate(missing[2s]))") == QueryResult(0.0, 0)
+    assert evaluate(store, "sum(rate(missing[2s]))") == QueryResult(0.0, 0, 0)
+
+
+def test_trailing_rate_ends_at_the_newest_sample():
+    series = Series("e", kind=COUNTER)
+    assert trailing_rate(series, 2000) is None  # empty
+    series.append((1000, 0.0))
+    series.append((2500, 30.0))
+    assert trailing_rate(series, 2000) is None  # the window starts before the first sample
+    assert trailing_rate(series, 1000) == rate(series, 1500, 2500)
+    series.append((4000, 60.0))
+    assert trailing_rate(series, 2000) == rate(series, 2000, 4000)
 
 
 def test_query_at_explicit_time():
@@ -437,7 +449,7 @@ def test_index_agrees_with_brute_force_scan(created, name, filters, increments):
             total += rate(s, end - 1000, end)
         except EmptyWindow:
             uncovered += 1
-    assert evaluate(store, expr) == (total, uncovered)  # bit-identical: same summation order
+    assert evaluate(store, expr) == (total, uncovered, len(brute))  # bit-identical: same summation order
 
 
 def uncached_exposition(store):
