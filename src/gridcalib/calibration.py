@@ -34,9 +34,6 @@ from .wire import SYSTEM_NAMESPACE
 # means calibration is undefined, not merely large
 DENOMINATOR_GUARD_W = 1e-6
 
-DEFAULT_QUERY_WINDOW_MS = 2000
-DEFAULT_M_IDLE_WINDOW_MS = 30_000
-
 
 def calibrated_idle(p_idle: Sequence[float], n_idle: float, m_idle: float) -> tuple[float, ...]:
     """Scale each process's idle estimate by the measured idle draw."""
@@ -67,20 +64,13 @@ def calibrated_dynamic(factors: Sequence[float], m: float, m_idle: float) -> tup
     return tuple([a * budget for a in factors])
 
 
-def capture_idle_baseline(
-    gauge: Series,
-    now_ms: int,
-    mode: str = "averaged",
-    window_ms: int = DEFAULT_M_IDLE_WINDOW_MS,
-) -> float:
+def capture_idle_baseline(gauge: Series, now_ms: int, mode: str, window_ms: int) -> float:
     """Read the meter's idle level from its gauge at construction time.
 
-    "averaged" takes the mean of the gauge samples in the trailing
-    window; "single" takes the latest sample. Returns 0.0 when the gauge
-    has no samples yet.
+    mode is the config's m_idle_capture: "averaged" takes the mean of the
+    gauge samples in the trailing window; "single" takes the latest
+    sample. Returns 0.0 when the gauge has no samples yet.
     """
-    if mode not in ("averaged", "single"):
-        raise ValueError(f"unknown m_idle capture mode {mode!r}")
     ts, values = gauge.columns()
     window = values[(now_ms - window_ms <= ts) & (ts <= now_ms)].tolist()
     if mode == "averaged" and window:
@@ -155,11 +145,12 @@ class CalibrationStage(Controller):
     One scheduled collection reads each process's dynamic and idle
     counter rate over the query window that ends at the counters' newest
     sample, and the meter's latest reading, then applies calibrate(). The
-    stage is handed the series it reads: `counters` holds
-    every process's dynamic counter and then every idle counter, in
-    process order, and `gauge` is the meter's. Namespace actors sum the
-    latest snapshot; as a microgrid controller the stage also logs the
-    calibrated power each tick saw.
+    stage is handed the series it reads: `counters` holds every
+    process's dynamic counter and then every idle counter, in process
+    order, and `gauge` is the meter's. window_ms and interval_ms are the
+    config's query_window_ms and signal_interval_ms, checked there.
+    Namespace actors sum the latest snapshot; as a microgrid controller
+    the stage also logs the calibrated power each tick saw.
     The system pseudo-process keeps only its idle share: its dynamic
     power is exactly what calibration redistributes to the workloads.
     """
@@ -174,13 +165,9 @@ class CalibrationStage(Controller):
         clock: Clock,
         m_idle_w: float,
         *,
-        window_ms: int = DEFAULT_QUERY_WINDOW_MS,
-        interval_ms: int | None = None,
+        window_ms: int,
+        interval_ms: int,
     ):
-        if window_ms < 1000 or window_ms % 1000:
-            raise ValueError(
-                f"query window must be a positive whole number of seconds, got {window_ms} ms"
-            )
         self.window_ms = window_ms
         self.processes = list(processes)
         if len(counters) != 2 * len(self.processes):
@@ -232,14 +219,7 @@ class NamespacePowerActor:
     """Microgrid consumer reporting one namespace's calibrated dynamic draw:
     the sum over its processes in the stage's latest snapshot."""
 
-    def __init__(
-        self,
-        stage: CalibrationStage,
-        namespace: str,
-        *,
-        actor_id: str,
-        strict: bool = False,
-    ):
+    def __init__(self, stage: CalibrationStage, namespace: str, *, actor_id: str, strict: bool):
         self.actor_id = actor_id
         self.namespace = namespace
         self.strict = strict

@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Any
 
 from .emulation import (
-    DEFAULT_SYSTEM_BASELINE_W,
     IDLE_SPLIT_MODES,
     ApproximationParams,
     LoadSchedule,
@@ -73,7 +72,7 @@ class ScenarioConfig:
     m_idle_capture: str = "averaged"
     strict_signals: bool = False
     idle_split: str = "even"
-    system_baseline_w: float = DEFAULT_SYSTEM_BASELINE_W
+    system_baseline_w: float = 5.0
     workloads: tuple[WorkloadSpec, ...] = ()
     schedule: LoadSchedule | None = None
     meter: MeterSpec | None = None

@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Sequence
 
 from .attribution import dynamic_shares, even_shares, left_sum, requested_shares
 from .errors import InvalidField, NonMonotonicTimestamp
+from .microgrid import Controller
 from .signals import Clock
 from .ticklog import TickLog
 from .timeseries import COUNTER, MetricStore, Series
@@ -57,10 +58,7 @@ MAX_ERROR_I = 0.015
 MAX_ERROR_PHI = 0.01
 
 DEFAULT_VOLTAGE_V = 230.0
-DEFAULT_SYSTEM_BASELINE_W = 5.0
 SYSTEM_PROCESS_ID = "system"
-
-DEFAULT_EMISSION_INTERVAL_MS = 1000
 
 
 def _non_negative(value: float, what: str) -> float:
@@ -332,8 +330,47 @@ class LoadBank:
             raise ValueError(f"unknown load knob {knob!r}")
         self.levels[knob] = float(value)
 
-    def clear(self, knob: str) -> None:
-        self.set_level(knob, 0.0)
+
+class BenchmarkController(Controller):
+    """Walks a parsed load schedule on the load bank: set the schedule's
+    knob to a level, hold it for the runtime, stop it and start the next,
+    finishing with a single completion event that sets the knob to 0.
+
+    Records (action, value, time_ms) tuples; a schedule of length k
+    yields exactly k "start" events and k stop-or-complete events.
+    """
+
+    controller_id = "benchmark"
+
+    def __init__(self, schedule: LoadSchedule, bank: LoadBank):
+        # read once: the engine steps the controller every tick
+        self.levels = schedule.levels
+        self.runtime_ms = schedule.runtime_ms
+        self.knob = schedule.knob
+        self.events: list[tuple[str, float, int]] = []
+        self.done = False
+        self._bank = bank
+        self._idx = -1
+        self._start_time_ms = 0
+
+    def step(self, time_ms: int) -> None:
+        if self.done:
+            return
+        if self._idx >= 0:
+            if time_ms - self._start_time_ms < self.runtime_ms:
+                return
+            current = self.levels[self._idx]
+            last = self._idx + 1 == len(self.levels)
+            self.events.append(("complete" if last else "stop", current, time_ms))
+            if last:
+                self._bank.set_level(self.knob, 0.0)
+                self.done = True
+                return
+        self._idx += 1
+        self._start_time_ms = time_ms
+        value = self.levels[self._idx]
+        self.events.append(("start", value, time_ms))
+        self._bank.set_level(self.knob, value)
 
 
 class PowerModelEmitter:
@@ -343,11 +380,13 @@ class PowerModelEmitter:
     workload's true power, runs the approximation error model, and
     appends cumulative joules (watts integrated over the emission
     interval) to one counter series per mode and process, the system
-    pseudo-process included. `processes` is the run's process table:
-    (process_id, namespace) of each workload in config order, then
-    system. `counters` holds those series, every process's dynamic
-    counter and then every idle counter, in process order. Counters start
-    at 0 at construction time so rate windows have a left edge. The
+    pseudo-process included. The keyword arguments are the config's
+    values, which the config has checked. `processes` is the run's
+    process table: (process_id, namespace) of each workload in config
+    order, then system. `counters` holds those series, every process's
+    dynamic counter and then every idle counter, in process order.
+    Counters start at 0 at construction time so rate windows have a
+    left edge. The
     `truth` tick log keeps each firing's time, workload dynamic powers,
     idle powers and system power, the oracle real nodes lack;
     node_total_w is the latest firing's true node draw.
@@ -360,20 +399,16 @@ class PowerModelEmitter:
         load_bank: LoadBank,
         clock: Clock,
         *,
-        params: ApproximationParams | None = None,
-        system_baseline_w: float = DEFAULT_SYSTEM_BASELINE_W,
-        emission_interval_ms: int = DEFAULT_EMISSION_INTERVAL_MS,
-        idle_split: str = "even",
-        seed: int = 0,
+        params: ApproximationParams,
+        system_baseline_w: float,
+        emission_interval_ms: int,
+        idle_split: str,
+        seed: int,
     ):
-        if not workloads:
-            raise ValueError("need at least one workload")
         self.workloads = list(workloads)
-        self.params = params if params is not None else ApproximationParams()
-        self.system_baseline_w = _non_negative(system_baseline_w, "system_baseline_w")
-        self.emission_interval_ms = int(emission_interval_ms)
-        if self.emission_interval_ms <= 0:
-            raise ValueError("emission interval must be positive")
+        self.params = params
+        self.system_baseline_w = system_baseline_w
+        self.emission_interval_ms = emission_interval_ms
         self._approximation = approximation_plan(self.workloads, idle_split)
         self._levels = load_bank.levels
         self._clock = clock
@@ -489,10 +524,14 @@ class _MeterIngestHandler(socketserver.StreamRequestHandler):
                 continue
             try:
                 record = json.loads(line)
-                power_w = float(record["power_w"])
-                ts_ms = int(record["ts_ms"])
-            except (ValueError, KeyError, TypeError, OverflowError):
-                continue  # malformed line, or a number past int/float: skip it
+                power_w, ts_ms = record["power_w"], record["ts_ms"]
+                # a JSON number for power_w and a JSON integer for ts_ms,
+                # as the config walker reads them: no bool, string or null
+                if type(power_w) not in (int, float) or type(ts_ms) is not int:
+                    continue
+                power_w = float(power_w)
+            except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
+                continue  # malformed, nested past the parser's depth, or past float: skip it
             self.server.ingest(ts_ms, power_w)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from .attribution import left_sum
 from .errors import InvalidField, StepError
@@ -255,54 +254,3 @@ class Microgrid:
             self.step()
         return self.monitor
 
-
-class BenchmarkController(Controller):
-    """Walks a load schedule: start a setting, hold it for the runtime,
-    stop it and start the next, finishing with a single completion event.
-
-    Records (action, value, time_ms) tuples; a schedule of length k
-    yields exactly k "start" events and k stop-or-complete events.
-    """
-
-    controller_id = "benchmark"
-
-    def __init__(
-        self,
-        schedule: Sequence[float],
-        runtime_ms: int,
-        on_start: Callable[[float], None] | None = None,
-        on_stop: Callable[[float], None] | None = None,
-    ):
-        self.schedule = list(schedule)
-        if not self.schedule:
-            raise ValueError("schedule must not be empty")
-        if runtime_ms <= 0:
-            raise ValueError(f"runtime must be positive, got {runtime_ms}")
-        self.runtime_ms = int(runtime_ms)
-        self.events: list[tuple[str, float, int]] = []
-        self.done = False
-        self._idx = -1
-        self._start_time_ms = 0
-        self._on_start = on_start
-        self._on_stop = on_stop
-
-    def step(self, time_ms: int) -> None:
-        if self.done:
-            return
-        if self._idx >= 0:
-            if time_ms - self._start_time_ms < self.runtime_ms:
-                return
-            current = self.schedule[self._idx]
-            last = self._idx + 1 == len(self.schedule)
-            self.events.append(("complete" if last else "stop", current, time_ms))
-            if self._on_stop is not None:
-                self._on_stop(current)
-            if last:
-                self.done = True
-                return
-        self._idx += 1
-        self._start_time_ms = time_ms
-        value = self.schedule[self._idx]
-        self.events.append(("start", value, time_ms))
-        if self._on_start is not None:
-            self._on_start(value)

@@ -20,6 +20,7 @@ import csv
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +28,6 @@ import numpy as np
 
 from .attribution import left_sum
 from .calibration import (
-    DEFAULT_M_IDLE_WINDOW_MS,
     CalibrationStage,
     NamespacePowerActor,
     capture_idle_baseline,
@@ -35,6 +35,7 @@ from .calibration import (
 )
 from .config import NamespaceActorSpec, ScenarioConfig, config_to_dict
 from .emulation import (
+    BenchmarkController,
     LoadBank,
     MeterEmitter,
     MeterListener,
@@ -48,7 +49,7 @@ from .errors import (
     GridCalibError,
     MissingArtifact,
 )
-from .microgrid import BenchmarkController, Microgrid, Monitor
+from .microgrid import Microgrid, Monitor
 from .signals import VirtualClock, WallClock
 from .ticklog import columns_csv
 from .ticklog import csv_bytes as _csv_bytes
@@ -166,11 +167,10 @@ class _Runtime:
             storage=config.storage,
         )
         if config.workloads:
+            # the trailing window is the warmup: with none, the clock is at 0
+            # and any window holds the same samples
             self.m_idle_w = capture_idle_baseline(
-                self.gauge,
-                clock.now_ms(),
-                mode=config.m_idle_capture,
-                window_ms=config.warmup_ms or DEFAULT_M_IDLE_WINDOW_MS,
+                self.gauge, clock.now_ms(), config.m_idle_capture, config.warmup_ms
             )
             self.stage = CalibrationStage(
                 self.emitter.processes,
@@ -192,14 +192,8 @@ class _Runtime:
                     strict=config.strict_signals,
                 )
             self.engine.add_actor(actor)
-        schedule = config.schedule
-        if schedule is not None:  # config validation guarantees workloads
-            self.benchmark = BenchmarkController(
-                schedule.levels,
-                schedule.runtime_ms,
-                on_start=lambda value: self.bank.set_level(schedule.knob, value),
-                on_stop=lambda value: self.bank.clear(schedule.knob),
-            )
+        if config.schedule is not None:  # config validation guarantees workloads
+            self.benchmark = BenchmarkController(config.schedule, self.bank)
             self.engine.add_controller(self.benchmark)
 
     def await_meter(self) -> None:
@@ -427,13 +421,25 @@ def _write_artifacts(runtime: _Runtime, out: Path) -> RunArtifacts:
 # --- artifact consumers --------------------------------------------------------
 
 
+@contextmanager
+def _corrupt(artifacts_dir: str | Path, name: str):
+    """Turn a value error met while reading one artifact (bad JSON, a
+    missing column or key, a wrong type, a non-finite number) into a
+    GridCalibError that names the file."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+        path = Path(artifacts_dir) / name
+        raise GridCalibError(f"corrupt artifact {path}: {type(exc).__name__}: {exc}") from None
+
+
 def _read_artifact(artifacts_dir: str | Path, name: str):
     """One artifact of a run directory, parsed: a JSON file's object or a
     CSV file's rows. MissingArtifact names the file when it is not there."""
     path = Path(artifacts_dir) / name
     if not path.exists():
         raise MissingArtifact(f"missing artifact: {path}")
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, _corrupt(artifacts_dir, name):
         return json.load(fh) if name.endswith(".json") else list(csv.DictReader(fh))
 
 
@@ -444,9 +450,10 @@ def report(artifacts_dir: str | Path, floor_wh: float = 1.0) -> str:
     long tails usually are in per-service energy reports.
     """
     rows = _read_artifact(artifacts_dir, ENERGY_CSV)
-    entries = [
-        (row["process"], row["namespace"], float(row["energy_wh"])) for row in rows
-    ]
+    with _corrupt(artifacts_dir, ENERGY_CSV):
+        entries = [
+            (row["process"], row["namespace"], float(row["energy_wh"])) for row in rows
+        ]
     total = left_sum(e for _, _, e in entries)
     major = [item for item in entries if item[2] >= floor_wh]
     minor = [item for item in entries if item[2] < floor_wh]
@@ -466,20 +473,21 @@ def report(artifacts_dir: str | Path, floor_wh: float = 1.0) -> str:
     lines.append(f"{'total':<24} {'':<12} {total:>12.3f} {100.0 if total > 0 else 0.0:>7.1f}%")
 
     data = _read_artifact(artifacts_dir, REGRESSION_JSON)
-    if "skipped" in data:
-        lines.append(f"regression: skipped ({data['skipped']})")
-    else:
-        fitted = RegressionReport(**data)
-        verdict = compare_to_ideal(fitted)
+    with _corrupt(artifacts_dir, REGRESSION_JSON):
+        if "skipped" in data:
+            lines.append(f"regression: skipped ({data['skipped']})")
+        else:
+            fitted = RegressionReport(**data)
+            verdict = compare_to_ideal(fitted)
 
-        def mark(ok: bool) -> str:
-            return "ok" if ok else "FAIL"
+            def mark(ok: bool) -> str:
+                return "ok" if ok else "FAIL"
 
-        lines.append(
-            f"regression: slope {fitted.slope:.4f} ({mark(verdict.slope_ok)}), "
-            f"intercept {fitted.intercept_w:.2f} W ({mark(verdict.intercept_ok)}), "
-            f"r2 {fitted.r2:.4f} ({mark(verdict.r2_ok)}), n={fitted.n}"
-        )
+            lines.append(
+                f"regression: slope {fitted.slope:.4f} ({mark(verdict.slope_ok)}), "
+                f"intercept {fitted.intercept_w:.2f} W ({mark(verdict.intercept_ok)}), "
+                f"r2 {fitted.r2:.4f} ({mark(verdict.r2_ok)}), n={fitted.n}"
+            )
     return "\n".join(lines) + "\n"
 
 
@@ -489,12 +497,12 @@ def validate(artifacts_dir: str | Path) -> RegressionReport | None:
     skipped regression."""
     rows = _read_artifact(artifacts_dir, REGRESSION_CSV)
     data = _read_artifact(artifacts_dir, REGRESSION_JSON)
-    if "skipped" in data:
-        return None
-    stored = RegressionReport(**data)
-    x = np.array([float(r["x_w"]) for r in rows])
-    y = np.array([float(r["y_w"]) for r in rows])
-    recomputed = fit_ols(x, y)
+    with _corrupt(artifacts_dir, REGRESSION_JSON):
+        if "skipped" in data:
+            return None
+        stored = RegressionReport(**data)
+    with _corrupt(artifacts_dir, REGRESSION_CSV):
+        recomputed = fit_ols([float(r["x_w"]) for r in rows], [float(r["y_w"]) for r in rows])
     checks = [
         ("slope", stored.slope, recomputed.slope),
         ("intercept_w", stored.intercept_w, recomputed.intercept_w),
@@ -502,12 +510,13 @@ def validate(artifacts_dir: str | Path) -> RegressionReport | None:
         ("residual_median_w", stored.residual_median_w, recomputed.residual_median_w),
         ("residual_max_w", stored.residual_max_w, recomputed.residual_max_w),
     ]
-    for name, want, got in checks:
-        if abs(got - want) > 1e-9 * max(1.0, abs(want)):
-            raise GridCalibError(
-                f"stored regression does not match its points: "
-                f"{name} {want} vs recomputed {got}"
-            )
+    with _corrupt(artifacts_dir, REGRESSION_JSON):
+        for name, want, got in checks:
+            if abs(got - want) > 1e-9 * max(1.0, abs(want)):
+                raise GridCalibError(
+                    f"stored regression does not match its points: "
+                    f"{name} {want} vs recomputed {got}"
+                )
     if stored.n != recomputed.n:
         raise GridCalibError(
             f"stored regression does not match its points: "

@@ -16,8 +16,6 @@ import heapq
 import time
 from typing import Callable
 
-DEFAULT_SIGNAL_INTERVAL_MS = 1000
-
 
 class VirtualClock:
     """Deterministic clock; time moves only through advance()."""
@@ -92,20 +90,12 @@ class Signal:
     that was never collected can gate on it.
     """
 
-    def __init__(
-        self,
-        collector: Callable[[], None],
-        interval_ms: int | None,
-        clock: Clock,
-    ):
-        self.interval_ms = DEFAULT_SIGNAL_INTERVAL_MS if interval_ms is None else int(interval_ms)
-        if self.interval_ms <= 0:
-            raise ValueError(f"interval must be positive, got {self.interval_ms}")
+    def __init__(self, collector: Callable[[], None], interval_ms: int, clock: Clock):
         self.last_collection_ms = 0
         self.error_count = 0
         self._collector = collector
         self._clock = clock
-        clock.schedule(self.interval_ms, self._fire)
+        clock.schedule(interval_ms, self._fire)
 
     def _fire(self) -> None:
         try:

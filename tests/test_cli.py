@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, bind parsing."""
 
 import json
+import shutil
 import socket
 
 import pytest
@@ -93,6 +94,51 @@ class TestReportAndValidate:
     def test_validate_missing_dir_exit_3(self, tmp_path, capsys):
         assert run_cli("validate", str(tmp_path / "void")) == 3
         capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def regression_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli-reg") / "reg"
+    assert run_cli("run", "preset:regression", "--out", str(out)) == 0
+    return out
+
+
+def _nan_first_x(text):
+    header, first, rest = text.split("\r\n", 2)
+    return "\r\n".join([header, "nan" + first[first.index(","):], rest])
+
+
+CORRUPTIONS = {
+    "nan_x": (pipeline.REGRESSION_CSV, _nan_first_x),
+    "report_missing_keys": (pipeline.REGRESSION_JSON, lambda text: '{"slope": 1.0}\n'),
+    "truncated_json": (pipeline.REGRESSION_JSON, lambda text: text[: len(text) // 2]),
+    "points_missing_column": (pipeline.REGRESSION_CSV, lambda text: text.replace("x_w", "x", 1)),
+    "energy_missing_column": (pipeline.ENERGY_CSV, lambda text: text.replace("energy_wh", "wh", 1)),
+}
+
+
+@pytest.mark.parametrize(
+    "command, fault",
+    [
+        ("validate", "nan_x"),
+        ("validate", "report_missing_keys"),
+        ("report", "report_missing_keys"),
+        ("validate", "truncated_json"),
+        ("report", "truncated_json"),
+        ("validate", "points_missing_column"),
+        ("report", "energy_missing_column"),
+    ],
+)
+def test_corrupt_artifact_exit_3_names_the_file(regression_out, tmp_path, capsys, command, fault):
+    out = tmp_path / "reg"
+    shutil.copytree(regression_out, out)
+    name, corrupt = CORRUPTIONS[fault]
+    path = out / name
+    path.write_bytes(corrupt(path.read_bytes().decode()).encode())
+    capsys.readouterr()
+    assert run_cli(command, str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: corrupt artifact {path}: ")
 
 
 class TestBindParsing:

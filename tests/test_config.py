@@ -607,8 +607,20 @@ def _storage(**fields):
     return _with("storage", {"capacity_j": 10.0, **fields})
 
 
-# one document per single-field spec check, and the field it must name
+# one document per single-field spec check, and the field it must name;
+# the run's components take these values as given, so each check here is
+# the only one its value meets
 FIELD_CHECKS = [
+    (_with("dt_ms", 0), "dt_ms"),
+    (_with("duration_ms", 1500), "duration_ms"),
+    (_with("warmup_ms", -1), "warmup_ms"),
+    (_with("emission_interval_ms", 0), "emission_interval_ms"),
+    (_with("signal_interval_ms", 0), "signal_interval_ms"),
+    (_with("query_window_ms", 1500), "query_window_ms"),
+    (_with("m_idle_capture", "median"), "m_idle_capture"),
+    (_with("idle_split", "by-fiat"), "idle_split"),
+    (_with("system_baseline_w", -1.0), "system_baseline_w"),
+    (_with("system_baseline_w", math.inf), "system_baseline_w"),
     (_workload(kind="weird"), "workloads[0].kind"),
     (_workload(load_knob="dial"), "workloads[0].load_knob"),
     (_workload(namespace="system"), "workloads[0].namespace"),

@@ -375,15 +375,13 @@ class TestLoadBank:
         assert bank.levels["rps"] == 0.0
         bank.set_level("rps", 750)
         assert bank.levels["rps"] == 750.0
-        bank.clear("rps")
+        bank.set_level("rps", 0)
         assert bank.levels["rps"] == 0.0
 
     def test_unknown_knob(self):
         bank = LoadBank()
         with pytest.raises(ValueError):
             bank.set_level("dial", 1)
-        with pytest.raises(ValueError):
-            bank.clear("dial")
         assert "dial" not in bank.levels
 
 
@@ -402,7 +400,7 @@ def counter(store, labels):
 
 
 class TestPowerModelEmitter:
-    def make(self, workloads=None, seed=7, baseline=0.0, **kwargs):
+    def make(self, workloads=None, seed=7, baseline=0.0, params=ApproximationParams()):
         store = MetricStore()
         clock = VirtualClock()
         bank = LoadBank()
@@ -411,9 +409,11 @@ class TestPowerModelEmitter:
             workloads if workloads is not None else [spec()],
             bank,
             clock,
+            params=params,
             system_baseline_w=baseline,
+            emission_interval_ms=1000,
+            idle_split="even",
             seed=seed,
-            **kwargs,
         )
         return store, clock, bank, emitter
 
@@ -545,10 +545,6 @@ class TestPowerModelEmitter:
         clock.advance(1000)
         assert emitter.node_total_w == 60.0
 
-    def test_needs_workloads(self):
-        with pytest.raises(ValueError):
-            self.make(workloads=[])
-
 
 def meter_gauge() -> Series:
     return Series("meter_watts", kind=GAUGE)
@@ -637,8 +633,17 @@ class TestMeterWireProtocol:
         [
             '{"power_w": 300.0, "ts_ms": 1e999}',  # json reads inf; int(inf) overflows
             '{"power_w": 1' + "0" * 400 + ', "ts_ms": 2000}',  # float() of it overflows
+            "[" * 100000,  # json.loads raises RecursionError
+            '{"power_w": true, "ts_ms": "2000"}',  # a bool and a string are not numbers
+            '{"power_w": "3.5", "ts_ms": 3000.9}',  # a string, and a ts_ms that is no integer
         ],
-        ids=["ts_ms_inf", "power_w_past_float"],
+        ids=[
+            "ts_ms_inf",
+            "power_w_past_float",
+            "nested_past_recursion",
+            "bool_power_string_ts",
+            "string_power_float_ts",
+        ],
     )
     def test_overflowing_number_skipped_and_stream_kept(self, bad_line):
         gauge = meter_gauge()

@@ -320,10 +320,20 @@ def test_left_sum_adds_left_to_right():
     assert left_sum([]) == 0.0
 
 
-def armed(workload, knob_value, **kwargs):
+def emitter_on(workloads, idle_split="even"):
+    """An emitter on the config's defaults but idle_split, with its clock
+    and load bank."""
+    clock, bank = VirtualClock(), LoadBank()
+    emitter = PowerModelEmitter(
+        MetricStore(), workloads, bank, clock, params=ApproximationParams(),
+        system_baseline_w=5.0, emission_interval_ms=1000, idle_split=idle_split, seed=0,
+    )
+    return emitter, clock, bank
+
+
+def armed(workload, knob_value, idle_split="even"):
     """An emitter whose next firing reads knob_value; returns that firing."""
-    store, clock, bank = MetricStore(), VirtualClock(), LoadBank()
-    emitter = PowerModelEmitter(store, [workload], bank, clock, **kwargs)
+    emitter, clock, bank = emitter_on([workload], idle_split)
     bank.set_level(workload.load_knob, knob_value)
     return lambda: clock.advance(emitter.emission_interval_ms)
 
@@ -351,9 +361,9 @@ class TestFireTimeChecks:
 
     def test_unknown_idle_split_raises_at_construction(self):
         with pytest.raises(ValueError):
-            PowerModelEmitter(MetricStore(), [WorkloadSpec("w")], LoadBank(), VirtualClock(), idle_split="fair")
+            emitter_on([WorkloadSpec("w")], idle_split="fair")
 
     def test_overflowing_requested_total_raises_at_construction(self):
         workloads = [WorkloadSpec(f"w{i}", idle_share_w=1e308) for i in range(2)]
         with pytest.raises(ValueError):
-            PowerModelEmitter(MetricStore(), workloads, LoadBank(), VirtualClock(), idle_split="requested")
+            emitter_on(workloads, idle_split="requested")

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcalib.emulation import BenchmarkController, LoadBank, LoadSchedule
 from gridcalib.errors import StepError
 from gridcalib.microgrid import (
     Actor,
-    BenchmarkController,
     Controller,
     Microgrid,
     SimpleBattery,
@@ -369,9 +369,15 @@ class TestMonitorCsv:
         )
 
 
+def benchmark(levels, runtime_ms, bank=None, knob="rps"):
+    """A benchmark controller walking a custom schedule of these levels."""
+    schedule = LoadSchedule("custom", tuple(levels), runtime_ms, knob)
+    return BenchmarkController(schedule, bank if bank is not None else LoadBank())
+
+
 class TestBenchmarkController:
     def test_two_iteration_trace(self):
-        ctrl = BenchmarkController([250, 500], runtime_ms=600_000)
+        ctrl = benchmark([250, 500], runtime_ms=600_000)
         ctrl.step(0)
         assert ctrl.events == [("start", 250, 0)]
         ctrl.step(600_000)
@@ -383,14 +389,14 @@ class TestBenchmarkController:
         assert not ctrl.done
 
     def test_no_action_before_runtime_elapses(self):
-        ctrl = BenchmarkController([250, 500], runtime_ms=600_000)
+        ctrl = benchmark([250, 500], runtime_ms=600_000)
         ctrl.step(0)
         ctrl.step(1000)
         ctrl.step(599_999)
         assert ctrl.events == [("start", 250, 0)]
 
     def test_exhausted_schedule_completes_once(self):
-        ctrl = BenchmarkController([250], runtime_ms=1000)
+        ctrl = benchmark([250], runtime_ms=1000)
         ctrl.step(0)
         assert not ctrl.done
         ctrl.step(1000)
@@ -402,7 +408,7 @@ class TestBenchmarkController:
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_event_counts_match_schedule_length(self, n):
         schedule = [250 * (i + 1) for i in range(n)]
-        ctrl = BenchmarkController(schedule, runtime_ms=10_000)
+        ctrl = benchmark(schedule, runtime_ms=10_000)
         t = 0
         while not ctrl.done:
             ctrl.step(t)
@@ -414,25 +420,33 @@ class TestBenchmarkController:
         started = [v for a, v, _ in ctrl.events if a == "start"]
         assert started == schedule
 
-    def test_callbacks_drive_a_load_bank(self):
-        running: list[float] = []
-        log: list[str] = []
-        ctrl = BenchmarkController(
-            [1, 4],
-            runtime_ms=2000,
-            on_start=lambda v: (running.append(v), log.append(f"+{v}")),
-            on_stop=lambda v: (running.remove(v), log.append(f"-{v}")),
-        )
-        ctrl.step(0)
-        assert running == [1]
-        ctrl.step(2000)
-        assert running == [4]
-        ctrl.step(4000)
-        assert running == []
-        assert log == ["+1", "-1", "+4", "-4"]
+    def test_drives_the_schedule_knob_on_the_load_bank(self):
+        bank = LoadBank()
+        ctrl = benchmark([1, 4], runtime_ms=2000, bank=bank, knob="threads")
+        seen = []
+        for t in (0, 1000, 2000, 3000, 4000, 5000):
+            ctrl.step(t)
+            seen.append((bank.levels["threads"], bank.levels["rps"]))
+        assert seen == [(1.0, 0.0), (1.0, 0.0), (4.0, 0.0), (4.0, 0.0), (0.0, 0.0), (0.0, 0.0)]
+        assert [a for a, _, _ in ctrl.events] == ["start", "stop", "start", "complete"]
+
+    def test_reads_the_schedule_once(self):
+        reads = []
+
+        class Counted(LoadSchedule):
+            @property
+            def levels(self):
+                reads.append(1)
+                return super().levels
+
+        ctrl = BenchmarkController(Counted("custom", (1.0, 2.0), 1000, "rps"), LoadBank())
+        for t in range(0, 10_000, 250):
+            ctrl.step(t)
+        assert ctrl.done
+        assert len(reads) == 1
 
     def test_runs_inside_engine(self):
-        ctrl = BenchmarkController([10, 20, 30], runtime_ms=3000)
+        ctrl = benchmark([10, 20, 30], runtime_ms=3000)
         grid = Microgrid(dt_ms=1000)
         grid.add_controller(ctrl)
         grid.run(12_000)
@@ -441,9 +455,3 @@ class TestBenchmarkController:
         assert actions.count("stop") == 2
         assert actions.count("complete") == 1
         assert ctrl.done
-
-    def test_rejects_empty_schedule_and_bad_runtime(self):
-        with pytest.raises(ValueError):
-            BenchmarkController([], runtime_ms=1000)
-        with pytest.raises(ValueError):
-            BenchmarkController([1], runtime_ms=0)

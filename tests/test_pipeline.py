@@ -196,6 +196,7 @@ class TestRunArtifacts:
             params=cfg.approximation,
             system_baseline_w=cfg.system_baseline_w,
             emission_interval_ms=emission_interval_ms,
+            idle_split=cfg.idle_split,
             seed=cfg.seed,
         )
         gauge = store.get_or_create(METER_GAUGE_METRIC, {}, GAUGE)

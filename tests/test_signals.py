@@ -7,12 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcalib.signals import (
-    DEFAULT_SIGNAL_INTERVAL_MS,
-    Signal,
-    VirtualClock,
-    WallClock,
-)
+from gridcalib.config import ScenarioConfig
+from gridcalib.signals import Signal, VirtualClock, WallClock
 
 
 def recording_collector(clock):
@@ -43,10 +39,12 @@ def test_collector_value_visible_after_one_interval():
 
 
 def test_interval_defaults_to_1000ms():
+    # the config holds the one default; the signal takes it as given
+    interval = ScenarioConfig(duration_ms=1000, seed=0).signal_interval_ms
+    assert interval == 1000
     clock = VirtualClock()
     calls, collector = recording_collector(clock)
-    sig = Signal(collector, None, clock)
-    assert sig.interval_ms == DEFAULT_SIGNAL_INTERVAL_MS == 1000
+    sig = Signal(collector, interval, clock)
     clock.advance(999)
     assert calls == []
     clock.advance(1)
@@ -98,6 +96,7 @@ def test_same_instant_firing_follows_registration_order():
 
 
 def test_nonpositive_interval_rejected():
+    # the clock's schedule() checks every interval
     clock = VirtualClock()
     with pytest.raises(ValueError):
         Signal(lambda: None, interval_ms=0, clock=clock)
@@ -199,8 +198,7 @@ class TestWallClock:
 def test_signal_constructible_directly():
     clock = VirtualClock()
     calls, collector = recording_collector(clock)
-    sig = Signal(collector, None, clock)
-    assert sig.interval_ms == 1000
+    sig = Signal(collector, 1000, clock)
     clock.advance(1000)
     assert calls == [1000]
     assert (sig.last_collection_ms, sig.error_count) == (1000, 0)

@@ -1,13 +1,15 @@
 """No second API grows back beside the one the run executes.
 
-Every module-level function or class in src/gridcalib, and every public
-method or property of a public class that does not override a
-base-class name, must be read somewhere else: in the package outside its
-own definition, or in bench/*.py. A function or class is read by a Name
-or Attribute node (not docstring text); a method or property only by an
-Attribute node, since a bare name of the same spelling is a local
-variable or a function, never the method. Names are matched by
-spelling, not resolved, so a reader of any same-named attribute counts.
+Every module-level function, class or UPPER_CASE constant in
+src/gridcalib, and every public method or property of a public class
+that does not override a base-class name, must be read somewhere else:
+in the package outside its own definition, or in bench/*.py. A
+function, class or constant is read by a Name or Attribute node (not
+docstring text); a method or property only by an Attribute node, since
+a bare name of the same spelling is a local variable or a function,
+never the method. So no default can be kept in src/ for tests alone.
+Names are matched by spelling, not resolved, so a reader of any
+same-named attribute counts.
 
 Every field of a dataclass in src/gridcalib must be read, anywhere in
 the package or in bench/*.py, by an Attribute node in load context
@@ -45,6 +47,12 @@ def _definitions(module: str, tree: ast.Module):
     rule covers."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    yield f"{module}.{target.id}", target.id, node, False
+            continue
         if not isinstance(node, defs):
             continue
         yield f"{module}.{node.name}", node.name, node, False
