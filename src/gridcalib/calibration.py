@@ -9,12 +9,13 @@ wrongly attributed to system processes back to the workloads that
 caused it.
 
 All math lives in pure functions over per-process tuples; calibrate()
-runs them once per collection. CalibrationStage calls it on each
-counter rate, over a window that ends at the latest emission, and on
-the meter's latest reading; NamespacePowerActor sums its namespace's share of that snapshot so a
-microgrid can treat the calibrated draw as a consumer actor, and
-calibrated_power.csv serialises the same snapshots, so the two agree by
-construction.
+runs them once per collection. CalibrationStage calls it on every
+counter rate of the emitter's CounterFrame, read in one pass over a
+window that ends at the latest emission, and on the meter's latest
+reading; NamespacePowerActor sums its namespace's share of that
+snapshot so a microgrid can treat the calibrated draw as a consumer
+actor, and calibrated_power.csv serialises the same snapshots, so the
+two agree by construction.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import DegenerateDenominator, StaleSignal, ZeroNodeIdle
 from .microgrid import Controller
 from .signals import Clock, Signal
 from .ticklog import TickLog
-from .timeseries import Series, trailing_rate
+from .timeseries import CounterFrame, Series
 from .wire import SYSTEM_NAMESPACE
 
 # denominator guard: approximated system power this close to the node total
@@ -144,11 +145,12 @@ class CalibrationStage(Controller):
 
     One scheduled collection reads each process's dynamic and idle
     counter rate over the query window that ends at the counters' newest
-    sample, and the meter's latest reading, then applies calibrate(). The
-    stage is handed the series it reads: `counters` holds every
-    process's dynamic counter and then every idle counter, in process
-    order, and `gauge` is the meter's. window_ms and interval_ms are the
-    config's query_window_ms and signal_interval_ms, checked there.
+    row, and the meter's latest reading, then applies calibrate(). The
+    stage is handed the series it reads: `frame` is the emitter's
+    counters, whose members are every process's dynamic counter and then
+    every idle counter, in process order, and `gauge` is the meter's.
+    window_ms and interval_ms are the config's query_window_ms and
+    signal_interval_ms, checked there.
     Namespace actors sum the latest snapshot; as a microgrid controller
     the stage also logs the calibrated power each tick saw.
     The system pseudo-process keeps only its idle share: its dynamic
@@ -160,7 +162,7 @@ class CalibrationStage(Controller):
     def __init__(
         self,
         processes: Sequence[tuple[str, str]],
-        counters: Sequence[Series],
+        frame: CounterFrame,
         gauge: Series,
         clock: Clock,
         m_idle_w: float,
@@ -170,10 +172,10 @@ class CalibrationStage(Controller):
     ):
         self.window_ms = window_ms
         self.processes = list(processes)
-        if len(counters) != 2 * len(self.processes):
+        if len(frame.members) != 2 * len(self.processes):
             raise ValueError(
                 f"need a dynamic and an idle counter for each of {len(self.processes)} "
-                f"processes, got {len(counters)} counters"
+                f"processes, got {len(frame.members)} counters"
             )
         self.m_idle_w = m_idle_w
         # namespace -> indices of its processes, in first-seen order
@@ -181,7 +183,7 @@ class CalibrationStage(Controller):
         for i, (_, ns) in enumerate(self.processes):
             self.namespaces[ns] = self.namespaces.get(ns, ()) + (i,)
         self._system = self.namespaces.get(SYSTEM_NAMESPACE, ())
-        self._counters = list(counters)
+        self._frame = frame
         self._gauge = gauge
         zeros = (0.0,) * len(self.processes)
         self.snapshot = CalibrationSnapshot(
@@ -201,12 +203,10 @@ class CalibrationStage(Controller):
         last = self._gauge.last()
         if last is None:
             raise LookupError("no meter samples yet")
-        # the emitter appends every counter at once, so all windows end together
-        watts = []
-        for series in self._counters:
-            w = trailing_rate(series, self.window_ms)
-            watts.append(0.0 if w is None else w)  # an uncovered window reads 0
+        watts = self._frame.trailing_rates(self.window_ms)
         k = len(self.processes)
+        if watts is None:  # an uncovered window reads 0
+            watts = [0.0] * (2 * k)
         self.snapshot = calibrate(
             tuple(watts[:k]), tuple(watts[k:]), last.value, self.m_idle_w, self._system
         )

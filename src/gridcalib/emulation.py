@@ -30,7 +30,7 @@ from .errors import InvalidField, NonMonotonicTimestamp
 from .microgrid import Controller
 from .signals import Clock
 from .ticklog import TickLog
-from .timeseries import COUNTER, MetricStore, Series
+from .timeseries import COUNTER, CounterFrame, MetricStore, Series
 from .wire import (
     MODE_DYNAMIC,
     MODE_IDLE,
@@ -383,13 +383,14 @@ class PowerModelEmitter:
     pseudo-process included. The keyword arguments are the config's
     values, which the config has checked. `processes` is the run's
     process table: (process_id, namespace) of each workload in config
-    order, then system. `counters` holds those series, every process's
-    dynamic counter and then every idle counter, in process order.
-    Counters start at 0 at construction time so rate windows have a
-    left edge. The
-    `truth` tick log keeps each firing's time, workload dynamic powers,
-    idle powers and system power, the oracle real nodes lack;
-    node_total_w is the latest firing's true node draw.
+    order, then system. `frame` is those series as one CounterFrame, so
+    a firing appends one row at one timestamp; `counters` is its member
+    list, every process's dynamic counter and then every idle counter,
+    in process order. Counters start at 0 at construction time so rate
+    windows have a left edge. The `truth` tick log keeps each firing's
+    time, workload dynamic powers, idle powers and system power, the
+    oracle real nodes lack; node_total_w is the latest firing's true
+    node draw.
     """
 
     def __init__(
@@ -418,7 +419,7 @@ class PowerModelEmitter:
         self.processes = [(w.process_id, w.namespace) for w in self.workloads]
         self.processes.append((SYSTEM_PROCESS_ID, SYSTEM_NAMESPACE))
         # one joules counter per (mode, process), dynamic first
-        self.counters = [
+        self.frame = CounterFrame([
             store.get_or_create(
                 POWER_COUNTER_METRIC,
                 {NAMESPACE_LABEL: ns, MODE_LABEL: mode, PROCESS_LABEL: pid},
@@ -426,11 +427,11 @@ class PowerModelEmitter:
             )
             for mode in (MODE_DYNAMIC, MODE_IDLE)
             for pid, ns in self.processes
-        ]
+        ])
+        self.counters = self.frame.members
         self._joules = [0.0] * len(self.counters)
         self._last_emit_ms = clock.now_ms()
-        for series in self.counters:
-            series.append((self._last_emit_ms, 0.0))
+        self.frame.append(self._last_emit_ms, self._joules)
         names = [f"{pid}_true_{m}_w" for m in ("dyn", "idle") for pid, _ in self.processes[:-1]]
         self.truth = TickLog(["time_ms", *names, "system_true_dyn_w"], int_columns=1)
         self._dyn, self._idle = self._sample_truth()
@@ -453,9 +454,8 @@ class PowerModelEmitter:
             dyn, idle, system, self.params, self._approx_rng, *self._approximation
         )
         dt_s = (now_ms - self._last_emit_ms) / 1000.0
-        self._joules = joules = [j + w * dt_s for j, w in zip(self._joules, watts)]
-        for series, value in zip(self.counters, joules):
-            series.append((now_ms, value))
+        self._joules = [j + w * dt_s for j, w in zip(self._joules, watts)]
+        self.frame.append(now_ms, self._joules)
         self._last_emit_ms = now_ms
         self._dyn, self._idle = dyn, idle
         self.truth.append([now_ms, *dyn, *idle, system])

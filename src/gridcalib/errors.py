@@ -31,6 +31,15 @@ class ParseError(GridCalibError):
     """Query text does not match the query grammar."""
 
 
+class MemberAppend(GridCalibError):
+    """A sample was appended to a counter frame's member, not its frame."""
+
+
+class SeriesNotEmpty(GridCalibError):
+    """A counter frame was given a series that holds samples or belongs
+    to a frame already."""
+
+
 # calibration
 
 class ZeroNodeIdle(GridCalibError):

@@ -174,7 +174,7 @@ class _Runtime:
             )
             self.stage = CalibrationStage(
                 self.emitter.processes,
-                self.emitter.counters,
+                self.emitter.frame,
                 self.gauge,
                 clock,
                 self.m_idle_w,

@@ -7,30 +7,34 @@ interpolation between the two nearest samples.
 
 Layout: a series is two typed columns of equal length, array("q") of
 int64 timestamps and array("d") of float64 values, 16 bytes a sample
-where two lists of Python objects cost about 40. Scalar reads (bisect,
-value_at, last) index the columns directly. Vectorised reads (rates)
-hand numpy a copy of a column prefix, ``series._ts[:n]``, never the
-live column: numpy over a live array exports its buffer, and while any
-export is alive the writer's next append raises BufferError ("cannot
-resize an array that is exporting buffers"), which would stop a live
-run.
+where two lists of Python objects cost about 40. Counters that are
+sampled together form a CounterFrame: its members share one timestamp
+column and each keeps its own value column, so a row costs 8 bytes for
+the timestamp and 8 per member, and a reader treats a member as any
+series. Scalar reads (bisect, value_at, last) index the columns
+directly. Vectorised reads (rates) hand numpy a copy of a column
+prefix, ``series._ts[:n]``, never the live column: numpy over a live
+array exports its buffer, and while any export is alive the writer's
+next append raises BufferError ("cannot resize an array that is
+exporting buffers"), which would stop a live run.
 
-Concurrency: one writer per series, any number of readers. An append
-validates the sample before it touches either column, so a rejected
-sample leaves both unchanged. Values are appended before timestamps
-and readers snapshot the timestamp count first, so a concurrent append
-is never half-visible. A store builds its read index when a series is
-created, under the creation lock: a key-sorted tuple of every series,
-in which each metric name's series are contiguous, and a frozenset of
-series per label pair. Creation publishes each as a new immutable
-object by swapping one reference and never changes one in place.
-Readers use only these snapshots and never iterate the mutable
-key-to-series dict, so a concurrent creation cannot break a read. The
-store keeps no clock of its own: a query ends each series' window at
-that series' newest sample. Readers alone write a series' exposition
-memo, one immutable (timestamp, line) tuple published by one reference
-store, so two readers can at worst render the same line twice, and an
-append never touches it.
+Concurrency: one writer per series, or per frame, and any number of
+readers. An append validates the sample, or the whole row, before it
+touches any column, so a rejected one leaves every column unchanged.
+Values are appended before timestamps, every member's value before the
+row's one shared timestamp, and readers snapshot the timestamp count
+first, so a concurrent append is never half-visible. A store builds its
+read index when a series is created, under the creation lock: a
+key-sorted tuple of every series, in which each metric name's series
+are contiguous, and a frozenset of series per label pair. Creation
+publishes each as a new immutable object by swapping one reference and
+never changes one in place. Readers use only these snapshots and never
+iterate the mutable key-to-series dict, so a concurrent creation cannot
+break a read. The store keeps no clock of its own: a query ends each
+series' window at that series' newest sample. Readers alone write a
+series' exposition memo, one immutable (timestamp, line) tuple
+published by one reference store, so two readers can at worst render
+the same line twice, and an append never touches it.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from math import isfinite
-from operator import attrgetter
-from typing import Mapping, NamedTuple
+from operator import attrgetter, lt
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,8 +55,10 @@ from .errors import (
     CounterRegression,
     EmptyWindow,
     KindMismatch,
+    MemberAppend,
     NonMonotonicTimestamp,
     ParseError,
+    SeriesNotEmpty,
 )
 
 COUNTER = "counter"
@@ -74,8 +80,16 @@ def _series_key(name: str, labels: Mapping[str, str] | None):
 class Series:
     """One metric stream with a fixed name, label set, and kind.
 
-    A series keeps every sample appended to it.
+    A series keeps every sample appended to it. Its attributes are
+    slots: reads take the fast path for them, and a CounterFrame can
+    make a series its member by changing its class without giving it an
+    instance dict.
     """
+
+    __slots__ = (
+        "name", "labels", "kind", "_counter", "key", "exposition_name",
+        "_exposition", "_ts", "_values",
+    )
 
     def __init__(
         self,
@@ -398,6 +412,112 @@ def trailing_rate(series: Series, window_ms: int) -> float | None:
         return rate(series, end - window_ms, end)
     except EmptyWindow:
         return None
+
+
+class _FrameMember(Series):
+    """A series whose samples its CounterFrame appends: a value appended
+    on its own would have no timestamp in the shared column."""
+
+    __slots__ = ()
+
+    def append(self, sample: Sample | tuple[int, float]) -> None:
+        raise MemberAppend(
+            f"{self.exposition_name}: a frame member takes rows through CounterFrame.append"
+        )
+
+
+class CounterFrame:
+    """Counters sampled together, one row per sample: the members share
+    one timestamp column and each keeps its own value column.
+
+    The members stay Series to every reader. The frame takes them empty,
+    shares its timestamp column with them and turns each into a
+    _FrameMember, whose append raises MemberAppend; from then on the
+    frame appends their samples itself, one row at a time. A plain
+    series' append stays as it was and checks for no frame.
+    """
+
+    def __init__(self, members: Sequence[Series]):
+        self.members = list(members)
+        for series in self.members:
+            if series.kind != COUNTER:
+                raise KindMismatch(
+                    f"{series.name}: a counter frame takes counters, got {series.kind}"
+                )
+            if len(series) or isinstance(series, _FrameMember):
+                raise SeriesNotEmpty(
+                    f"{series.exposition_name}: a frame takes series that hold no samples "
+                    "and belong to no frame"
+                )
+        if len(set(self.members)) != len(self.members):
+            raise SeriesNotEmpty("a series can be a member of a frame only once")
+        self._ts = ts = array("q")
+        self._columns = [series._values for series in self.members]
+        self._last: list[float] = []  # the newest row, for the counter check
+        for series in self.members:
+            series._ts = ts
+            series.__class__ = _FrameMember
+
+    def append(self, timestamp_ms: int, row: Sequence[float]) -> None:
+        """Append one sample to every member at one timestamp. Every
+        check Series.append makes comes before the first write, so a
+        rejected row leaves every column as it was."""
+        ts = int(timestamp_ms)
+        values = list(map(float, row))
+        if len(values) != len(self._columns):
+            raise ValueError(f"row has {len(values)} values for {len(self._columns)} members")
+        if ts < 0:
+            raise ValueError(f"timestamp must be >= 0, got {ts}")
+        if ts > _INT64_MAX:
+            raise ValueError(f"timestamp must fit in int64, got {ts}")
+        if not all(map(isfinite, values)):
+            bad = next(v for v in values if not isfinite(v))
+            raise ValueError(f"sample value must be finite, got {bad!r}")
+        ts_col = self._ts
+        if ts_col:  # this is the only writer, so [-1] is the last row
+            if ts <= ts_col[-1]:
+                raise NonMonotonicTimestamp(
+                    f"counter frame: timestamp {ts} does not advance past {ts_col[-1]}"
+                )
+            if any(map(lt, values, self._last)):
+                for series, old, new in zip(self.members, self._last, values):
+                    if new < old:
+                        raise CounterRegression(
+                            f"{series.exposition_name}: counter fell from {old} to {new}"
+                        )
+        # Every value first, the shared timestamp last: readers key off len(_ts).
+        for column, value in zip(self._columns, values):
+            column.append(value)
+        ts_col.append(ts)
+        self._last = values
+
+    def trailing_rates(self, window_ms: int) -> list[float] | None:
+        """trailing_rate() of every member, in member order, from one
+        bisection of the shared column, or None when the rows do not
+        cover the window. Each rate equals trailing_rate()'s bit for bit:
+        the window start is interpolated in value_at's operation order
+        and the difference divided as rate() divides it."""
+        if window_ms <= 0:
+            raise BadInterval(f"window must be positive, got {window_ms}")
+        ts = self._ts
+        n = len(ts)  # the count first: each column holds a value for every row counted
+        if not n:
+            return None
+        last = n - 1
+        start = ts[last] - window_ms
+        i = bisect_left(ts, start, 0, n)  # < last, since start < ts[last]
+        t1 = ts[i]
+        per_s = window_ms / 1000.0
+        if t1 == start:
+            return [(column[last] - column[i]) / per_s for column in self._columns]
+        if i == 0:
+            return None
+        t0 = ts[i - 1]
+        dt, span = start - t0, t1 - t0
+        return [
+            (column[last] - (column[i - 1] + (column[i] - column[i - 1]) * dt / span)) / per_s
+            for column in self._columns
+        ]
 
 
 class QueryResult(NamedTuple):

@@ -58,7 +58,7 @@ def test_traced_run_calls_every_post_pass_probe(tmp_path):
         assert calls.get(name) == 1, name
     assert calls.get("pipeline.csv_bytes") == 2  # the energy summary and the events
     assert calls.get("pipeline.atomic_write") == 8  # one per artifact
-    assert calls.get("timeseries.rate", 0) > 0  # the stage's collections
+    assert calls.get("signals.fire") == 60  # the stage's collections, one a second
     # each entry reads "<probe>: <module>.<attribute>"
     bindings = {entry.split(": ")[1].removeprefix("gridcalib.") for entry in traced["unhooked"]}
     assert bindings <= KNOWN_UNHOOKED

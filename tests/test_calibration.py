@@ -22,7 +22,7 @@ from gridcalib.calibration import (
 from gridcalib.config import NamespaceActorSpec
 from gridcalib.errors import DegenerateDenominator, StaleSignal, ZeroNodeIdle
 from gridcalib.signals import VirtualClock
-from gridcalib.timeseries import COUNTER, GAUGE, MetricStore, Series
+from gridcalib.timeseries import COUNTER, GAUGE, CounterFrame, MetricStore, Series
 
 
 class TestCalibrateIdle:
@@ -148,15 +148,21 @@ class TestMemberSum:
         assert member_sum(columns, members).tolist() == per_row
 
 
-def stage_series(store, processes):
-    """A dynamic and an idle counter per process, dynamic first, and a
-    meter gauge. The stage reads the handles, whatever their labels."""
-    counters = [
+def stage_counters(store, processes):
+    """A dynamic and an idle counter per process, dynamic first. The
+    stage reads the handles, whatever their labels."""
+    return [
         store.get_or_create("joules_total", {"process": pid, "mode": mode}, COUNTER)
         for mode in ("dynamic", "idle")
         for pid, _ in processes
     ]
-    return counters, store.get_or_create("meter_watts", {}, GAUGE)
+
+
+def stage_series(store, processes):
+    """The counters as one frame, as the emitter builds them, and a
+    meter gauge."""
+    frame = CounterFrame(stage_counters(store, processes))
+    return frame, store.get_or_create("meter_watts", {}, GAUGE)
 
 
 # the config's default query window and signal interval
@@ -165,25 +171,26 @@ TIMING = {"window_ms": 2000, "interval_ms": 1000}
 
 def make_stage(processes, clock=None, m_idle_w=0.0):
     store = MetricStore()
-    counters, gauge = stage_series(store, processes)
+    frame, gauge = stage_series(store, processes)
     clock = clock if clock is not None else VirtualClock()
-    return CalibrationStage(processes, counters, gauge, clock, m_idle_w, **TIMING)
+    return CalibrationStage(processes, frame, gauge, clock, m_idle_w, **TIMING)
 
 
 class TestNamespacePowerActor:
     def build(self, rates, meter_before=260.0, meter_after=400.0, strict=False):
-        # one process per namespace, named after it; idle counters stay empty
+        # one process per namespace, named after it; idle counters stay
+        # at 0 J, so the node idle estimate is 0 and idle calibrates to 0
         store = MetricStore()
         clock = VirtualClock()
         processes = [(ns, ns) for ns in rates]
-        counters, gauge = stage_series(store, processes)
+        frame, gauge = stage_series(store, processes)
         gauge.append((0, meter_before))
         m_idle = capture_idle_baseline(gauge, clock.now_ms(), "averaged", 30_000)
-        stage = CalibrationStage(processes, counters, gauge, clock, m_idle, **TIMING)
+        stage = CalibrationStage(processes, frame, gauge, clock, m_idle, **TIMING)
         actor = NamespacePowerActor(stage, "bench", actor_id="ns.bench", strict=strict)
-        for dynamic, joules_per_s in zip(counters, rates.values()):
-            for k in range(3):
-                dynamic.append((k * 1000, joules_per_s * k))
+        for k in range(3):
+            dynamic = [joules_per_s * k for joules_per_s in rates.values()]
+            frame.append(k * 1000, dynamic + [0.0] * len(processes))
         gauge.append((2000, meter_after))
         clock.advance(2000)
         return actor
@@ -234,12 +241,11 @@ class TestNamespacePowerActor:
     def test_counters_must_be_two_per_process(self, n_counters):
         processes = [("bench", "bench"), ("system", "system")]
         store = MetricStore()
-        counters, gauge = stage_series(store, processes)
         extra = store.get_or_create("joules_total", {"process": "extra"}, COUNTER)
+        frame = CounterFrame((stage_counters(store, processes) + [extra])[:n_counters])
+        gauge = store.get_or_create("meter_watts", {}, GAUGE)
         with pytest.raises(ValueError, match="counter"):
-            CalibrationStage(
-                processes, (counters + [extra])[:n_counters], gauge, VirtualClock(), 0.0, **TIMING
-            )
+            CalibrationStage(processes, frame, gauge, VirtualClock(), 0.0, **TIMING)
 
 
 def idle_baseline_reference(samples, now_ms, mode="averaged", window_ms=30_000):

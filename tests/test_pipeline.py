@@ -35,6 +35,7 @@ from gridcalib.errors import (
     EmptyWindow,
     GridCalibError,
     MissingArtifact,
+    SeriesNotEmpty,
     StepError,
 )
 from gridcalib.microgrid import Monitor, SimpleBattery, StaticActor
@@ -390,13 +391,27 @@ class TestRegressionX:
     def test_store_takes_appends_after_the_regression_read(self, tmp_path):
         config = leakage_config()
         store = MetricStore()
-        pipeline.run(config, tmp_path / "r", store=store)
+        art = pipeline.run(config, tmp_path / "r", store=store)
         [gauge] = store.match(METER_GAUGE_METRIC)
         report, skipped, _ = pipeline._node_regression(config, gauge, store)
         assert report is not None and skipped is None
+        # the counters take their rows through the emitter's frame
+        frame = art.emitter.frame
+        assert set(store.series()) == {gauge, *frame.members}
         t = max(series.last_timestamp() for series in store.series()) + 1000
-        for series in store.series():
-            series.append((t, series.last().value))
+        gauge.append((t, gauge.last().value))
+        frame.append(t, [series.last().value for series in frame.members])
+
+    def test_store_with_the_counters_filled_is_refused(self, tmp_path):
+        # a second run into the same store would append over the first
+        # run's counters; it stops before it writes any sample
+        config = leakage_config()
+        store = MetricStore()
+        pipeline.run(config, tmp_path / "first", store=store)
+        lengths = [len(series) for series in store.series()]
+        with pytest.raises(SeriesNotEmpty):
+            pipeline.run(config, tmp_path / "second", store=store)
+        assert [len(series) for series in store.series()] == lengths
 
 
 class TestRegressionSkipped:

@@ -13,13 +13,16 @@ from gridcalib.errors import (
     CounterRegression,
     EmptyWindow,
     KindMismatch,
+    MemberAppend,
     NonMonotonicTimestamp,
     ParseError,
+    SeriesNotEmpty,
 )
 from gridcalib.server import format_exposition
 from gridcalib.timeseries import (
     COUNTER,
     GAUGE,
+    CounterFrame,
     MetricStore,
     QueryExpr,
     QueryResult,
@@ -555,3 +558,202 @@ def test_reads_race_series_creation():
     assert not any(thread.is_alive() for thread in readers + [writer])
     assert errors == []
     assert format_exposition(store) == uncached_exposition(store)
+
+
+# counter frame
+
+
+def make_frame(rows, width=None, store=None):
+    """A frame of `width` counters (the rows' width by default) named
+    e{i="<index>"}, with the rows appended."""
+    store = store if store is not None else MetricStore()
+    width = len(rows[0][1]) if width is None else width
+    frame = CounterFrame(
+        [store.get_or_create("e", {"i": str(i)}, COUNTER) for i in range(width)]
+    )
+    for timestamp_ms, row in rows:
+        frame.append(timestamp_ms, row)
+    return frame
+
+
+frame_rows = st.integers(min_value=1, max_value=5).flatmap(
+    lambda width: st.lists(
+        st.tuples(
+            st.one_of(st.just(1000), st.integers(min_value=1, max_value=3000)),
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6)),
+                min_size=width,
+                max_size=width,
+            ),
+        ),
+        max_size=12,
+    ).map(
+        # (gap, increments) pairs to monotone counters starting at t=2000
+        lambda steps: (width, [
+            (
+                2000 + sum(g for g, _ in steps[: i + 1]),
+                [sum(column) for column in zip(*(inc for _, inc in steps[: i + 1]))],
+            )
+            for i in range(len(steps))
+        ])
+    )
+)
+
+
+@given(frame_rows, st.data())
+@settings(max_examples=300, deadline=None)
+def test_trailing_rates_equal_each_members_trailing_rate(rows, data):
+    # windows that start on a row, between rows, before the first row,
+    # and on a frame of zero or one row, which covers no window
+    width, rows = rows
+    frame = make_frame(rows, width)
+    windows = st.integers(min_value=1, max_value=40_000)
+    if len(rows) > 1:
+        end = rows[-1][0]
+        windows = st.one_of(windows, st.sampled_from([end - t for t, _ in rows[:-1]]))
+    window_ms = data.draw(windows)
+    want = [trailing_rate(series, window_ms) for series in frame.members]
+    got = frame.trailing_rates(window_ms)
+    if None in want:
+        assert want == [None] * width and got is None
+    else:
+        assert [value.hex() for value in got] == [value.hex() for value in want]
+
+
+def test_trailing_rates_reject_an_empty_window():
+    frame = make_frame([(0, [0.0]), (1000, [1.0])])
+    with pytest.raises(BadInterval):
+        frame.trailing_rates(0)
+
+
+@pytest.mark.parametrize(
+    "timestamp_ms, row, error",
+    [
+        (3000, [3.0], ValueError),
+        (3000, [3.0, 3.0, 3.0], ValueError),
+        (3000, [3.0, float("nan")], ValueError),
+        (3000, [float("inf"), 3.0], ValueError),
+        (-1, [3.0, 3.0], ValueError),
+        (2**63, [3.0, 3.0], ValueError),
+        (2000, [3.0, 3.0], NonMonotonicTimestamp),
+        (1500, [3.0, 3.0], NonMonotonicTimestamp),
+        (3000, [3.0, 1.0], CounterRegression),
+    ],
+    ids=[
+        "narrow", "wide", "nan", "inf", "negative", "past-int64",
+        "repeated-timestamp", "earlier-timestamp", "one-member-regressing",
+    ],
+)
+def test_rejected_frame_append_leaves_every_column_unchanged(timestamp_ms, row, error):
+    frame = make_frame([(1000, [1.0, 1.0]), (2000, [2.0, 2.0])])
+    before = [(len(s), s.last(), *(c.tolist() for c in s.columns())) for s in frame.members]
+    with pytest.raises(error):
+        frame.append(timestamp_ms, row)
+    after = [(len(s), s.last(), *(c.tolist() for c in s.columns())) for s in frame.members]
+    assert after == before
+    frame.append(3000, [3.0, 3.0])
+    assert [s.last() for s in frame.members] == [Sample(3000, 3.0)] * 2
+
+
+def test_frame_members_share_one_timestamp_column():
+    frame = make_frame([(1000, [1.0, 10.0]), (2000, [2.0, 20.0])])
+    first, second = frame.members
+    assert first._ts is second._ts
+    assert [c.tolist() for c in second.columns()] == [[1000, 2000], [10.0, 20.0]]
+    assert first.exposition_line() == 'e{i="0"} 2.0 2000\n'
+
+
+def test_direct_member_append_raises():
+    frame = make_frame([(1000, [1.0, 1.0])])
+    member = frame.members[1]
+    with pytest.raises(MemberAppend):
+        member.append((2000, 2.0))
+    assert [len(s) for s in frame.members] == [1, 1]
+    assert [len(s._values) for s in frame.members] == [1, 1]
+    plain = make_counter([(1000, 1.0)])  # a plain series still appends
+    plain.append((2000, 2.0))
+    assert plain.last() == Sample(2000, 2.0)
+
+
+def test_frame_takes_only_empty_unframed_counters():
+    store = MetricStore()
+    empty = store.get_or_create("e", {"i": "0"}, COUNTER)
+    filled = store.get_or_create("e", {"i": "1"}, COUNTER)
+    filled.append((1000, 1.0))
+    with pytest.raises(SeriesNotEmpty):
+        CounterFrame([empty, filled])
+    # nothing was written: the empty series is still a plain series
+    assert empty._ts is not filled._ts
+    empty.append((1000, 1.0))
+    with pytest.raises(SeriesNotEmpty):  # a member of another frame, still empty
+        CounterFrame(make_frame([], width=1).members)
+    with pytest.raises(SeriesNotEmpty):
+        CounterFrame(make_frame([(1000, [1.0])]).members)
+    twice = make_counter([])
+    with pytest.raises(SeriesNotEmpty):
+        CounterFrame([twice, twice])
+    with pytest.raises(KindMismatch):
+        CounterFrame([Series("w", {}, GAUGE)])
+
+
+def test_frame_reads_race_frame_appends():
+    # member i holds (i + 1) * k joules at k seconds, so every sample a
+    # reader sees names its row, and every 2 s rate is i + 1 watts
+    store = MetricStore()
+    width = 8
+    frame = make_frame([], width, store)
+    errors = []
+    stop = threading.Event()
+
+    def write():
+        try:
+            for k in range(600):
+                frame.append(k * 1000, [(i + 1) * float(k) for i in range(width)])
+        except Exception as exc:  # reported below
+            errors.append(exc)
+        finally:
+            stop.set()
+
+    def check(i, timestamp_ms, value):
+        assert value == (i + 1) * (timestamp_ms // 1000), (i, timestamp_ms, value)
+
+    def read():
+        try:
+            while not stop.is_set():
+                for i, series in enumerate(frame.members):
+                    line = series.exposition_line()
+                    if line:
+                        _, value, ts = line.split()
+                        check(i, int(ts), float(value))
+                    last = series.last()
+                    if last is not None:
+                        check(i, *last)
+                    ts, values = series.columns()
+                    assert len(ts) == len(values)
+                    for t, v in zip(ts.tolist(), values.tolist()):
+                        check(i, t, v)
+                    assert trailing_rate(series, 2000) in (None, i + 1)
+                watts = frame.trailing_rates(2000)
+                assert watts is None or watts == [i + 1.0 for i in range(width)]
+                # coverage only grows, so the covered members are the last ones
+                result = evaluate(store, "sum(rate(e[2s]))")
+                assert result.matched == width
+                assert result.value_w == sum(range(result.uncovered + 1, width + 1))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    readers = [threading.Thread(target=read) for _ in range(3)]
+    writer = threading.Thread(target=write)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in readers + [writer]:
+            thread.start()
+        for thread in [writer] + readers:
+            thread.join(timeout=60)
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in readers + [writer])
+    assert errors == []
+    assert [len(series) for series in frame.members] == [600] * width
