@@ -8,7 +8,8 @@ and a post-pass walks ARTIFACTS, the one table of the run's files,
 building and writing each in turn. The calibrated power table
 serialises the columns the stage logged on each tick, so it matches
 the monitor's actor powers by construction. The numeric
-tables are encoded from their columns by ticklog.columns_csv; the energy
+tables are encoded from their columns by ticklog.columns_csv, which
+formats each distinct float of a block of rows once; the energy
 summary and the events, which hold strings, go through ticklog.csv_bytes.
 Everything is deterministic under virtual time: the same config and seed
 produce byte-identical files.

@@ -5,6 +5,10 @@ with a single array.fromlist, 8 bytes a cell. Its leading int columns (tick
 index, time in ms) are exact in float64 up to 2**53 and read back as ints.
 columns_csv encodes numeric columns such as a TickLog's, csv_bytes rows
 that hold strings; both write the same bytes for the same numbers.
+columns_csv formats each distinct float once per block of rows, through
+one dictionary per block keyed by the float's bit pattern. Most cells
+repeat: loads are step functions, and a calibration snapshot lasts a
+whole collection.
 """
 
 from __future__ import annotations
@@ -62,13 +66,37 @@ def csv_bytes(header: Sequence[str], rows: Iterable[Sequence]) -> bytes:
 BLOCK_ROWS = 512
 
 
+def _texts(block: Sequence[np.ndarray]) -> list[list[str]]:
+    """repr of each cell of these equal-length columns, column by column.
+    The float64 columns share one dictionary, keyed by bit pattern so that
+    -0.0 and 0.0 stay apart: each distinct value is formatted once and its
+    text gathered into every cell that holds it. Other columns, such as
+    the int ones, whose cells rarely repeat, are formatted cell by cell."""
+    texts = [
+        None if column.dtype == np.float64 else list(map(repr, column.tolist()))
+        for column in block
+    ]
+    floats = [j for j, text in enumerate(texts) if text is None]
+    if floats:
+        cells = np.stack([block[j] for j in floats])
+        distinct, inverse = np.unique(cells.view(np.int64), return_inverse=True)
+        words = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+        # the inverse's shape differs between numpy versions; the cells' does not
+        for j, row in zip(floats, words[inverse.reshape(cells.shape)]):
+            texts[j] = row.tolist()
+    return texts
+
+
 def columns_csv(header: Sequence[str], columns: Sequence[np.ndarray]) -> bytes:
     """What csv_bytes writes for the rows of these equal-length int or
-    float columns, encoded BLOCK_ROWS rows at a time so no str of the
-    whole body is built. csv never quotes a number and writes str(cell),
-    which for a Python int or float equals its repr."""
-    blocks = [csv_bytes(header, ())]
+    float columns. csv never quotes a number and writes str(cell), which
+    for a Python int or float equals its repr. The rows are encoded
+    BLOCK_ROWS at a time, each block with one dictionary of its distinct
+    floats keyed by bit pattern, into one growing buffer, so no str of
+    the whole body and no second copy of the output is built."""
+    out = io.BytesIO()
+    out.write(csv_bytes(header, ()))
     for start in range(0, len(columns[0]) if columns else 0, BLOCK_ROWS):
-        texts = [list(map(repr, column[start:start + BLOCK_ROWS].tolist())) for column in columns]
-        blocks.append(("\r\n".join(map(",".join, zip(*texts))) + "\r\n").encode())
-    return b"".join(blocks)
+        texts = _texts([column[start:start + BLOCK_ROWS] for column in columns])
+        out.write(("\r\n".join(map(",".join, zip(*texts))) + "\r\n").encode())
+    return out.getvalue()

@@ -176,6 +176,28 @@ def make_stage(processes, clock=None, m_idle_w=0.0):
     return CalibrationStage(processes, frame, gauge, clock, m_idle_w, **TIMING)
 
 
+class TestCalibrationStage:
+    @pytest.mark.parametrize("rows_ms", [[], [1000], [500, 1000]], ids=["empty", "one", "short"])
+    def test_uncovered_window_reads_zero(self, rows_ms):
+        # the rows do not reach back over the 2000 ms window: every rate
+        # reads 0 W, so with a positive measured idle no idle is handed out
+        processes = [("bench", "bench"), ("system", "system")]
+        clock = VirtualClock()
+        store = MetricStore()
+        frame, gauge = stage_series(store, processes)
+        stage = CalibrationStage(processes, frame, gauge, clock, 50.0, **TIMING)
+        for t in rows_ms:
+            frame.append(t, [3.0 * t, 1.0 * t, 2.0 * t, 0.5 * t])
+        gauge.append((1000, 300.0))
+        clock.advance(1000)
+        assert stage.last_collection_ms == 1000
+        snap = stage.snapshot
+        assert snap.m == 300.0
+        assert snap.p_dyn == (0.0, 0.0)
+        assert snap.cal_dyn == (0.0, 0.0)
+        assert snap.cal_idle == (0.0, 0.0)
+
+
 class TestNamespacePowerActor:
     def build(self, rates, meter_before=260.0, meter_after=400.0, strict=False):
         # one process per namespace, named after it; idle counters stay

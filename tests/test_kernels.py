@@ -314,6 +314,13 @@ class TestCollectionKernel:
         assert got.factor == (0.0, 0.0)
         assert got.degenerate.endswith("W; calibration undefined")
 
+    def test_idle_estimates_summing_to_zero_calibrate_to_zero(self):
+        # not all zero, so returning the raw estimates would show
+        p_idle = (2.0, -2.0, 0.0)
+        got = calibrate((10.0, 5.0, 1.0), p_idle, 300.0, 200.0, (2,))
+        assert got.cal_idle == (0.0, 0.0, 0.0)
+        assert tuple(got) == ref_calibrate((10.0, 5.0, 1.0), p_idle, 300.0, 200.0, (2,))
+
 
 def test_left_sum_adds_left_to_right():
     assert left_sum([1e16, 1.0, -1e16]) == 0.0
