@@ -528,15 +528,17 @@ class _MeterIngestHandler(socketserver.StreamRequestHandler):
                 # a JSON number for power_w and a JSON integer for ts_ms,
                 # as the config walker reads them: no bool, string or null
                 if type(power_w) not in (int, float) or type(ts_ms) is not int:
-                    continue
+                    raise TypeError
                 power_w = float(power_w)
             except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
-                continue  # malformed, nested past the parser's depth, or past float: skip it
+                self.server.drop()  # malformed, nested past the parser's depth, or past float
+                continue
             self.server.ingest(ts_ms, power_w)
 
 
 class MeterListener(socketserver.ThreadingTCPServer):
-    """Accepts meter publisher connections and feeds the meter gauge."""
+    """Accepts meter publisher connections and feeds the meter gauge.
+    `dropped` counts the lines skipped, one per line."""
 
     allow_reuse_address = True
     daemon_threads = True
@@ -545,13 +547,18 @@ class MeterListener(socketserver.ThreadingTCPServer):
         super().__init__(bind, _MeterIngestHandler)
         self._gauge = gauge
         self._lock = threading.Lock()
+        self.dropped = 0
 
     def ingest(self, ts_ms: int, power_w: float) -> None:
         with self._lock:
             try:
                 self._gauge.append((ts_ms, power_w))
             except (NonMonotonicTimestamp, ValueError):
-                pass  # late, duplicate, non-finite or out-of-range sample: drop
+                self.dropped += 1  # late, duplicate, non-finite or out-of-range sample
+
+    def drop(self) -> None:
+        with self._lock:
+            self.dropped += 1
 
     def serve_in_background(self) -> threading.Thread:
         thread = threading.Thread(target=self.serve_forever, daemon=True)

@@ -31,10 +31,10 @@ publishes each as a new immutable object by swapping one reference and
 never changes one in place. Readers use only these snapshots and never
 iterate the mutable key-to-series dict, so a concurrent creation cannot
 break a read. The store keeps no clock of its own: a query ends each
-series' window at that series' newest sample. Readers alone write a
-series' exposition memo, one immutable (timestamp, line) tuple
-published by one reference store, so two readers can at worst render
-the same line twice, and an append never touches it.
+series' window at that series' newest sample. Only readers write a
+series' exposition memo: the server's one serving thread and direct
+in-process callers. It is one immutable (timestamp, line) tuple
+published by one reference store, and an append never touches it.
 """
 
 from __future__ import annotations

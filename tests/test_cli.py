@@ -2,7 +2,13 @@
 
 import json
 import shutil
+import signal
 import socket
+import subprocess
+import sys
+import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -172,6 +178,32 @@ class TestServe:
     def test_bad_bind_exit_2(self, capsys):
         assert run_cli("serve", "--bind", "nope") == 2
         capsys.readouterr()
+
+    def test_sigint_exits_0_and_frees_the_port(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        url = f"http://127.0.0.1:{port}/metrics"
+        argv = [sys.executable, "-m", "gridcalib", "serve", "--bind", f"127.0.0.1:{port}"]
+        proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            deadline = time.monotonic() + 10.0
+            while True:
+                try:
+                    with urllib.request.urlopen(url, timeout=5) as resp:
+                        assert resp.status == 200
+                    break
+                except urllib.error.URLError:  # not listening yet
+                    assert time.monotonic() < deadline, "serve never answered /metrics"
+                    time.sleep(0.05)
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=5)
+            assert proc.returncode == 0, err
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        socket.create_server(("127.0.0.1", port)).close()
 
 
 class TestParser:

@@ -628,6 +628,37 @@ class TestMeterWireProtocol:
             listener.shutdown()
             listener.server_close()
 
+    def test_dropped_counts_each_skipped_line(self):
+        gauge = meter_gauge()
+        listener = MeterListener(("127.0.0.1", 0), gauge)
+        listener.serve_in_background()
+        good = [(1000, 260.0), (2000, 261.0), (3000, 262.0), (4000, 263.0), (5000, 264.0)]
+        bad = [
+            ["not json", '{"ts_ms": 1500}', '{"power_w": true, "ts_ms": 1500}'],  # malformed
+            ['{"power_w": 1.0, "ts_ms": 2000}', '{"power_w": 1.0, "ts_ms": 1500}',
+             '{"power_w": 1.0, "ts_ms": 0}'],  # late or duplicate
+            ['{"power_w": NaN, "ts_ms": 3500}', '{"power_w": Infinity, "ts_ms": 3500}',
+             '{"power_w": -Infinity, "ts_ms": 3500}'],  # non-finite
+            ['{"power_w": 1.0, "ts_ms": -1}', '{"power_w": 1.0, "ts_ms": 9223372036854775808}',
+             '{"power_w": 1.0, "ts_ms": 18446744073709551616}'],  # out of range
+        ]
+        lines = [f'{{"power_w": {good[0][1]}, "ts_ms": {good[0][0]}}}']
+        for (ts_ms, power_w), bad_lines in zip(good[1:], bad):
+            lines += bad_lines + [f'{{"power_w": {power_w}, "ts_ms": {ts_ms}}}']
+        try:
+            with socket.create_connection(listener.server_address[:2], timeout=5.0) as sock:
+                sock.sendall("".join(line + "\n" for line in lines).encode())
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                if gauge.last_timestamp() == 5000:
+                    break
+                time.sleep(0.01)
+            assert samples(gauge) == good
+            assert listener.dropped == sum(map(len, bad)) == 12
+        finally:
+            listener.shutdown()
+            listener.server_close()
+
     @pytest.mark.parametrize(
         "bad_line",
         [
