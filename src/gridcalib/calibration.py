@@ -20,7 +20,7 @@ two agree by construction.
 
 from __future__ import annotations
 
-from statistics import fmean
+from math import fsum
 from typing import NamedTuple, Sequence
 
 from .attribution import left_sum
@@ -75,7 +75,7 @@ def capture_idle_baseline(gauge: Series, now_ms: int, mode: str, window_ms: int)
     ts, values = gauge.columns()
     window = values[(now_ms - window_ms <= ts) & (ts <= now_ms)].tolist()
     if mode == "averaged" and window:
-        return fmean(window)
+        return fsum(window) / len(window)
     return float(values[-1]) if len(values) else 0.0
 
 

@@ -9,8 +9,9 @@ building and writing each in turn. The calibrated power table
 serialises the columns the stage logged on each tick, so it matches
 the monitor's actor powers by construction. The numeric
 tables are encoded from their columns by ticklog.columns_csv, which
-formats each distinct float of a block of rows once; the energy
-summary and the events, which hold strings, go through ticklog.csv_bytes.
+formats each run of repeated rows of a block once, and each distinct
+float of those runs once; the energy summary and the events, which hold
+strings, go through ticklog.csv_bytes.
 Everything is deterministic under virtual time: the same config and seed
 produce byte-identical files.
 """

@@ -5,10 +5,13 @@ with a single array.fromlist, 8 bytes a cell. Its leading int columns (tick
 index, time in ms) are exact in float64 up to 2**53 and read back as ints.
 columns_csv encodes numeric columns such as a TickLog's, csv_bytes rows
 that hold strings; both write the same bytes for the same numbers.
-columns_csv formats each distinct float once per block of rows, through
-one dictionary per block keyed by the float's bit pattern. Most cells
-repeat: loads are step functions, and a calibration snapshot lasts a
-whole collection.
+columns_csv encodes a block of rows at a time. Whole rows repeat: loads
+are step functions, and a calibration snapshot lasts a whole collection.
+So a block's float cells are formatted once per run of rows whose floats
+equal the previous row's bit for bit, each group of adjacent float columns
+is joined once per run, and the runs' floats go through one dictionary
+keyed by bit pattern, which formats each distinct value once. Only the
+int cells are formatted row by row.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 from array import array
+from itertools import chain, islice, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,37 +70,72 @@ def csv_bytes(header: Sequence[str], rows: Iterable[Sequence]) -> bytes:
 BLOCK_ROWS = 512
 
 
-def _texts(block: Sequence[np.ndarray]) -> list[list[str]]:
-    """repr of each cell of these equal-length columns, column by column.
-    The float64 columns share one dictionary, keyed by bit pattern so that
-    -0.0 and 0.0 stay apart: each distinct value is formatted once and its
-    text gathered into every cell that holds it. Other columns, such as
-    the int ones, whose cells rarely repeat, are formatted cell by cell."""
-    texts = [
-        None if column.dtype == np.float64 else list(map(repr, column.tolist()))
-        for column in block
-    ]
-    floats = [j for j, text in enumerate(texts) if text is None]
-    if floats:
-        cells = np.stack([block[j] for j in floats])
-        distinct, inverse = np.unique(cells.view(np.int64), return_inverse=True)
-        words = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-        # the inverse's shape differs between numpy versions; the cells' does not
-        for j, row in zip(floats, words[inverse.reshape(cells.shape)]):
-            texts[j] = row.tolist()
-    return texts
+def _layout(columns: Sequence[np.ndarray]) -> list[int | range]:
+    """A row's fields in order: each int column by its index, and each
+    maximal group of adjacent float64 columns as the range of theirs."""
+    fields: list[int | range] = []
+    for j, column in enumerate(columns):
+        if column.dtype != np.float64:
+            fields.append(j)
+        elif fields and isinstance(fields[-1], range):
+            fields[-1] = range(fields[-1].start, j + 1)
+        else:
+            fields.append(range(j, j + 1))
+    return fields
+
+
+def _runs(floats: list[np.ndarray]) -> tuple[list[list[str]], list[int] | None]:
+    """Each float column's text at the first row of each run, where a run
+    is a row and the rows after it whose cells equal its own bit for bit,
+    and the runs' lengths, None when no row repeats. The runs' cells
+    share one dictionary keyed by bit pattern, so -0.0 and 0.0 stay apart:
+    each distinct value is formatted once."""
+    bits = np.stack(floats).view(np.int64)
+    n = bits.shape[1]
+    new = np.ones(n, dtype=bool)
+    np.logical_or.reduce(bits[:, 1:] != bits[:, :-1], axis=0, out=new[1:])
+    starts = np.flatnonzero(new)
+    lengths = None
+    if len(starts) < n:
+        bits = bits[:, starts]
+        lengths = np.diff(starts, append=n).tolist()
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    words = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    # the inverse's shape differs between numpy versions; the cells' does not
+    return words[inverse.reshape(bits.shape)].tolist(), lengths
+
+
+def _block_text(block: Sequence[np.ndarray], layout: list[int | range]) -> str:
+    """The CSV lines of these equal-length columns. Each group of adjacent
+    float columns is joined into one field once per run of repeated rows;
+    the other columns, such as the int ones, whose cells rarely repeat,
+    are formatted cell by cell."""
+    floats = [block[j] for field in layout if isinstance(field, range) for j in field]
+    cells, lengths = _runs(floats) if floats else ([], None)
+    cells = iter(cells)
+    texts = []
+    for field in layout:
+        if isinstance(field, int):
+            texts.append(map(repr, block[field].tolist()))
+        else:
+            runs = map(",".join, zip(*islice(cells, len(field))))
+            if lengths is not None:
+                runs = chain.from_iterable(map(repeat, runs, lengths))
+            texts.append(runs)
+    rows = texts[0] if len(texts) == 1 else map(",".join, zip(*texts))
+    return "\r\n".join(rows) + "\r\n"
 
 
 def columns_csv(header: Sequence[str], columns: Sequence[np.ndarray]) -> bytes:
     """What csv_bytes writes for the rows of these equal-length int or
     float columns. csv never quotes a number and writes str(cell), which
     for a Python int or float equals its repr. The rows are encoded
-    BLOCK_ROWS at a time, each block with one dictionary of its distinct
-    floats keyed by bit pattern, into one growing buffer, so no str of
-    the whole body and no second copy of the output is built."""
+    BLOCK_ROWS at a time into one growing buffer, so no str of the whole
+    body and no second copy of the output is built."""
     out = io.BytesIO()
     out.write(csv_bytes(header, ()))
+    layout = _layout(columns)
     for start in range(0, len(columns[0]) if columns else 0, BLOCK_ROWS):
-        texts = _texts([column[start:start + BLOCK_ROWS] for column in columns])
-        out.write(("\r\n".join(map(",".join, zip(*texts))) + "\r\n").encode())
+        block = [column[start:start + BLOCK_ROWS] for column in columns]
+        out.write(_block_text(block, layout).encode())
     return out.getvalue()

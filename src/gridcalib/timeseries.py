@@ -26,7 +26,8 @@ row's one shared timestamp, and readers snapshot the timestamp count
 first, so a concurrent append is never half-visible. A store builds its
 read index when a series is created, under the creation lock: a
 key-sorted tuple of every series, in which each metric name's series
-are contiguous, and a frozenset of series per label pair. Creation
+are contiguous, and per metric name and label pair a posting: its
+series as a key-sorted tuple and as a frozenset. Creation
 publishes each as a new immutable object by swapping one reference and
 never changes one in place. Readers use only these snapshots and never
 iterate the mutable key-to-series dict, so a concurrent creation cannot
@@ -338,7 +339,10 @@ class MetricStore:
         # The read index. Creation replaces its immutable parts under _lock;
         # readers only look them up.
         self._ordered: tuple[Series, ...] = ()
-        self._postings: dict[tuple[str, str], frozenset[Series]] = {}
+        # (name, label pair) -> the series carrying both, key-sorted and as a set
+        self._postings: dict[
+            tuple[str, tuple[str, str]], tuple[tuple[Series, ...], frozenset[Series]]
+        ] = {}
 
     def get_or_create(
         self, name: str, labels: Mapping[str, str] | None = None, kind: str = GAUGE
@@ -364,7 +368,10 @@ class MetricStore:
         insort(ordered, series, key=_KEY)
         self._ordered = tuple(ordered)
         for pair in series.key[1]:
-            self._postings[pair] = self._postings.get(pair, frozenset()) | {series}
+            keyed, members = self._postings.get((name, pair), ((), frozenset()))
+            keyed = list(keyed)
+            insort(keyed, series, key=_KEY)
+            self._postings[name, pair] = tuple(keyed), members | {series}
         return series
 
     def append(
@@ -389,17 +396,16 @@ class MetricStore:
 
     def match(self, name: str, labels: Mapping[str, str] | None = None) -> list[Series]:
         """All series with this name whose labels contain every filter pair,
-        in key order."""
-        named = self._named(name)
-        hits = None
-        for pair in (labels or {}).items():
-            posting = self._postings.get(pair)
-            if posting is None:
-                return []
-            hits = posting if hits is None else hits & posting
-        if hits is None:
-            return list(named)
-        return [series for series in named if series in hits]
+        in key order. Only the smallest posting is walked."""
+        if not labels:
+            return list(self._named(name))
+        postings = [self._postings.get((name, pair)) for pair in labels.items()]
+        if None in postings:
+            return []
+        (hits, _), *rest = sorted(postings, key=lambda posting: len(posting[0]))
+        for _, members in rest:
+            hits = [series for series in hits if series in members]
+        return list(hits)
 
 
 def trailing_rate(series: Series, window_ms: int) -> float | None:

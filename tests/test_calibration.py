@@ -1,7 +1,11 @@
 """Calibration math, the calibration stage and the namespace power actor."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from statistics import fmean
 
 import numpy as np
@@ -326,3 +330,19 @@ class TestIdleBaselineCapture:
         want = idle_baseline_reference(samples, now_ms, mode, window_ms)
         assert type(got) is float
         assert got == want  # bit for bit: fmean over the same floats
+
+
+def test_package_import_leaves_statistics_unloaded():
+    # the idle mean is fsum / len, which is what statistics.fmean computes,
+    # so the package does not pay for importing statistics, fractions and decimal
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gridcalib; print('statistics' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -196,6 +196,81 @@ class TestColumnsCsv:
         assert got == want
 
 
+
+# neighbours that a run compare keyed by value would merge: both zeros,
+# NaNs of four payloads (each prints nan), and a plain value
+TWINS = np.concatenate([
+    [0.0, -0.0, float("nan")],
+    np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001],
+             dtype=np.uint64).view(np.float64),
+    [250.0],
+])
+RUN_LENGTHS = st.one_of(
+    st.sampled_from([1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]),
+    st.integers(min_value=1, max_value=2 * BLOCK_ROWS),
+)
+
+
+@st.composite
+def run_tables(draw, kinds=st.lists(st.sampled_from("if"), min_size=1, max_size=6)):
+    """Columns laid out as `kinds` ("i" int, "f" float) whose float cells
+    come in runs of identical rows. Each run differs from the one before
+    in one cell, set to one of TWINS, so neighbouring runs often differ
+    only in the sign of a zero or a NaN payload. Optionally one float
+    column is all distinct, so that no two rows repeat."""
+    kinds = draw(kinds)
+    n_floats = kinds.count("f")
+    lengths = draw(st.lists(RUN_LENGTHS, min_size=1, max_size=6))
+    edits = draw(st.lists(
+        st.tuples(st.integers(0, max(n_floats - 1, 0)), st.integers(0, len(TWINS) - 1)),
+        min_size=len(lengths), max_size=len(lengths),
+    ))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    row = np.full(n_floats, TWINS[draw(st.integers(0, len(TWINS) - 1))])
+    runs = []
+    for length, (cell, twin) in zip(lengths, edits):
+        row = row.copy()
+        if n_floats:
+            row[cell] = TWINS[twin]
+        runs.append(np.repeat(row[:, None], length, axis=1))
+    floats = list(np.concatenate(runs, axis=1))
+    n = sum(lengths)
+    if floats and draw(st.booleans()):
+        floats[draw(st.integers(0, n_floats - 1))] = np.cumsum(rng.uniform(0.5, 1.5, n)) / 3.0
+    ints = iter(rng.integers(-(2**53), 2**53, (len(kinds), n), endpoint=True))
+    floats = iter(floats)
+    return [next(ints) if kind == "i" else next(floats) for kind in kinds]
+
+
+class TestRunsOfRows:
+    """Rows whose float cells repeat: columns_csv still writes what
+    csv_bytes writes, wherever the int columns sit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(run_tables())
+    def test_runs_of_identical_rows(self, columns):
+        got, want = encodings([f"c{j}" for j in range(len(columns))], columns)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "kinds", ["iif", "iiffff", "ffi", "fiff", "ffiffi", "ii", "f"],
+        ids=["leading", "ticklog", "trailing", "between", "alternating", "no-float", "one-float"],
+    )
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_int_columns_anywhere(self, kinds, data):
+        columns = data.draw(run_tables(st.just(kinds)))
+        got, want = encodings([f"c{j}" for j in range(len(columns))], columns)
+        assert got == want
+
+    def test_neighbours_differing_only_in_zero_sign_or_nan_payload(self):
+        n = 3 * BLOCK_ROWS
+        a = TWINS[np.arange(n) // 7 % len(TWINS)]
+        got, want = encodings(["t", "a", "b"], [np.arange(n), a, a[::-1].copy()])
+        assert got == want
+        assert b"-0.0" in got and b"nan" in got
+
+
 class TestEncoderMemory:
     # beyond its output, the encoder holds one block's text and one
     # block's dictionary, and the output grows in one buffer by an

@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridcalib.errors import (
@@ -454,6 +454,54 @@ def test_index_agrees_with_brute_force_scan(created, name, filters, increments):
             uncovered += 1
     assert evaluate(store, expr) == (total, uncovered, len(brute))  # bit-identical: same summation order
 
+
+
+@given(
+    # every name draws its labels from the same pairs, so a posting keyed
+    # by the pair alone would mix names; the sizes of a filter's postings
+    # differ, so each of them is the smallest on some draw
+    st.lists(
+        st.tuples(
+            st.sampled_from(["e", "e_x", "f"]),
+            st.fixed_dictionaries(
+                {"ns": st.sampled_from(["a", "b"])},
+                optional={
+                    "mode": st.sampled_from(["dyn", "idle"]),
+                    "proc": st.sampled_from(["p0", "p1", "p2", "p3"]),
+                },
+            ),
+        ),
+        max_size=80,
+    ),
+    st.sampled_from(["e", "e_x", "f", "g"]),
+    # "c" and "zone" are on no series
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "ns": st.sampled_from(["a", "b", "c"]),
+            "mode": st.sampled_from(["dyn", "idle"]),
+            "proc": st.sampled_from(["p0", "p1", "p2", "p3"]),
+            "zone": st.just("z"),
+        },
+    ),
+)
+@example(
+    # the two postings are the same size, and each holds a series the other lacks
+    created=[("e", {"ns": "a"}), ("f", {"ns": "a", "mode": "dyn"}),
+             ("e", {"ns": "b", "mode": "dyn"}), ("e", {"ns": "a", "mode": "dyn"})],
+    name="e",
+    filters={"ns": "a", "mode": "dyn"},
+)
+@settings(max_examples=200, deadline=None)
+def test_match_equals_brute_force_filter_in_key_order(created, name, filters):
+    store = MetricStore()
+    for metric, labels in created:
+        store.get_or_create(metric, labels, COUNTER)
+    brute = [
+        s for s in store.series()
+        if s.name == name and all(s.labels.get(k) == v for k, v in filters.items())
+    ]
+    assert store.match(name, filters) == brute
 
 def uncached_exposition(store):
     """format_exposition as it was before the per-series memo: every line
