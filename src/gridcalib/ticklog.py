@@ -92,13 +92,13 @@ def _runs(floats: list[np.ndarray]) -> tuple[list[list[str]], list[int] | None]:
     each distinct value is formatted once."""
     bits = np.stack(floats).view(np.int64)
     n = bits.shape[1]
-    new = np.ones(n, dtype=bool)
-    np.logical_or.reduce(bits[:, 1:] != bits[:, :-1], axis=0, out=new[1:])
-    starts = np.flatnonzero(new)
+    new = np.ones(n + 1, dtype=bool)
+    np.logical_or.reduce(bits[:, 1:] != bits[:, :-1], axis=0, out=new[1:n])
+    bounds = np.flatnonzero(new)  # each run's first row, then n
     lengths = None
-    if len(starts) < n:
-        bits = bits[:, starts]
-        lengths = np.diff(starts, append=n).tolist()
+    if len(bounds) <= n:
+        bits = bits[:, bounds[:-1]]
+        lengths = (bounds[1:] - bounds[:-1]).tolist()
     distinct, inverse = np.unique(bits, return_inverse=True)
     words = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
     # the inverse's shape differs between numpy versions; the cells' does not

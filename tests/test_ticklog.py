@@ -196,7 +196,6 @@ class TestColumnsCsv:
         assert got == want
 
 
-
 # neighbours that a run compare keyed by value would merge: both zeros,
 # NaNs of four payloads (each prints nan), and a plain value
 TWINS = np.concatenate([

@@ -455,7 +455,6 @@ def test_index_agrees_with_brute_force_scan(created, name, filters, increments):
     assert evaluate(store, expr) == (total, uncovered, len(brute))  # bit-identical: same summation order
 
 
-
 @given(
     # every name draws its labels from the same pairs, so a posting keyed
     # by the pair alone would mix names; the sizes of a filter's postings
@@ -502,6 +501,7 @@ def test_match_equals_brute_force_filter_in_key_order(created, name, filters):
         if s.name == name and all(s.labels.get(k) == v for k, v in filters.items())
     ]
     assert store.match(name, filters) == brute
+
 
 def uncached_exposition(store):
     """format_exposition as it was before the per-series memo: every line
