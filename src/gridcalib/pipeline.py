@@ -55,7 +55,7 @@ from .microgrid import Microgrid, Monitor
 from .signals import VirtualClock, WallClock
 from .ticklog import columns_csv
 from .ticklog import csv_bytes as _csv_bytes
-from .timeseries import GAUGE, MetricStore, Series, rates
+from .timeseries import GAUGE, CounterFrame, MetricStore, Series
 from .validation import (
     PLOT_HEADER,
     RegressionReport,
@@ -63,7 +63,7 @@ from .validation import (
     fit_ols,
     report_to_json,
 )
-from .wire import METER_GAUGE_METRIC, POWER_COUNTER_METRIC
+from .wire import METER_GAUGE_METRIC
 
 MONITOR_CSV = "monitor.csv"
 CALIBRATED_CSV = "calibrated_power.csv"
@@ -292,7 +292,7 @@ def _energy_summary(
 
 
 def _node_regression(
-    config: ScenarioConfig, gauge: Series | None, store: MetricStore
+    config: ScenarioConfig, gauge: Series | None, frame: CounterFrame | None
 ) -> tuple[RegressionReport | None, str | None, tuple[np.ndarray, ...] | None]:
     """Fit measured node power against the approximated node total. The
     points are _regression_points' columns, None when skipped."""
@@ -300,9 +300,7 @@ def _node_regression(
         return None, "no workloads", None
     if len(gauge) == 0:
         return None, "no meter samples", None
-    points = _regression_points(
-        gauge, store.match(POWER_COUNTER_METRIC, None), config.emission_interval_ms
-    )
+    points = _regression_points(gauge, frame, config.emission_interval_ms)
     if len(points[0]) < 2:
         return None, "not enough aligned samples", None
     try:
@@ -313,21 +311,22 @@ def _node_regression(
 
 
 def _regression_points(
-    gauge: Series, counters: list[Series], interval_ms: int
+    gauge: Series, frame: CounterFrame, interval_ms: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The t, x and y columns, one entry per meter sample whose trailing
-    interval every counter covers: x is the sum of the counter rates over
-    that interval, which recovers exactly the watts the emitter
-    integrated, and y is the sample's reading. Counters are added in the
-    order given, which is key order for a store match."""
+    interval the emitter's counter frame covers: x is the sum of the
+    counter rates over that interval, which recovers exactly the watts
+    the emitter integrated, and y is the sample's reading. The rates come
+    from the frame's vector shape of the rate rule, a window per meter
+    sample, and are added in store key order: the sum's last bits, and
+    so the artifacts', depend on that order."""
     ts, measured = gauge.columns()
-    total = np.zeros(len(ts))
-    covered = np.ones(len(ts), dtype=bool)
-    for series in counters:
-        watts, ok = rates(series, ts, interval_ms)
-        total += watts
-        covered &= ok
-    return ts[covered], total[covered], measured[covered]
+    watts, covered = frame.rates(ts, interval_ms)
+    members = frame.members
+    total = np.zeros(len(watts))
+    for j in sorted(range(len(members)), key=lambda j: members[j].key):
+        total += watts[:, j]
+    return ts[covered], total, measured[covered]
 
 
 def _truth_csv(emitter: PowerModelEmitter | None) -> bytes:
@@ -350,7 +349,8 @@ def _regression(runtime: _Runtime) -> tuple:
     """The node regression that the report and its points share, fitted
     when the first of them is built."""
     if runtime.fit is None:
-        runtime.fit = _node_regression(runtime.config, runtime.gauge, runtime.store)
+        frame = runtime.emitter.frame if runtime.emitter is not None else None
+        runtime.fit = _node_regression(runtime.config, runtime.gauge, frame)
     return runtime.fit
 
 

@@ -11,12 +11,15 @@ where two lists of Python objects cost about 40. Counters that are
 sampled together form a CounterFrame: its members share one timestamp
 column and each keeps its own value column, so a row costs 8 bytes for
 the timestamp and 8 per member, and a reader treats a member as any
-series. Scalar reads (bisect, value_at, last) index the columns
-directly. Vectorised reads (rates) hand numpy a copy of a column
-prefix, ``series._ts[:n]``, never the live column: numpy over a live
-array exports its buffer, and while any export is alive the writer's
-next append raises BufferError ("cannot resize an array that is
-exporting buffers"), which would stop a live run.
+series. A rate has one rule: _locate puts a window edge on a row,
+between two rows, or outside them, and _interpolate reads a column
+between two rows. Its scalar shape (rate, CounterFrame.trailing_rates)
+indexes the live columns; its vector shape (CounterFrame.rates) locates
+each edge for every member with one np.searchsorted and hands numpy a
+copy of a column prefix, ``ts[:n]``, never the live column: numpy over
+a live array exports its buffer, and while any export is alive the
+writer's next append raises BufferError ("cannot resize an array that
+is exporting buffers"), which would stop a live run.
 
 Concurrency: one writer per series, or per frame, and any number of
 readers. An append validates the sample, or the whole row, before it
@@ -180,83 +183,49 @@ class Series:
         n = len(self._ts)
         return self._ts[n - 1] if n else None
 
-    def value_at(self, t_ms: int) -> float:
-        """Series value at t_ms, linearly interpolated between neighbors.
 
-        Defined only inside the sampled range; raises EmptyWindow outside.
-        """
-        ts = self._ts
-        n = len(ts)
-        if n and t_ms == ts[n - 1]:  # the newest sample ends most rate windows
-            return self._values[n - 1]
-        # each column read boxes a new object, so the bounds come from i:
-        # t_ms is past the last sample when i == n, before the first when
-        # i == 0 and it is no exact hit
-        i = bisect_left(ts, t_ms, 0, n)
-        if i == n:
-            raise EmptyWindow(f"{self.name}: no samples cover t={t_ms}")
-        t1 = ts[i]
-        if t1 == t_ms:
-            return self._values[i]
-        if i == 0:
-            raise EmptyWindow(f"{self.name}: no samples cover t={t_ms}")
-        t0 = ts[i - 1]
-        v0, v1 = self._values[i - 1], self._values[i]
-        return v0 + (v1 - v0) * (t_ms - t0) / (t1 - t0)
+def _locate(ts: array, n: int, t_ms: int) -> int | None:
+    """Where t_ms falls among the first n timestamps of ts: i on row i,
+    ~i between rows i - 1 and i, None before the first or past the last."""
+    if n and t_ms == ts[n - 1]:  # the newest row ends most rate windows
+        return n - 1
+    i = bisect_left(ts, t_ms, 0, n)
+    if i == n:
+        return None
+    if ts[i] == t_ms:
+        return i
+    return ~i if i else None
+
+
+def _interpolate(t_ms, ts, column, i):
+    """column's value at t_ms, linear between rows i - 1 and i. The same
+    code reads a Python array at an int i and a numpy array at an array
+    of rows, so both shapes of the rule round alike."""
+    t0 = ts[i - 1]
+    v0 = column[i - 1]
+    return v0 + (column[i] - v0) * (t_ms - t0) / (ts[i] - t0)
 
 
 def rate(series: Series, t1_ms: int, t2_ms: int) -> float:
     """Average power in watts over [t1, t2] from a joules counter.
 
     Both endpoints must lie inside the sampled range (values at the
-    boundaries are interpolated between the two nearest samples).
+    boundaries are interpolated between the two nearest samples): the
+    scalar shape's one-column case, with the edges read inline.
     """
     if t2_ms <= t1_ms:
         raise BadInterval(f"rate window [{t1_ms}, {t2_ms}] is empty or inverted")
     if series.kind != COUNTER:
         raise KindMismatch(f"{series.name}: rate() needs a counter, got {series.kind}")
-    v1 = series.value_at(t1_ms)
-    v2 = series.value_at(t2_ms)
+    ts, values = series._ts, series._values
+    n = len(ts)  # the count first: the values hold one for every row counted
+    a = _locate(ts, n, t1_ms)
+    b = _locate(ts, n, t2_ms)
+    if a is None or b is None:
+        raise EmptyWindow(f"{series.name}: no samples cover [{t1_ms}, {t2_ms}]")
+    v1 = values[a] if a >= 0 else _interpolate(t1_ms, ts, values, ~a)
+    v2 = values[b] if b >= 0 else _interpolate(t2_ms, ts, values, ~b)
     return (v2 - v1) / ((t2_ms - t1_ms) / 1000.0)
-
-
-def rates(
-    series: Series, t2_ms: np.ndarray, window_ms: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """rate() over [t - window_ms, t] for every t of the int64 array t2_ms.
-
-    Returns the rates and a mask of the windows the samples cover; an
-    uncovered entry reads 0.0 where rate() raises EmptyWindow. A covered
-    entry equals rate() bit for bit: exact timestamp hits are taken as
-    stored and the rest interpolated in value_at's operation order.
-    """
-    if window_ms <= 0:
-        raise BadInterval(f"window must be positive, got {window_ms}")
-    if series.kind != COUNTER:
-        raise KindMismatch(f"{series.name}: rate() needs a counter, got {series.kind}")
-    ts, values = series.columns()
-    t1_ms = t2_ms - window_ms
-    if len(ts):
-        covered = (t1_ms >= ts[0]) & (t2_ms <= ts[-1])
-    else:
-        covered = np.zeros(len(t2_ms), dtype=bool)
-    out = np.zeros(len(t2_ms))
-    v1 = _values_at(ts, values, t1_ms[covered])
-    v2 = _values_at(ts, values, t2_ms[covered])
-    out[covered] = (v2 - v1) / (window_ms / 1000.0)
-    return out, covered
-
-
-def _values_at(ts: np.ndarray, values: np.ndarray, t_ms: np.ndarray) -> np.ndarray:
-    """Series.value_at for each entry of t_ms; all lie in [ts[0], ts[-1]]."""
-    i = np.searchsorted(ts, t_ms)  # bisect_left
-    out = values[i]
-    between = ts[i] != t_ms
-    j = i[between]
-    t0, t1 = ts[j - 1], ts[j]
-    v0, v1 = values[j - 1], values[j]
-    out[between] = v0 + (v1 - v0) * (t_ms[between] - t0) / (t1 - t0)
-    return out
 
 
 _NAME_RE = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -499,10 +468,8 @@ class CounterFrame:
 
     def trailing_rates(self, window_ms: int) -> list[float] | None:
         """trailing_rate() of every member, in member order, from one
-        bisection of the shared column, or None when the rows do not
-        cover the window. Each rate equals trailing_rate()'s bit for bit:
-        the window start is interpolated in value_at's operation order
-        and the difference divided as rate() divides it."""
+        locate of the window start, or None when the rows do not cover
+        the window."""
         if window_ms <= 0:
             raise BadInterval(f"window must be positive, got {window_ms}")
         ts = self._ts
@@ -511,19 +478,45 @@ class CounterFrame:
             return None
         last = n - 1
         start = ts[last] - window_ms
-        i = bisect_left(ts, start, 0, n)  # < last, since start < ts[last]
-        t1 = ts[i]
-        per_s = window_ms / 1000.0
-        if t1 == start:
-            return [(column[last] - column[i]) / per_s for column in self._columns]
-        if i == 0:
+        i = _locate(ts, n, start)
+        if i is None:
             return None
-        t0 = ts[i - 1]
-        dt, span = start - t0, t1 - t0
+        per_s = window_ms / 1000.0
+        if i >= 0:
+            return [(column[last] - column[i]) / per_s for column in self._columns]
         return [
-            (column[last] - (column[i - 1] + (column[i] - column[i - 1]) * dt / span)) / per_s
+            (column[last] - _interpolate(start, ts, column, ~i)) / per_s
             for column in self._columns
         ]
+
+    def rates(self, ends: np.ndarray, window_ms: int) -> tuple[np.ndarray, np.ndarray]:
+        """The vector shape: rate() of every member over [end - window_ms,
+        end] for each end of the int64 array `ends` whose window the rows
+        cover. Returns those rates, one row per covered end and one
+        column per member, and the mask of the covered ends; rate()
+        raises EmptyWindow for the others. Each window edge is located
+        for every member by one np.searchsorted, bisect_left's rule, and
+        read by _interpolate, so each rate equals rate()'s bit for bit."""
+        if window_ms <= 0:
+            raise BadInterval(f"window must be positive, got {window_ms}")
+        n = len(self._ts)  # the count first, then copies of the prefixes
+        ts = np.frombuffer(self._ts[:n], np.int64)
+        rows = np.empty((n, len(self._columns)))
+        for j, column in enumerate(self._columns):
+            rows[:, j] = np.frombuffer(column[:n], np.float64)
+        starts = ends - window_ms
+        covered = (starts >= ts[0]) & (ends <= ts[-1]) if n else np.zeros(len(ends), bool)
+        at = []
+        for t_ms in (starts[covered], ends[covered]):
+            i = np.searchsorted(ts, t_ms)  # every edge lies in [ts[0], ts[-1]]
+            values = rows.take(i, axis=0)  # the rows hit exactly
+            between = np.flatnonzero(ts[i] != t_ms)
+            values[between] = _interpolate(t_ms[between, None], ts[:, None], rows, i[between])
+            at.append(values)
+        watts = at[1]  # in place: a long run's rates are the post-pass's largest arrays
+        watts -= at[0]
+        watts /= window_ms / 1000.0
+        return watts, covered
 
 
 class QueryResult(NamedTuple):

@@ -124,7 +124,7 @@ def test_criterion_04_cpu_offset(cpu_run):
     raw_j = 0.0
     for mode in (MODE_DYNAMIC, MODE_IDLE):
         series = _counter(art, "bench", mode, "svc")
-        raw_j += series.value_at(t_end) - series.value_at(t_start)
+        raw_j += rate(series, t_start, t_end) * (t_end - t_start) / 1000.0
     cal_j = sum(_column(art, "ns.bench_dyn_w")) + sum(_column(art, "ns.bench_idle_w"))
     ratio = cal_j / raw_j
     assert ratio == pytest.approx(1.035, abs=0.003)

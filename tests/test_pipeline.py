@@ -41,7 +41,16 @@ from gridcalib.errors import (
 from gridcalib.microgrid import Monitor, SimpleBattery, StaticActor
 from gridcalib.server import format_exposition, serve_metrics
 from gridcalib.signals import VirtualClock
-from gridcalib.timeseries import COUNTER, GAUGE, MetricStore, QueryResult, evaluate, query, rate
+from gridcalib.timeseries import (
+    COUNTER,
+    GAUGE,
+    CounterFrame,
+    MetricStore,
+    QueryResult,
+    evaluate,
+    query,
+    rate,
+)
 from gridcalib.validation import PLOT_HEADER
 from gridcalib.wire import (
     METER_GAUGE_METRIC,
@@ -49,6 +58,7 @@ from gridcalib.wire import (
     MODE_LABEL,
     NAMESPACE_LABEL,
     POWER_COUNTER_METRIC,
+    PROCESS_LABEL,
 )
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -342,43 +352,48 @@ def scalar_regression_points(gauge, counters, interval_ms):
 
 class TestRegressionX:
     @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=12),  # first sample index: late starts
-                st.integers(min_value=0, max_value=12),  # sample count: 0, 1 or more
-                st.lists(st.floats(min_value=0.0, max_value=500.0), min_size=12, max_size=12),
-            ),
+        st.integers(min_value=0, max_value=12),  # first row index: late starts
+        st.integers(min_value=0, max_value=12),  # row count: 0, 1 or more
+        st.lists(  # each member's watts
+            st.lists(st.floats(min_value=0.0, max_value=500.0), min_size=12, max_size=12),
+            min_size=1,
             max_size=4,
         ),
-        st.sampled_from([500, 1000, 1500]),  # counter spacing
+        st.sampled_from([500, 1000, 1500]),  # row spacing
         st.sampled_from([700, 1000, 3000]),  # meter spacing
         st.sampled_from([1000, 2000, 2500]),  # emission interval
         st.integers(min_value=0, max_value=999),  # meter offset
+        st.data(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_vectorised_equals_scalar_rate_loop(self, counters, step, meter_step, interval, offset):
+    def test_vectorised_equals_scalar_rate_loop(
+        self, start, count, watts, step, meter_step, interval, offset, data
+    ):
+        # the frame's member order is drawn, so it is rarely key order
+        labels = data.draw(st.permutations(range(len(watts))))
         store = MetricStore()
-        for i, (start, count, watts) in enumerate(counters):
-            joules = 0.0
-            for k in range(start, min(start + count, 12)):
-                joules += watts[k]
-                store.append(POWER_COUNTER_METRIC, {"p": str(i)}, COUNTER, (k * step, joules))
+        frame = CounterFrame([
+            store.get_or_create(POWER_COUNTER_METRIC, {"p": str(p)}, COUNTER) for p in labels
+        ])
+        joules = [0.0] * len(watts)
+        for k in range(start, min(start + count, 12)):
+            joules = [j + w[k] for j, w in zip(joules, watts)]
+            frame.append(k * step, joules)
         gauge = store.get_or_create(METER_GAUGE_METRIC, None, GAUGE)
         for t in range(offset, 12 * step + 2000, meter_step):
             gauge.append((t, 100.0 + t / 7))
-        series = store.match(POWER_COUNTER_METRIC, None)
-        t, x, y = pipeline._regression_points(gauge, series, interval)
+        t, x, y = pipeline._regression_points(gauge, frame, interval)
         got = list(zip(t.tolist(), x.tolist(), y.tolist()))
-        want = scalar_regression_points(gauge, series, interval)
+        want = scalar_regression_points(gauge, store.match(POWER_COUNTER_METRIC, None), interval)
         assert got == want
         assert all(type(t) is int and type(x) is float and type(y) is float for t, x, y in got)
 
     def test_points_are_the_meters_own_samples(self, tmp_path):
         config = PRESETS["regression"]
         store = MetricStore()
-        pipeline.run(config, tmp_path / "r", store=store)
+        art = pipeline.run(config, tmp_path / "r", store=store)
         [gauge] = store.match(METER_GAUGE_METRIC)
-        report, _, (t, _, y) = pipeline._node_regression(config, gauge, store)
+        report, _, (t, _, y) = pipeline._node_regression(config, gauge, art.emitter.frame)
         points = list(zip(t.tolist(), y.tolist()))
         readings = dict(zip(*(column.tolist() for column in gauge.columns())))
         assert all(t in readings and y == readings[t] for t, y in points)
@@ -388,15 +403,30 @@ class TestRegressionX:
         assert len(points) == len(covered) == report.n
         assert len(points) > 100
 
+    def test_counters_the_run_did_not_emit_stay_out_of_the_fit(self, tmp_path):
+        # a caller that watches a run live hands it a store that may hold
+        # other power counters; the fit reads only the run's own
+        config = PRESETS["regression"]
+        store = MetricStore()
+        labels = {NAMESPACE_LABEL: "elsewhere", MODE_LABEL: MODE_DYNAMIC, PROCESS_LABEL: "other"}
+        end_ms = config.warmup_ms + config.duration_ms
+        for t, joules in ((0, 0.0), (end_ms // 2, 5000.0), (end_ms + 60_000, 20_000.0)):
+            store.append(POWER_COUNTER_METRIC, labels, COUNTER, (t, joules))
+        pipeline.run(config, tmp_path / "shared", store=store)
+        pipeline.run(config, tmp_path / "fresh")
+        for name in pipeline.ARTIFACT_NAMES:
+            shared = (tmp_path / "shared" / name).read_bytes()
+            assert shared == (tmp_path / "fresh" / name).read_bytes(), name
+
     def test_store_takes_appends_after_the_regression_read(self, tmp_path):
         config = leakage_config()
         store = MetricStore()
         art = pipeline.run(config, tmp_path / "r", store=store)
         [gauge] = store.match(METER_GAUGE_METRIC)
-        report, skipped, _ = pipeline._node_regression(config, gauge, store)
-        assert report is not None and skipped is None
         # the counters take their rows through the emitter's frame
         frame = art.emitter.frame
+        report, skipped, _ = pipeline._node_regression(config, gauge, frame)
+        assert report is not None and skipped is None
         assert set(store.series()) == {gauge, *frame.members}
         t = max(series.last_timestamp() for series in store.series()) + 1000
         gauge.append((t, gauge.last().value))

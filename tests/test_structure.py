@@ -16,6 +16,10 @@ the package or in bench/*.py, by an Attribute node in load context
 (``x.field``, not an assignment to it), matched by spelling as above.
 
 Only what gridcalib.__all__ exports is exempt.
+
+No module but timeseries.py reads a series' or a frame's private
+columns (_ts, _values, _columns): the one rate rule lives beside them,
+so a rate reader cannot grow anywhere else.
 """
 
 import ast
@@ -117,3 +121,18 @@ def test_every_dataclass_field_has_a_reader():
                     if not loads[f.name]
                 ]
     assert unread == [], f"dataclass fields never read: {', '.join(unread)}"
+
+
+PRIVATE_COLUMNS = {"_ts", "_values", "_columns"}
+
+
+def test_only_timeseries_reads_the_columns():
+    trees, _ = _parse()
+    readers = sorted(
+        f"{module}.py:{node.lineno} .{node.attr}"
+        for module, tree in trees.items()
+        if module != "timeseries"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in PRIVATE_COLUMNS
+    )
+    assert readers == [], f"private columns read outside timeseries.py: {', '.join(readers)}"

@@ -32,7 +32,6 @@ from gridcalib.timeseries import (
     parse_query,
     query,
     rate,
-    rates,
     trailing_rate,
 )
 
@@ -117,66 +116,18 @@ def test_int64_timestamp_limit_accepted():
 
 # rate
 
-counter_samples = st.lists(
-    st.tuples(
-        st.one_of(st.just(1000), st.integers(min_value=1, max_value=3000)),
-        st.floats(min_value=0.0, max_value=1e6),
-    ),
-    max_size=12,
-).map(
-    # (gap, increment) pairs to a monotone counter starting at t=2000
-    lambda steps: [
-        (2000 + sum(g for g, _ in steps[: i + 1]), sum(v for _, v in steps[: i + 1]))
-        for i in range(len(steps))
-    ]
-)
-
-
-@given(counter_samples, st.integers(min_value=1, max_value=5000), st.data())
-@settings(max_examples=200, deadline=None)
-def test_vectorised_rates_equal_scalar_rate(samples, window_ms, data):
-    # exact-hit, window-shifted and arbitrary end points, so windows are
-    # hit exactly, interpolated, and uncovered on either side; a series
-    # of zero or one sample covers no window
-    series = make_counter(samples)
-    stamps = [t for t, _ in samples]
-    points = st.integers(min_value=0, max_value=40_000)
-    if stamps:
-        shifted = stamps + [t + window_ms for t in stamps]
-        points = st.one_of(points, st.sampled_from(shifted))
-    ends = data.draw(st.lists(points, max_size=30))
-    got, covered = rates(series, np.array(ends, dtype=np.int64), window_ms)
-    for t, value, ok in zip(ends, got.tolist(), covered.tolist()):
-        try:
-            want = rate(series, t - window_ms, t)
-        except EmptyWindow:
-            assert not ok and value == 0.0
-        else:
-            assert ok and value == want
-
-
-def test_vectorised_rates_reject_what_rate_rejects():
-    s = make_counter([(0, 0.0), (4000, 400.0)])
-    with pytest.raises(BadInterval):
-        rates(s, np.array([3000]), 0)
-    g = Series("w", {}, GAUGE)
-    g.append((0, 1.0))
-    with pytest.raises(KindMismatch):
-        rates(g, np.array([3000]), 1000)
-
-
 def test_append_after_reads():
     # reads hand numpy copies only: a live column that exported its
     # buffer would make this append raise BufferError
     store = MetricStore()
-    for t in range(0, 5001, 1000):
-        store.append("e", {"i": "0"}, COUNTER, (t, float(t)))
+    frame = make_frame([(t, [float(t)]) for t in range(0, 5001, 1000)], store=store)
     [series] = store.match("e", {"i": "0"})
     ts, values = series.columns()
-    rates(series, ts, 2000)
+    frame.rates(ts, 2000)
     query(store, "sum(rate(e[2s]))")
-    series.append((6000, 6000.0))
+    frame.append(6000, [6000.0])
     assert len(series) == 7 and len(ts) == len(values) == 6
+
 
 def test_rate_difference_quotient():
     # (160 - 100) J over 2 s -> 30.0 W
@@ -556,13 +507,17 @@ def test_reads_race_series_creation():
     errors = []
     stop = threading.Event()
 
+    # f{i="0"} and f{i="1"} hold t and 2t joules at t seconds: 1 and 2 W
+    frame = CounterFrame([store.get_or_create("f", {"i": str(i)}, COUNTER) for i in range(2)])
+
     def write():
         try:
             for t in range(1, 201):
+                frame.append(t * 1000, [float(t), 2.0 * t])
                 for i in range(t % 7 + 1):
                     labels = {"mode": "dynamic" if i % 2 else "idle", "proc": f"p{t}-{i}"}
                     store.append("e", labels, COUNTER, (t * 1000, float(t)))
-                for series in store.series()[:20]:
+                for series in store.match("e")[:20]:
                     series.append((t * 1000 + 500, float(t) + 1.0))
         except Exception as exc:  # reported below
             errors.append(exc)
@@ -577,7 +532,8 @@ def test_reads_race_series_creation():
                 for series in store.match("e", {"mode": "dynamic"})[:20]:
                     ts, values = series.columns()
                     assert len(ts) == len(values)
-                    rates(series, ts, 2000)
+                    watts, covered = frame.rates(ts, 2000)
+                    assert watts.tolist() == [[1.0, 2.0]] * int(covered.sum())
                 query(store, expr)
                 assert store.match("missing") == []
                 format_exposition(store)
@@ -672,6 +628,40 @@ def test_trailing_rates_reject_an_empty_window():
     frame = make_frame([(0, [0.0]), (1000, [1.0])])
     with pytest.raises(BadInterval):
         frame.trailing_rates(0)
+
+
+@given(frame_rows, st.integers(min_value=1, max_value=5000), st.data())
+@settings(max_examples=300, deadline=None)
+def test_vectorised_rates_equal_scalar_rate(rows, window_ms, data):
+    # window edges that hit a row exactly, fall between rows, or fall
+    # outside the rows on either side; a frame of zero or one row covers
+    # no window
+    width, rows = rows
+    frame = make_frame(rows, width)
+    stamps = [t for t, _ in rows]
+    points = st.integers(min_value=0, max_value=40_000)
+    if stamps:
+        shifted = stamps + [t + window_ms for t in stamps]
+        points = st.one_of(points, st.sampled_from(shifted))
+    ends = data.draw(st.lists(points, max_size=30))
+    got, covered = frame.rates(np.array(ends, dtype=np.int64), window_ms)
+    assert covered.shape == (len(ends),) and got.shape == (covered.sum(), width)
+    rows = iter(got.tolist())
+    for t, ok in zip(ends, covered.tolist()):
+        try:
+            want = [rate(series, t - window_ms, t) for series in frame.members]
+        except EmptyWindow:
+            assert not ok
+        else:
+            assert ok and [value.hex() for value in next(rows)] == [value.hex() for value in want]
+
+
+def test_vectorised_rates_reject_what_rate_rejects():
+    frame = make_frame([(0, [0.0]), (4000, [400.0])])
+    with pytest.raises(BadInterval):
+        frame.rates(np.array([3000]), 0)
+    with pytest.raises(BadInterval):
+        frame.rates(np.array([3000]), -1000)
 
 
 @pytest.mark.parametrize(
@@ -783,6 +773,8 @@ def test_frame_reads_race_frame_appends():
                     assert trailing_rate(series, 2000) in (None, i + 1)
                 watts = frame.trailing_rates(2000)
                 assert watts is None or watts == [i + 1.0 for i in range(width)]
+                watts, covered = frame.rates(ts, 2000)
+                assert watts.tolist() == [[i + 1.0 for i in range(width)]] * int(covered.sum())
                 # coverage only grows, so the covered members are the last ones
                 result = evaluate(store, "sum(rate(e[2s]))")
                 assert result.matched == width
