@@ -11,6 +11,11 @@ virtual clock.
 The error model is oriented for recovery: plotting approximated power
 (x) against measured power (y) fits back to slope = gain and
 intercept = bias. Equivalently, approx = (true - bias + noise) / gain.
+
+In live mode the meter's readings cross a TCP line protocol:
+MeterPublisher writes one JSON object per line, and MeterListener, a
+server.SelectorServer, reads every publisher on its one loop thread and
+appends each reading to the meter gauge.
 """
 
 from __future__ import annotations
@@ -19,8 +24,6 @@ import json
 import math
 import random
 import socket
-import socketserver
-import threading
 from dataclasses import dataclass, field
 from operator import mul
 from typing import Callable, Iterable, Sequence
@@ -28,6 +31,7 @@ from typing import Callable, Iterable, Sequence
 from .attribution import dynamic_shares, even_shares, left_sum, requested_shares
 from .errors import InvalidField, NonMonotonicTimestamp
 from .microgrid import Controller
+from .server import SelectorServer
 from .signals import Clock
 from .ticklog import TickLog
 from .timeseries import COUNTER, CounterFrame, MetricStore, Series
@@ -273,8 +277,8 @@ def meter_sample(true_total_w: float, spec: MeterSpec, rng: random.Random) -> fl
 
 @dataclass(frozen=True)
 class LoadSchedule:
-    """Ordered load levels with a per-iteration runtime, and the load-bank
-    knob the benchmark drives with them.
+    """Ordered load levels with a per-iteration runtime, and the load knob
+    the benchmark drives with them.
 
     A builtin kind (a key of BUILTIN_SCHEDULES) fixes its levels and
     infers its knob; kind custom takes explicit values and a knob.
@@ -318,23 +322,11 @@ class LoadSchedule:
         return BUILTIN_SCHEDULES[self.kind][1] if self.values is None else self.values
 
 
-class LoadBank:
-    """Current load level per knob; workloads read `levels`, the benchmark
-    writes through set_level."""
-
-    def __init__(self):
-        self.levels = {knob: 0.0 for knob in LOAD_KNOBS}
-
-    def set_level(self, knob: str, value: float) -> None:
-        if knob not in self.levels:
-            raise ValueError(f"unknown load knob {knob!r}")
-        self.levels[knob] = float(value)
-
-
 class BenchmarkController(Controller):
-    """Walks a parsed load schedule on the load bank: set the schedule's
-    knob to a level, hold it for the runtime, stop it and start the next,
-    finishing with a single completion event that sets the knob to 0.
+    """Walks a parsed load schedule on the run's loads (the current level
+    of each knob in LOAD_KNOBS): set the schedule's knob to a level, hold
+    it for the runtime, stop it and start the next, finishing with a
+    single completion event that sets the knob to 0.
 
     Records (action, value, time_ms) tuples; a schedule of length k
     yields exactly k "start" events and k stop-or-complete events.
@@ -342,14 +334,14 @@ class BenchmarkController(Controller):
 
     controller_id = "benchmark"
 
-    def __init__(self, schedule: LoadSchedule, bank: LoadBank):
+    def __init__(self, schedule: LoadSchedule, loads: dict[str, float]):
         # read once: the engine steps the controller every tick
         self.levels = schedule.levels
         self.runtime_ms = schedule.runtime_ms
         self.knob = schedule.knob
         self.events: list[tuple[str, float, int]] = []
         self.done = False
-        self._bank = bank
+        self._loads = loads
         self._idx = -1
         self._start_time_ms = 0
 
@@ -363,20 +355,20 @@ class BenchmarkController(Controller):
             last = self._idx + 1 == len(self.levels)
             self.events.append(("complete" if last else "stop", current, time_ms))
             if last:
-                self._bank.set_level(self.knob, 0.0)
+                self._loads[self.knob] = 0.0
                 self.done = True
                 return
         self._idx += 1
         self._start_time_ms = time_ms
         value = self.levels[self._idx]
         self.events.append(("start", value, time_ms))
-        self._bank.set_level(self.knob, value)
+        self._loads[self.knob] = float(value)
 
 
 class PowerModelEmitter:
     """Periodic task: sample truth, distort it, emit joules counters.
 
-    At every firing the emitter reads the load bank, evaluates each
+    At every firing the emitter reads the run's loads, evaluates each
     workload's true power, runs the approximation error model, and
     appends cumulative joules (watts integrated over the emission
     interval) to one counter series per mode and process, the system
@@ -397,7 +389,7 @@ class PowerModelEmitter:
         self,
         store: MetricStore,
         workloads: Sequence[WorkloadSpec],
-        load_bank: LoadBank,
+        loads: dict[str, float],
         clock: Clock,
         *,
         params: ApproximationParams,
@@ -411,7 +403,7 @@ class PowerModelEmitter:
         self.system_baseline_w = system_baseline_w
         self.emission_interval_ms = emission_interval_ms
         self._approximation = approximation_plan(self.workloads, idle_split)
-        self._levels = load_bank.levels
+        self._loads = loads
         self._clock = clock
         self._plan = [(w, random.Random(f"{seed}:truth:{w.process_id}")) for w in self.workloads]
         self._approx_rng = random.Random(f"{seed}:approx")
@@ -441,7 +433,7 @@ class PowerModelEmitter:
         """Every workload's true dynamic and idle power at the current loads."""
         dyn, idle = [], []
         for w, rng in self._plan:
-            d, i = decompose_true_power(w, true_power(w, self._levels[w.load_knob], rng))
+            d, i = decompose_true_power(w, true_power(w, self._loads[w.load_knob], rng))
             dyn.append(d)
             idle.append(i)
         return dyn, idle
@@ -500,25 +492,46 @@ class MeterPublisher:
     """Client side of the meter line protocol: one JSON object per line.
     send() takes a (timestamp_ms, watts) sample, as Series.append does."""
 
-    def __init__(self, host: str, port: int, timeout_s: float = 5.0):
-        self._sock = socket.create_connection((host, port), timeout=timeout_s)
-        self._file = self._sock.makefile("w", encoding="utf-8", newline="\n")
+    def __init__(self, host: str, port: int):
+        self._sock = socket.create_connection((host, port), timeout=5.0)
 
     def send(self, sample: tuple[int, float]) -> None:
         ts_ms, power_w = sample
-        self._file.write(json.dumps({"power_w": float(power_w), "ts_ms": int(ts_ms)}) + "\n")
-        self._file.flush()
+        line = json.dumps({"power_w": float(power_w), "ts_ms": int(ts_ms)}) + "\n"
+        self._sock.sendall(line.encode())
 
     def close(self) -> None:
+        self._sock.close()
+
+
+class MeterListener(SelectorServer):
+    """Accepts meter publisher connections and feeds the meter gauge.
+    A connection's selector data is its unfinished line. `dropped`
+    counts the lines skipped, one per line."""
+
+    def __init__(self, bind: tuple[str, int], gauge: Series):
+        super().__init__(bind)
+        self._gauge = gauge
+        self.dropped = 0
+
+    def _advance(self, key) -> None:
+        """Read more of a connection's stream and store each whole line."""
+        conn, pending = key.fileobj, key.data
         try:
-            self._file.close()
-        finally:
-            self._sock.close()
-
-
-class _MeterIngestHandler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:
-        for raw in self.rfile:
+            chunk = conn.recv(65536)
+        except OSError:  # reset: its unfinished line goes with it, uncounted
+            return self._close(conn)
+        if not chunk:  # a clean EOF ends the last line
+            self._close(conn)
+            chunk = b"\n"
+        end = chunk.rfind(b"\n")
+        if end < 0:
+            pending += chunk
+            return
+        pending += chunk[:end]
+        lines = pending.split(b"\n")
+        pending[:] = chunk[end + 1:]
+        for raw in lines:
             line = raw.decode("utf-8", errors="replace").strip()
             if not line:
                 continue
@@ -531,36 +544,12 @@ class _MeterIngestHandler(socketserver.StreamRequestHandler):
                     raise TypeError
                 power_w = float(power_w)
             except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
-                self.server.drop()  # malformed, nested past the parser's depth, or past float
+                self.dropped += 1  # malformed, nested past the parser's depth, or past float
                 continue
-            self.server.ingest(ts_ms, power_w)
-
-
-class MeterListener(socketserver.ThreadingTCPServer):
-    """Accepts meter publisher connections and feeds the meter gauge.
-    `dropped` counts the lines skipped, one per line."""
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, bind: tuple[str, int], gauge: Series):
-        super().__init__(bind, _MeterIngestHandler)
-        self._gauge = gauge
-        self._lock = threading.Lock()
-        self.dropped = 0
+            self.ingest(ts_ms, power_w)
 
     def ingest(self, ts_ms: int, power_w: float) -> None:
-        with self._lock:
-            try:
-                self._gauge.append((ts_ms, power_w))
-            except (NonMonotonicTimestamp, ValueError):
-                self.dropped += 1  # late, duplicate, non-finite or out-of-range sample
-
-    def drop(self) -> None:
-        with self._lock:
-            self.dropped += 1
-
-    def serve_in_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
+        try:
+            self._gauge.append((ts_ms, power_w))
+        except (NonMonotonicTimestamp, ValueError):
+            self.dropped += 1  # late, duplicate, non-finite or out-of-range sample

@@ -37,8 +37,8 @@ from .calibration import (
 )
 from .config import NamespaceActorSpec, ScenarioConfig, config_to_dict
 from .emulation import (
+    LOAD_KNOBS,
     BenchmarkController,
-    LoadBank,
     MeterEmitter,
     MeterListener,
     MeterPublisher,
@@ -116,7 +116,6 @@ class _Runtime:
         self.config = config
         self.clock = clock
         self.store = store
-        self.bank = LoadBank()
         self.emitter: PowerModelEmitter | None = None
         # the meter's gauge, resolved once; None when there are no workloads
         self.gauge: Series | None = None
@@ -132,11 +131,12 @@ class _Runtime:
 
     def build(self, wall_clock: bool) -> None:
         config, clock, store = self.config, self.clock, self.store
+        loads = dict.fromkeys(LOAD_KNOBS, 0.0)  # each knob's current level
         if config.workloads:
             self.emitter = PowerModelEmitter(
                 store,
                 config.workloads,
-                self.bank,
+                loads,
                 clock,
                 params=config.approximation,
                 system_baseline_w=config.system_baseline_w,
@@ -195,7 +195,7 @@ class _Runtime:
                 )
             self.engine.add_actor(actor)
         if config.schedule is not None:  # config validation guarantees workloads
-            self.benchmark = BenchmarkController(config.schedule, self.bank)
+            self.benchmark = BenchmarkController(config.schedule, loads)
             self.engine.add_controller(self.benchmark)
 
     def await_meter(self) -> None:
@@ -445,7 +445,7 @@ def _read_artifact(artifacts_dir: str | Path, name: str):
         return json.load(fh) if name.endswith(".json") else list(csv.DictReader(fh))
 
 
-def report(artifacts_dir: str | Path, floor_wh: float = 1.0) -> str:
+def report(artifacts_dir: str | Path, floor_wh: float) -> str:
     """Human-readable run summary: energy table plus regression verdicts.
 
     Processes under floor_wh are grouped into an "other" bucket, the way

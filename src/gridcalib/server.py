@@ -1,4 +1,5 @@
-"""Read-only HTTP endpoint over a metric store.
+"""One selector loop for every socket, and the read-only HTTP endpoint
+over a metric store.
 
 GET /metrics renders the latest sample of every series as one text line:
 
@@ -12,9 +13,12 @@ rate query and returns {"value_w": ..., "uncovered": ..., "matched": ...}:
 the summed rate, how many matching series do not cover their window,
 and how many series the selector matched.
 
-One thread serves every connection from one selector loop (after Flash,
-Pai et al., USENIX ATC 1999), so a stalled client holds a buffer, not a
-thread. A response is one HTTP/1.0 write: status line, Content-Type,
+SelectorServer is the one way the package serves sockets: one thread
+serves every connection from one selector loop (after Flash, Pai et
+al., USENIX ATC 1999), so a stalled client holds a buffer, not a
+thread, and server_close() leaves no connection open. MetricsServer is
+the HTTP endpoint on it, emulation.MeterListener the meter's line
+protocol. A response is one HTTP/1.0 write: status line, Content-Type,
 Content-Length, Connection: close (no Server or Date header), body.
 """
 
@@ -71,12 +75,12 @@ def respond(store: MetricStore, head: bytes) -> bytes:
     return _json(404, {"error": f"no such path {url.path!r}"})
 
 
-class MetricsServer:
-    """A listener and its selector loop. A connection's selector data is
-    its head so far (a bytearray) or its unsent response (a memoryview)."""
+class SelectorServer:
+    """A listener and its selector loop, on one thread. A subclass
+    defines _advance(key), which reads or writes one connection the
+    selector found ready; the key's data starts as an empty bytearray."""
 
-    def __init__(self, bind: tuple[str, int], store: MetricStore):
-        self.store = store
+    def __init__(self, bind: tuple[str, int]):
         try:
             self.socket = socket.create_server(bind)
         except OSError as exc:
@@ -132,6 +136,19 @@ class MetricsServer:
         conn.setblocking(False)
         self._selector.register(conn, selectors.EVENT_READ, bytearray())
 
+    def _close(self, conn: socket.socket) -> None:
+        self._selector.unregister(conn)
+        conn.close()
+
+
+class MetricsServer(SelectorServer):
+    """The HTTP endpoint. A connection's selector data is its head so far
+    (a bytearray) or its unsent response (a memoryview)."""
+
+    def __init__(self, bind: tuple[str, int], store: MetricStore):
+        super().__init__(bind)
+        self.store = store
+
     def _advance(self, key: selectors.SelectorKey) -> None:
         """Read more of a connection's head, or send more of its response."""
         conn, pending = key.fileobj, key.data
@@ -162,13 +179,7 @@ class MetricsServer:
         else:
             self._close(conn)
 
-    def _close(self, conn: socket.socket) -> None:
-        self._selector.unregister(conn)
-        conn.close()
 
-
-def serve_metrics(
-    store: MetricStore, bind: tuple[str, int] = ("127.0.0.1", 8000)
-) -> MetricsServer:
+def serve_metrics(store: MetricStore, bind: tuple[str, int]) -> MetricsServer:
     """Bind the exposition endpoint; the caller decides how to serve it."""
     return MetricsServer(bind, store)

@@ -1,17 +1,20 @@
 """Emulated workloads, approximation error model, and socket meter."""
 
+import contextlib
 import dataclasses
 import math
 import random
 import socket
+import struct
+import threading
 import time
 from typing import NamedTuple
 
 import pytest
 
 from gridcalib.emulation import (
+    LOAD_KNOBS,
     ApproximationParams,
-    LoadBank,
     LoadSchedule,
     MeterEmitter,
     MeterListener,
@@ -27,7 +30,7 @@ from gridcalib.emulation import (
     node_true_total,
     true_power,
 )
-from gridcalib.errors import InvalidField
+from gridcalib.errors import BindError, InvalidField
 from gridcalib.signals import VirtualClock
 from gridcalib.timeseries import GAUGE, MetricStore, Series, rate
 from gridcalib.wire import (
@@ -369,22 +372,6 @@ class TestSchedules:
         )
 
 
-class TestLoadBank:
-    def test_set_get_clear(self):
-        bank = LoadBank()
-        assert bank.levels["rps"] == 0.0
-        bank.set_level("rps", 750)
-        assert bank.levels["rps"] == 750.0
-        bank.set_level("rps", 0)
-        assert bank.levels["rps"] == 0.0
-
-    def test_unknown_knob(self):
-        bank = LoadBank()
-        with pytest.raises(ValueError):
-            bank.set_level("dial", 1)
-        assert "dial" not in bank.levels
-
-
 def series_labels(namespace, mode, process):
     return {
         NAMESPACE_LABEL: namespace,
@@ -403,7 +390,7 @@ class TestPowerModelEmitter:
     def make(self, workloads=None, seed=7, baseline=0.0, params=ApproximationParams()):
         store = MetricStore()
         clock = VirtualClock()
-        bank = LoadBank()
+        bank = dict.fromkeys(LOAD_KNOBS, 0.0)
         emitter = PowerModelEmitter(
             store,
             workloads if workloads is not None else [spec()],
@@ -438,7 +425,7 @@ class TestPowerModelEmitter:
 
     def test_constant_load_rate_reproduces_watts(self):
         store, clock, bank, emitter = self.make()
-        bank.set_level("rps", 1000)
+        bank["rps"] = 1000
         clock.advance(4000)
         dyn = counter(store, series_labels("bench", MODE_DYNAMIC, "svc"))
         idle = counter(store, series_labels("bench", MODE_IDLE, "svc"))
@@ -452,7 +439,7 @@ class TestPowerModelEmitter:
     def test_integration_matches_mean_watts(self):
         store, clock, bank, emitter = self.make()
         for level in (0, 400, 800, 1200):
-            bank.set_level("rps", level)
+            bank["rps"] = level
             clock.advance(1000)
         dyn = counter(store, series_labels("bench", MODE_DYNAMIC, "svc"))
         # the rate over one emission interval is the watts emitted in it:
@@ -465,7 +452,7 @@ class TestPowerModelEmitter:
         store, clock, bank, emitter = self.make(
             workloads=[spec(noise_sigma_w=3.0)], baseline=5.0
         )
-        bank.set_level("rps", 500)
+        bank["rps"] = 500
         clock.advance(30_000)
         for series in store.series():
             values = series.columns()[1].tolist()
@@ -483,7 +470,7 @@ class TestPowerModelEmitter:
             )
         ]
         store, clock, bank, emitter = self.make(workloads=workloads)
-        bank.set_level("batch_size", 15)  # true dynamic = 90 W
+        bank["batch_size"] = 15  # true dynamic = 90 W
         clock.advance(2000)
         p = counter(store, series_labels("bench", MODE_DYNAMIC, "gpu"))
         s = counter(store, series_labels(SYSTEM_NAMESPACE, MODE_DYNAMIC, "system"))
@@ -496,7 +483,7 @@ class TestPowerModelEmitter:
             spec(process_id="b", idle_share_w=5.0, dyn_coeff_w=0.01),
         ]
         store, clock, bank, emitter = self.make(workloads=workloads, baseline=5.0)
-        bank.set_level("rps", 900)
+        bank["rps"] = 900
         clock.advance(10_000)
         dyn = [
             counter(store, series_labels(ns, MODE_DYNAMIC, pid))
@@ -517,7 +504,7 @@ class TestPowerModelEmitter:
                 baseline=5.0,
                 params=ApproximationParams(gain=1.01, bias_w=5.23, sigma_w=1.0),
             )
-            bank.set_level("rps", 1500)
+            bank["rps"] = 1500
             clock.advance(15_000)
             return [
                 (tuple(series.labels.items()), tuple(samples(series)))
@@ -531,7 +518,7 @@ class TestPowerModelEmitter:
             store, clock, bank, emitter = self.make(
                 workloads=[spec(noise_sigma_w=2.0)], seed=seed
             )
-            bank.set_level("rps", 1500)
+            bank["rps"] = 1500
             clock.advance(5000)
             dyn = counter(store, series_labels("bench", MODE_DYNAMIC, "svc"))
             return tuple(samples(dyn))
@@ -541,7 +528,7 @@ class TestPowerModelEmitter:
     def test_latest_truth_tracks_firings(self):
         store, clock, bank, emitter = self.make()
         assert emitter.node_total_w == 10.0  # idle only at t=0
-        bank.set_level("rps", 1000)
+        bank["rps"] = 1000
         clock.advance(1000)
         assert emitter.node_total_w == 60.0
 
@@ -582,56 +569,61 @@ class TestMeterEmitter:
         assert sent == [(1000, 100.0), (2000, 100.0)]
 
 
+@contextlib.contextmanager
+def serving(gauge: Series):
+    """A meter listener on an ephemeral port, served in the background."""
+    listener = MeterListener(("127.0.0.1", 0), gauge)
+    listener.serve_in_background()
+    try:
+        yield listener
+    finally:
+        listener.shutdown()
+        listener.server_close()
+
+
+def wait_until(predicate) -> bool:
+    """Poll predicate for up to 5 s; whether it came true."""
+    deadline = time.monotonic() + 5.0
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def meter_line(ts_ms: int, power_w: float) -> bytes:
+    """One reading as the publisher encodes it, newline included."""
+    return f'{{"power_w": {power_w}, "ts_ms": {ts_ms}}}\n'.encode()
+
+
 class TestMeterWireProtocol:
     def test_publish_and_ingest_roundtrip(self):
         gauge = meter_gauge()
-        listener = MeterListener(("127.0.0.1", 0), gauge)
-        listener.serve_in_background()
-        try:
-            host, port = listener.server_address
-            publisher = MeterPublisher(host, port)
+        with serving(gauge) as listener:
+            publisher = MeterPublisher(*listener.server_address)
             publisher.send((1000, 260.0))
             publisher.send((2000, 400.5))
             publisher.send((1500, 399.0))  # out of order: dropped
             publisher.send((3000, 401.0))
             publisher.close()
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if gauge.last_timestamp() == 3000:
-                    break
-                time.sleep(0.01)
+            wait_until(lambda: gauge.last_timestamp() == 3000)
             assert samples(gauge) == [(1000, 260.0), (2000, 400.5), (3000, 401.0)]
-        finally:
-            listener.shutdown()
-            listener.server_close()
 
     def test_unstorable_line_skipped_and_stream_kept(self):
         gauge = meter_gauge()
-        listener = MeterListener(("127.0.0.1", 0), gauge)
-        listener.serve_in_background()
-        try:
-            host, port = listener.server_address
-            publisher = MeterPublisher(host, port)
+        with serving(gauge) as listener:
+            publisher = MeterPublisher(*listener.server_address)
             publisher.send((1000, 260.0))
             publisher.send((2000, float("nan")))  # json.dumps writes NaN, json.loads reads it
             publisher.send((2**63, 300.0))  # past int64
             publisher.send((-1, 300.0))
             publisher.send((3000, 401.0))
             publisher.close()
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if gauge.last_timestamp() == 3000:
-                    break
-                time.sleep(0.01)
+            wait_until(lambda: gauge.last_timestamp() == 3000)
             assert samples(gauge) == [(1000, 260.0), (3000, 401.0)]
-        finally:
-            listener.shutdown()
-            listener.server_close()
 
     def test_dropped_counts_each_skipped_line(self):
         gauge = meter_gauge()
-        listener = MeterListener(("127.0.0.1", 0), gauge)
-        listener.serve_in_background()
         good = [(1000, 260.0), (2000, 261.0), (3000, 262.0), (4000, 263.0), (5000, 264.0)]
         bad = [
             ["not json", '{"ts_ms": 1500}', '{"power_w": true, "ts_ms": 1500}'],  # malformed
@@ -645,19 +637,12 @@ class TestMeterWireProtocol:
         lines = [f'{{"power_w": {good[0][1]}, "ts_ms": {good[0][0]}}}']
         for (ts_ms, power_w), bad_lines in zip(good[1:], bad):
             lines += bad_lines + [f'{{"power_w": {power_w}, "ts_ms": {ts_ms}}}']
-        try:
-            with socket.create_connection(listener.server_address[:2], timeout=5.0) as sock:
+        with serving(gauge) as listener:
+            with socket.create_connection(listener.server_address, timeout=5.0) as sock:
                 sock.sendall("".join(line + "\n" for line in lines).encode())
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if gauge.last_timestamp() == 5000:
-                    break
-                time.sleep(0.01)
+            wait_until(lambda: gauge.last_timestamp() == 5000)
             assert samples(gauge) == good
             assert listener.dropped == sum(map(len, bad)) == 12
-        finally:
-            listener.shutdown()
-            listener.server_close()
 
     @pytest.mark.parametrize(
         "bad_line",
@@ -678,18 +663,105 @@ class TestMeterWireProtocol:
     )
     def test_overflowing_number_skipped_and_stream_kept(self, bad_line):
         gauge = meter_gauge()
-        listener = MeterListener(("127.0.0.1", 0), gauge)
-        listener.serve_in_background()
-        try:
-            lines = ['{"power_w": 260.0, "ts_ms": 1000}', bad_line, '{"power_w": 401.0, "ts_ms": 3000}']
-            with socket.create_connection(listener.server_address[:2], timeout=5.0) as sock:
+        lines = ['{"power_w": 260.0, "ts_ms": 1000}', bad_line, '{"power_w": 401.0, "ts_ms": 3000}']
+        with serving(gauge) as listener:
+            with socket.create_connection(listener.server_address, timeout=5.0) as sock:
                 sock.sendall("".join(line + "\n" for line in lines).encode())
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if gauge.last_timestamp() == 3000:
-                    break
-                time.sleep(0.01)
+            wait_until(lambda: gauge.last_timestamp() == 3000)
             assert samples(gauge) == [(1000, 260.0), (3000, 401.0)]
-        finally:
+
+    def test_bind_error(self):
+        with socket.socket() as blocker:
+            blocker.bind(("127.0.0.1", 0))
+            with pytest.raises(BindError):
+                MeterListener(blocker.getsockname(), meter_gauge())
+
+    def test_shutdown_leaves_no_thread_and_no_connection(self):
+        gauge = meter_gauge()
+        before = threading.active_count()
+        listener = MeterListener(("127.0.0.1", 0), gauge)
+        loop = listener.serve_in_background()
+        late = meter_line(2000, 261.0)
+        with socket.create_connection(listener.server_address, timeout=5.0) as sock:
+            sock.sendall(meter_line(1000, 260.0) + late[:10])
+            assert wait_until(lambda: len(gauge) == 1)
             listener.shutdown()
             listener.server_close()
+            loop.join(timeout=5.0)
+            assert not loop.is_alive()
+            assert threading.active_count() == before
+            with contextlib.suppress(ConnectionResetError):
+                assert sock.recv(1) == b""
+            with contextlib.suppress(OSError):  # the listener may answer with a reset
+                sock.sendall(late[10:])
+            time.sleep(0.2)
+        assert samples(gauge) == [(1000, 260.0)]
+
+    def test_connections_share_the_loop_thread(self):
+        gauge = meter_gauge()
+        before = threading.active_count()
+        with serving(gauge) as listener, contextlib.ExitStack() as stack:
+            for i in range(1, 9):
+                sock = socket.create_connection(listener.server_address, timeout=5.0)
+                stack.enter_context(sock)
+                sock.sendall(meter_line(1000 * i, 260.0))
+                assert wait_until(lambda: len(gauge) == i)
+            assert threading.active_count() == before + 1
+        assert listener.dropped == 0
+
+    def test_line_split_across_sends(self):
+        gauge = meter_gauge()
+        data = meter_line(1000, 260.0) + meter_line(2000, 261.0)
+        cut = len(data) - 10  # inside the second line
+        with serving(gauge) as listener:
+            with socket.create_connection(listener.server_address, timeout=5.0) as sock:
+                sock.sendall(data[:cut])
+                assert wait_until(lambda: len(gauge) == 1)
+                time.sleep(0.05)
+                sock.sendall(data[cut:])
+                assert wait_until(lambda: len(gauge) == 2)
+        assert samples(gauge) == [(1000, 260.0), (2000, 261.0)]
+        assert listener.dropped == 0
+
+    def test_last_line_needs_no_newline(self):
+        gauge = meter_gauge()
+        with serving(gauge) as listener:
+            with socket.create_connection(listener.server_address, timeout=5.0) as sock:
+                sock.sendall(meter_line(1000, 260.0) + meter_line(2000, 261.0).rstrip(b"\n"))
+                sock.shutdown(socket.SHUT_WR)  # a clean EOF
+                assert wait_until(lambda: len(gauge) == 2)
+                assert sock.recv(1) == b""  # the listener closed it at EOF
+        assert samples(gauge) == [(1000, 260.0), (2000, 261.0)]
+        assert listener.dropped == 0
+
+    def test_two_publishers_alternating_halves(self):
+        gauge = meter_gauge()
+        a1, b1, a2, b2 = (meter_line(1000 * i, 260.0 + i) for i in range(1, 5))
+        with serving(gauge) as listener:
+            address = listener.server_address
+            with socket.create_connection(address, timeout=5.0) as a, \
+                    socket.create_connection(address, timeout=5.0) as b:
+                sends = [(a, a1[:9]), (b, b1[:9]), (a, a1[9:] + a2[:9]),
+                         (b, b1[9:] + b2[:9]), (a, a2[9:]), (b, b2[9:])]
+                for n, (sock, data) in enumerate(sends):
+                    sock.sendall(data)
+                    time.sleep(0.02)  # each half is read on its own
+                    assert wait_until(lambda: len(gauge) == max(n - 1, 0))
+        assert samples(gauge) == [(1000, 261.0), (2000, 262.0), (3000, 263.0), (4000, 264.0)]
+        assert listener.dropped == 0
+
+    def test_reset_mid_line_drops_the_line_uncounted(self):
+        gauge = meter_gauge()
+        with serving(gauge) as listener:
+            address = listener.server_address
+            with socket.create_connection(address, timeout=5.0) as sock:
+                sock.sendall(meter_line(1000, 260.0) + meter_line(2000, 261.0)[:12])
+                assert wait_until(lambda: len(gauge) == 1)
+                time.sleep(0.05)
+                # linger 0: close() sends a reset, not a FIN
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            with socket.create_connection(address, timeout=5.0) as sock:
+                sock.sendall(meter_line(3000, 262.0))
+            assert wait_until(lambda: len(gauge) == 2)
+        assert samples(gauge) == [(1000, 260.0), (3000, 262.0)]
+        assert listener.dropped == 0

@@ -29,7 +29,6 @@ from gridcalib.calibration import DENOMINATOR_GUARD_W, calibrate
 from gridcalib.emulation import (
     SYSTEM_PROCESS_ID,
     ApproximationParams,
-    LoadBank,
     PowerModelEmitter,
     WorkloadSpec,
     approximate,
@@ -214,23 +213,23 @@ class TestEmissionKernel:
     )
     @settings(max_examples=200, deadline=None)
     def test_emitter_matches_the_dataclass_path(self, workloads, levels, params, system_w, idle_split, seed):
-        store, clock, bank = MetricStore(), VirtualClock(), LoadBank()
+        store, clock, bank = MetricStore(), VirtualClock(), dict.fromkeys(emulation.LOAD_KNOBS, 0.0)
         emitter = PowerModelEmitter(
             store, workloads, bank, clock, params=params, system_baseline_w=system_w,
             emission_interval_ms=700, idle_split=idle_split, seed=seed,
         )
         rngs = {w.process_id: random.Random(f"{seed}:truth:{w.process_id}") for w in workloads}
         approx_rng = random.Random(f"{seed}:approx")
-        start = ref_sample_truth(0, workloads, bank.levels, rngs, system_w)
+        start = ref_sample_truth(0, workloads, bank, rngs, system_w)
         assert len(emitter.truth) == 0
         assert emitter.node_total_w == ref_node_total(start)
         joules = [0.0] * len(emitter.counters)
         truths = []
         for step, level in enumerate(levels, start=1):
             for knob, value in level.items():
-                bank.set_level(knob, value)
+                bank[knob] = value
             clock.advance(700)
-            truth = ref_sample_truth(700 * step, workloads, bank.levels, rngs, system_w)
+            truth = ref_sample_truth(700 * step, workloads, bank, rngs, system_w)
             truths.append(truth)
             snap = ref_approximate(truth, workloads, params, approx_rng, idle_split)
             watts = [*snap.process_dynamic_w.values(), snap.system_dynamic_w, *snap.process_idle_w.values()]
@@ -330,7 +329,7 @@ def test_left_sum_adds_left_to_right():
 def emitter_on(workloads, idle_split="even"):
     """An emitter on the config's defaults but idle_split, with its clock
     and load bank."""
-    clock, bank = VirtualClock(), LoadBank()
+    clock, bank = VirtualClock(), dict.fromkeys(emulation.LOAD_KNOBS, 0.0)
     emitter = PowerModelEmitter(
         MetricStore(), workloads, bank, clock, params=ApproximationParams(),
         system_baseline_w=5.0, emission_interval_ms=1000, idle_split=idle_split, seed=0,
@@ -341,7 +340,7 @@ def emitter_on(workloads, idle_split="even"):
 def armed(workload, knob_value, idle_split="even"):
     """An emitter whose next firing reads knob_value; returns that firing."""
     emitter, clock, bank = emitter_on([workload], idle_split)
-    bank.set_level(workload.load_knob, knob_value)
+    bank[workload.load_knob] = knob_value
     return lambda: clock.advance(emitter.emission_interval_ms)
 
 

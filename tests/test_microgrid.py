@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcalib.emulation import BenchmarkController, LoadBank, LoadSchedule
+from gridcalib.emulation import LOAD_KNOBS, BenchmarkController, LoadSchedule
 from gridcalib.errors import StepError
 from gridcalib.microgrid import (
     Actor,
@@ -372,7 +372,9 @@ class TestMonitorCsv:
 def benchmark(levels, runtime_ms, bank=None, knob="rps"):
     """A benchmark controller walking a custom schedule of these levels."""
     schedule = LoadSchedule("custom", tuple(levels), runtime_ms, knob)
-    return BenchmarkController(schedule, bank if bank is not None else LoadBank())
+    if bank is None:
+        bank = dict.fromkeys(LOAD_KNOBS, 0.0)
+    return BenchmarkController(schedule, bank)
 
 
 class TestBenchmarkController:
@@ -421,12 +423,12 @@ class TestBenchmarkController:
         assert started == schedule
 
     def test_drives_the_schedule_knob_on_the_load_bank(self):
-        bank = LoadBank()
+        bank = dict.fromkeys(LOAD_KNOBS, 0.0)
         ctrl = benchmark([1, 4], runtime_ms=2000, bank=bank, knob="threads")
         seen = []
         for t in (0, 1000, 2000, 3000, 4000, 5000):
             ctrl.step(t)
-            seen.append((bank.levels["threads"], bank.levels["rps"]))
+            seen.append((bank["threads"], bank["rps"]))
         assert seen == [(1.0, 0.0), (1.0, 0.0), (4.0, 0.0), (4.0, 0.0), (0.0, 0.0), (0.0, 0.0)]
         assert [a for a, _, _ in ctrl.events] == ["start", "stop", "start", "complete"]
 
@@ -439,7 +441,8 @@ class TestBenchmarkController:
                 reads.append(1)
                 return super().levels
 
-        ctrl = BenchmarkController(Counted("custom", (1.0, 2.0), 1000, "rps"), LoadBank())
+        loads = dict.fromkeys(LOAD_KNOBS, 0.0)
+        ctrl = BenchmarkController(Counted("custom", (1.0, 2.0), 1000, "rps"), loads)
         for t in range(0, 10_000, 250):
             ctrl.step(t)
         assert ctrl.done

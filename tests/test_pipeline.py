@@ -21,7 +21,7 @@ from gridcalib.config import (
     ScenarioConfig,
 )
 from gridcalib.emulation import (
-    LoadBank,
+    LOAD_KNOBS,
     LoadSchedule,
     MeterEmitter,
     MeterListener,
@@ -198,7 +198,7 @@ class TestRunArtifacts:
         cfg = PRESETS["regression"]
         clock = VirtualClock()
         store = MetricStore()
-        bank = LoadBank()
+        bank = dict.fromkeys(LOAD_KNOBS, 0.0)
         emitter = PowerModelEmitter(
             store,
             cfg.workloads,
@@ -216,7 +216,7 @@ class TestRunArtifacts:
         gain = cfg.approximation.gain
         covered = 0
         for tick in range(1, 121):
-            bank.set_level("rps", 250.0 * (tick // 15 + 1))
+            bank["rps"] = 250.0 * (tick // 15 + 1)
             clock.advance(1000)
             truth = emitter.truth.columns()
             # each emission's node dynamic power holds since the one before
@@ -516,12 +516,12 @@ class TestReport:
             tmp_path / "r",
             [["a", "ns", "30.0", "75.0"], ["b", "ns", "10.0", "25.0"]],
         )
-        text = pipeline.report(tmp_path / "r")
+        text = pipeline.report(tmp_path / "r", floor_wh=1.0)
         assert "75.0%" in text and "25.0%" in text
 
     def test_single_process_full_share(self, tmp_path):
         self.write_summary(tmp_path / "r", [["only", "ns", "4.2", "100.0"]])
-        assert "100.0%" in pipeline.report(tmp_path / "r")
+        assert "100.0%" in pipeline.report(tmp_path / "r", floor_wh=1.0)
 
     def test_other_bucket(self, tmp_path):
         self.write_summary(
@@ -532,7 +532,7 @@ class TestReport:
                 ["tiny2", "ns", "0.4", "4.0"],
             ],
         )
-        text = pipeline.report(tmp_path / "r")
+        text = pipeline.report(tmp_path / "r", floor_wh=1.0)
         assert "other (2 under 1 Wh)" in text
         assert "10.0%" in text  # grouped share
         assert "tiny1" not in text
@@ -568,14 +568,14 @@ class TestReport:
                 "n": 50,
             },
         )
-        text = pipeline.report(tmp_path / "r")
+        text = pipeline.report(tmp_path / "r", floor_wh=1.0)
         assert "slope 1.2000 (FAIL)" in text  # |1.2 - 1| > 0.05
         assert "intercept 0.50 W (ok)" in text
         assert "r2 0.9900 (ok)" in text
 
     def test_missing_artifact(self, tmp_path):
         with pytest.raises(MissingArtifact):
-            pipeline.report(tmp_path / "void")
+            pipeline.report(tmp_path / "void", floor_wh=1.0)
 
     def test_real_run_report(self, leak_art):
         # the short scenario stays under 1 Wh, so lower the floor

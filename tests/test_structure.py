@@ -20,6 +20,10 @@ Only what gridcalib.__all__ exports is exempt.
 No module but timeseries.py reads a series' or a frame's private
 columns (_ts, _values, _columns): the one rate rule lives beside them,
 so a rate reader cannot grow anywhere else.
+
+No module imports socketserver or http.server, and only server.py
+imports selectors: every socket is served by server.SelectorServer's
+one loop, so a thread per connection cannot grow back.
 """
 
 import ast
@@ -136,3 +140,27 @@ def test_only_timeseries_reads_the_columns():
         if isinstance(node, ast.Attribute) and node.attr in PRIVATE_COLUMNS
     )
     assert readers == [], f"private columns read outside timeseries.py: {', '.join(readers)}"
+
+
+def _imports(tree: ast.Module) -> set[str]:
+    """Every absolute module name a tree imports, and each name it takes
+    from one as module.name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_one_selector_loop_serves_every_socket():
+    trees, _ = _parse()
+    found = sorted(
+        f"{module}.py imports {name}"
+        for module, tree in trees.items()
+        for name in _imports(tree)
+        if name in ("socketserver", "http.server") or (name == "selectors" and module != "server")
+    )
+    assert found == [], f"a second way to serve sockets: {', '.join(found)}"
