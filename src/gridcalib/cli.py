@@ -106,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "run the virtual schedule paced to real time on one thread, samples "
-            "stamped at their scheduled instants; only the TCP meter listener "
-            "runs beside it"
+            "stamped at their scheduled instants; each meter reading crosses TCP "
+            "to a listener served on that thread before the run goes on"
         ),
     )
     run_p.set_defaults(func=_cmd_run)

@@ -14,8 +14,9 @@ intercept = bias. Equivalently, approx = (true - bias + noise) / gain.
 
 In live mode the meter's readings cross a TCP line protocol:
 MeterPublisher writes one JSON object per line, and MeterListener, a
-server.SelectorServer, reads every publisher on its one loop thread and
-appends each reading to the meter gauge.
+server.SelectorServer, reads every publisher on one selector loop and
+appends each reading to the meter gauge. A live run polls that loop on
+its run thread after each reading it publishes, until it is stored.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ MAX_ERROR_PHI = 0.01
 
 DEFAULT_VOLTAGE_V = 230.0
 SYSTEM_PROCESS_ID = "system"
+
+MAX_LINE = 4096  # bytes of a meter line; a reading is about 40
 
 
 def _non_negative(value: float, what: str) -> float:
@@ -462,8 +465,8 @@ class MeterEmitter:
     """Periodic task: measure the current true node draw.
 
     Each sample goes to `publish` as a (timestamp_ms, watts) tuple: the
-    meter gauge's append in a virtual run, the TCP publisher's send in
-    live mode. last_ms is the last sample's timestamp.
+    meter gauge's append in a virtual run; in live mode, the TCP
+    publisher's send followed by serving the listener until it is stored.
     """
 
     def __init__(
@@ -478,13 +481,11 @@ class MeterEmitter:
         self._clock = clock
         self._rng = random.Random(f"{meter.seed}:meter")
         self._publish = publish
-        self.last_ms: int | None = None
         clock.schedule(meter.sample_interval_ms, self._fire)
 
     def _fire(self) -> None:
         now_ms = self._clock.now_ms()
         measured = meter_sample(self._truth_source(), self.meter, self._rng)
-        self.last_ms = now_ms
         self._publish((now_ms, measured))
 
 
@@ -507,7 +508,8 @@ class MeterPublisher:
 class MeterListener(SelectorServer):
     """Accepts meter publisher connections and feeds the meter gauge.
     A connection's selector data is its unfinished line. `dropped`
-    counts the lines skipped, one per line."""
+    counts the lines skipped, one per line; an unfinished line past
+    MAX_LINE is one, and its connection is closed."""
 
     def __init__(self, bind: tuple[str, int], gauge: Series):
         super().__init__(bind)
@@ -524,13 +526,13 @@ class MeterListener(SelectorServer):
         if not chunk:  # a clean EOF ends the last line
             self._close(conn)
             chunk = b"\n"
-        end = chunk.rfind(b"\n")
-        if end < 0:
-            pending += chunk
-            return
-        pending += chunk[:end]
-        lines = pending.split(b"\n")
-        pending[:] = chunk[end + 1:]
+        pending += chunk
+        end = pending.rfind(b"\n") + 1  # past the last whole line; 0 when none is
+        lines = pending[:end].split(b"\n")
+        del pending[:end]
+        if len(pending) > MAX_LINE:
+            self.dropped += 1
+            self._close(conn)
         for raw in lines:
             line = raw.decode("utf-8", errors="replace").strip()
             if not line:

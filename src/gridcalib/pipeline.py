@@ -74,8 +74,7 @@ TRUTH_CSV = "ground_truth.csv"
 EVENTS_CSV = "events.csv"
 CONFIG_JSON = "config.json"
 
-# how long a live run waits for the meter listener to store a reading
-# that has already been published over TCP
+# how long a live meter firing serves the listener for its reading to be stored
 METER_WAIT_S = 5.0
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -119,7 +118,6 @@ class _Runtime:
         self.emitter: PowerModelEmitter | None = None
         # the meter's gauge, resolved once; None when there are no workloads
         self.gauge: Series | None = None
-        self.meter: MeterEmitter | None = None
         self.listener: MeterListener | None = None
         self.publisher: MeterPublisher | None = None
         self.benchmark: BenchmarkController | None = None
@@ -152,17 +150,12 @@ class _Runtime:
 
             publish = gauge.append
             if wall_clock:
-                # live mode pushes meter readings over the TCP line
-                # protocol; the listener feeds the gauge
                 self.listener = MeterListener(("127.0.0.1", 0), gauge)
-                self.listener.serve_in_background()
-                host, port = self.listener.server_address[:2]
-                self.publisher = MeterPublisher(host, port)
-                publish = self.publisher.send
-            self.meter = MeterEmitter(config.meter, truth, clock, publish)
+                self.publisher = MeterPublisher(*self.listener.server_address[:2])
+                publish = self._publish_live
+            MeterEmitter(config.meter, truth, clock, publish)  # the clock holds it
         if config.warmup_ms:
             clock.advance(config.warmup_ms)
-        self.await_meter()
         self.engine = Microgrid(
             clock=clock,
             dt_ms=config.dt_ms,
@@ -198,25 +191,21 @@ class _Runtime:
             self.benchmark = BenchmarkController(config.schedule, loads)
             self.engine.add_controller(self.benchmark)
 
-    def await_meter(self) -> None:
-        """Live mode: wait until the listener has stored the last reading
-        the meter published, so the gauge holds what a virtual run's would."""
-        if self.listener is None or self.meter.last_ms is None:
-            return
-        last_ms = self.meter.last_ms
+    def _publish_live(self, sample: tuple[int, float]) -> None:
+        """Live mode's meter publish: send the reading over TCP, then serve
+        the listener on this thread until the gauge holds it."""
+        self.publisher.send(sample)
         deadline = time.monotonic() + METER_WAIT_S
-        while (self.gauge.last_timestamp() or 0) < last_ms:
-            if time.monotonic() > deadline:
-                raise GridCalibError(
-                    f"meter reading at {last_ms} ms never reached the store"
-                )
-            time.sleep(0.001)
+        while self.gauge.last_timestamp() != sample[0]:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise GridCalibError(f"meter reading at {sample[0]} ms never reached the store")
+            self.listener.poll(remaining)
 
     def close(self) -> None:
         if self.publisher is not None:
             self.publisher.close()
         if self.listener is not None:
-            self.listener.shutdown()
             self.listener.server_close()
 
 
@@ -243,7 +232,6 @@ def run(
     try:
         runtime.build(wall_clock)
         runtime.engine.run(config.duration_ms)
-        runtime.await_meter()
     finally:
         runtime.close()
     return _write_artifacts(runtime, out)

@@ -16,10 +16,13 @@ and how many series the selector matched.
 SelectorServer is the one way the package serves sockets: one thread
 serves every connection from one selector loop (after Flash, Pai et
 al., USENIX ATC 1999), so a stalled client holds a buffer, not a
-thread, and server_close() leaves no connection open. MetricsServer is
-the HTTP endpoint on it, emulation.MeterListener the meter's line
-protocol. A response is one HTTP/1.0 write: status line, Content-Type,
-Content-Length, Connection: close (no Server or Date header), body.
+thread, and server_close() leaves no connection open. poll() serves
+one select of that loop on the caller's thread; serve_forever() polls
+until shutdown(). MetricsServer is the HTTP endpoint on it, and
+emulation.MeterListener the meter's line protocol, which a live run
+polls on its run thread. A response is one HTTP/1.0 write: status line,
+Content-Type, Content-Length, Connection: close (no Server or Date
+header), body.
 """
 
 from __future__ import annotations
@@ -94,18 +97,24 @@ class SelectorServer:
         self._stopped = threading.Event()
         self._stopped.set()
 
+    def poll(self, timeout: float | None) -> bool:
+        """Serve whatever one select finds ready within timeout seconds
+        (None: until something is); False once shutdown() has woken it."""
+        for key, _ in self._selector.select(timeout):
+            if key.fileobj is self._wake:
+                self._wake.recv(1)
+                return False
+            if key.fileobj is self.socket:
+                self._accept()
+            else:
+                self._advance(key)
+        return True
+
     def serve_forever(self) -> None:
         self._stopped.clear()
         try:
-            while True:
-                for key, _ in self._selector.select():
-                    if key.fileobj is self._wake:
-                        self._wake.recv(1)
-                        return
-                    if key.fileobj is self.socket:
-                        self._accept()
-                    else:
-                        self._advance(key)
+            while self.poll(None):
+                pass
         finally:
             self._stopped.set()
 

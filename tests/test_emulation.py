@@ -14,6 +14,7 @@ import pytest
 
 from gridcalib.emulation import (
     LOAD_KNOBS,
+    MAX_LINE,
     ApproximationParams,
     LoadSchedule,
     MeterEmitter,
@@ -541,10 +542,9 @@ class TestMeterEmitter:
     def test_perfect_meter_gauges_truth(self):
         clock = VirtualClock()
         gauge = meter_gauge()
-        emitter = MeterEmitter(MeterSpec(), lambda: 460.0, clock, gauge.append)
+        MeterEmitter(MeterSpec(), lambda: 460.0, clock, gauge.append)
         clock.advance(3000)
         assert samples(gauge) == [(1000, 460.0), (2000, 460.0), (3000, 460.0)]
-        assert emitter.last_ms == 3000
 
     def test_noisy_meter_stays_in_bound(self):
         clock = VirtualClock()
@@ -649,7 +649,7 @@ class TestMeterWireProtocol:
         [
             '{"power_w": 300.0, "ts_ms": 1e999}',  # json reads inf; int(inf) overflows
             '{"power_w": 1' + "0" * 400 + ', "ts_ms": 2000}',  # float() of it overflows
-            "[" * 100000,  # json.loads raises RecursionError
+            "[" * (MAX_LINE - 1),  # json.loads raises RecursionError
             '{"power_w": true, "ts_ms": "2000"}',  # a bool and a string are not numbers
             '{"power_w": "3.5", "ts_ms": 3000.9}',  # a string, and a ts_ms that is no integer
         ],
@@ -749,6 +749,26 @@ class TestMeterWireProtocol:
                     assert wait_until(lambda: len(gauge) == max(n - 1, 0))
         assert samples(gauge) == [(1000, 261.0), (2000, 262.0), (3000, 263.0), (4000, 264.0)]
         assert listener.dropped == 0
+
+    def test_line_past_max_line_dropped_with_its_connection(self):
+        gauge = meter_gauge()
+        with serving(gauge) as listener:
+            address = listener.server_address
+            with socket.create_connection(address, timeout=5.0) as sock:
+                sock.sendall(meter_line(1000, 260.0))
+                with contextlib.suppress(OSError):  # the listener may close it mid-send
+                    sock.sendall(b"7" * 65536)
+                assert wait_until(lambda: listener.dropped == 1)
+                try:
+                    closed = sock.recv(1) == b""
+                except ConnectionResetError:  # closed with unread bytes: a reset
+                    closed = True
+                assert closed
+            with socket.create_connection(address, timeout=5.0) as sock:
+                sock.sendall(meter_line(2000, 261.0) + meter_line(3000, 262.0))
+                assert wait_until(lambda: len(gauge) == 3)
+            assert listener.dropped == 1
+        assert samples(gauge) == [(1000, 260.0), (2000, 261.0), (3000, 262.0)]
 
     def test_reset_mid_line_drops_the_line_uncounted(self):
         gauge = meter_gauge()

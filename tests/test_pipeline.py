@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import json
 import socket
+import threading
+import time
 import tracemalloc
 import urllib.error
 import urllib.parse
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcalib import pipeline
+from gridcalib.calibration import CalibrationStage
 from gridcalib.config import (
     PRESETS,
     NamespaceActorSpec,
@@ -495,6 +498,15 @@ class TestRegressionArtifacts:
         with pytest.raises(GridCalibError, match="does not match"):
             pipeline.validate(tmp_path / "t")
 
+    def test_validate_detects_a_changed_point_count(self, tmp_path):
+        pipeline.run(leakage_config(), tmp_path / "t")
+        path = tmp_path / "t" / pipeline.REGRESSION_JSON
+        data = json.loads(path.read_text())
+        data["n"] += 1
+        path.write_text(json.dumps(data))
+        with pytest.raises(GridCalibError, match=f"n {data['n']} vs recomputed {data['n'] - 1}"):
+            pipeline.validate(tmp_path / "t")
+
     def test_validate_missing_artifacts(self, tmp_path):
         with pytest.raises(MissingArtifact):
             pipeline.validate(tmp_path / "nothing")
@@ -758,6 +770,51 @@ class TestWallClock:
                 virtual.out_dir / name
             ).read_bytes(), name
 
+    def test_live_run_reads_each_meter_reading_at_its_instant(self, tmp_path, monkeypatch):
+        # power follows a varying load, and every reading lands 50 ms late:
+        # each collection must still calibrate against the meter reading
+        # of its own instant, as in a virtual run
+        store_reading = MeterListener.ingest
+
+        def slow_ingest(self, ts_ms, power_w):
+            time.sleep(0.05)
+            store_reading(self, ts_ms, power_w)
+
+        monkeypatch.setattr(MeterListener, "ingest", slow_ingest)
+        cfg = ScenarioConfig(
+            duration_ms=3000,
+            seed=5,
+            warmup_ms=1000,
+            workloads=(WorkloadSpec(process_id="svc", idle_share_w=20.0, dyn_coeff_w=100.0),),
+            actors=(NamespaceActorSpec("bench"),),
+            schedule=LoadSchedule("custom", (0.2, 0.9, 0.4), runtime_ms=1000, knob="rps"),
+        )
+        live = pipeline.run(cfg, tmp_path / "live", wall_clock=True)
+        virtual = pipeline.run(cfg, tmp_path / "virtual")
+        for name in pipeline.ARTIFACT_NAMES:
+            assert (live.out_dir / name).read_bytes() == (
+                virtual.out_dir / name
+            ).read_bytes(), name
+
+    def test_live_run_starts_no_thread(self, tmp_path, monkeypatch):
+        counts = []
+        collect = CalibrationStage._collect
+
+        def counting_collect(self, *args):
+            counts.append(threading.active_count())
+            return collect(self, *args)
+
+        monkeypatch.setattr(CalibrationStage, "_collect", counting_collect)
+        cfg = ScenarioConfig(
+            duration_ms=2000,
+            seed=5,
+            warmup_ms=1000,
+            workloads=(WorkloadSpec(process_id="svc", idle_share_w=20.0),),
+        )
+        before = threading.active_count()
+        pipeline.run(cfg, tmp_path / "live", wall_clock=True)
+        assert counts and set(counts) == {before}
+
     def test_live_run_fails_when_meter_reading_never_lands(self, tmp_path, monkeypatch):
         monkeypatch.setattr(pipeline, "METER_WAIT_S", 0.05)
         monkeypatch.setattr(MeterListener, "ingest", lambda self, ts_ms, power_w: None)
@@ -768,4 +825,23 @@ class TestWallClock:
             workloads=(WorkloadSpec(process_id="svc"),),
         )
         with pytest.raises(GridCalibError, match="meter reading at 1000 ms"):
+            pipeline.run(cfg, tmp_path / "live", wall_clock=True)
+
+    def test_live_run_fails_when_a_later_meter_reading_never_lands(self, tmp_path, monkeypatch):
+        # the firing that publishes the lost reading fails the run, mid-run
+        monkeypatch.setattr(pipeline, "METER_WAIT_S", 0.05)
+        store_reading = MeterListener.ingest
+
+        def ingest_until_2000(self, ts_ms, power_w):
+            if ts_ms < 2000:
+                store_reading(self, ts_ms, power_w)
+
+        monkeypatch.setattr(MeterListener, "ingest", ingest_until_2000)
+        cfg = ScenarioConfig(
+            duration_ms=3000,
+            seed=5,
+            warmup_ms=1000,
+            workloads=(WorkloadSpec(process_id="svc"),),
+        )
+        with pytest.raises(GridCalibError, match="meter reading at 2000 ms"):
             pipeline.run(cfg, tmp_path / "live", wall_clock=True)

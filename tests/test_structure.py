@@ -24,6 +24,10 @@ so a rate reader cannot grow anywhere else.
 No module imports socketserver or http.server, and only server.py
 imports selectors: every socket is served by server.SelectorServer's
 one loop, so a thread per connection cannot grow back.
+
+pipeline.py calls neither serve_in_background nor time.sleep: a live
+run serves its meter listener on the run thread, so a listener thread
+and a sleep-poll for its readings cannot grow back.
 """
 
 import ast
@@ -164,3 +168,18 @@ def test_one_selector_loop_serves_every_socket():
         if name in ("socketserver", "http.server") or (name == "selectors" and module != "server")
     )
     assert found == [], f"a second way to serve sockets: {', '.join(found)}"
+
+
+def test_a_live_run_serves_its_listener_on_the_run_thread():
+    tree = ast.parse((PACKAGE / "pipeline.py").read_text())
+    found = sorted(
+        f"pipeline.py:{node.lineno} {ast.unparse(node.func)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and (
+            node.func.attr == "serve_in_background"
+            or (node.func.attr == "sleep" and ast.unparse(node.func.value) == "time")
+        )
+    )
+    assert found == [], f"a second thread or a sleep-poll in the run: {', '.join(found)}"
