@@ -9,17 +9,18 @@ wrongly attributed to system processes back to the workloads that
 caused it.
 
 All math lives in pure functions over per-process tuples; calibrate()
-runs them once per collection. CalibrationStage calls it on every
-counter rate of the emitter's CounterFrame, read in one pass over a
-window that ends at the latest emission, and on the meter's latest
-reading; NamespacePowerActor sums its namespace's share of that
-snapshot so a microgrid can treat the calibrated draw as a consumer
-actor, and calibrated_power.csv serialises the same snapshots, so the
-two agree by construction.
+runs them once per collection whose inputs changed. CalibrationStage
+calls it on every counter rate of the emitter's CounterFrame, read in
+one pass over a window that ends at the latest emission, and on the
+meter's latest reading; NamespacePowerActor sums its namespace's share
+of that snapshot so a microgrid can treat the calibrated draw as a
+consumer actor, and calibrated_power.csv serialises the same
+snapshots, so the two agree by construction.
 """
 
 from __future__ import annotations
 
+from array import array
 from math import fsum
 from typing import NamedTuple, Sequence
 
@@ -98,6 +99,11 @@ class CalibrationSnapshot(NamedTuple):
     degenerate: str | None = None
 
 
+def _bits(values: Sequence[float]) -> bytes:
+    """The values' IEEE 754 bytes: equal exactly when every bit is."""
+    return array("d", values).tobytes()
+
+
 def member_sum(values: Sequence, members: Sequence[int]):
     """left_sum of the members' entries. Actors total a namespace over
     floats and the calibrated table over numpy columns this way, so they
@@ -150,7 +156,9 @@ class CalibrationStage(Controller):
     counters, whose members are every process's dynamic counter and then
     every idle counter, in process order, and `gauge` is the meter's.
     window_ms and interval_ms are the config's query_window_ms and
-    signal_interval_ms, checked there.
+    signal_interval_ms, checked there. A collection whose rates and
+    meter reading equal the last snapshot's, bit for bit, keeps that
+    snapshot object: calibrate() would give it again.
     Namespace actors sum the latest snapshot; as a microgrid controller
     the stage also logs the calibrated power each tick saw.
     The system pseudo-process keeps only its idle share: its dynamic
@@ -189,6 +197,7 @@ class CalibrationStage(Controller):
         self.snapshot = CalibrationSnapshot(
             zeros, 0.0, 0.0, 0.0, m_idle_w, zeros, zeros, zeros
         )
+        self._inputs: list[float] = []  # the last snapshot's rates, then its meter reading
         names = [f"{pid}_{mode}_w" for mode in ("dyn", "idle") for pid, _ in self.processes]
         self.log = TickLog(["time_ms", *names], int_columns=1)
         self._signal = Signal(self._collect, interval_ms, clock)
@@ -203,13 +212,22 @@ class CalibrationStage(Controller):
         last = self._gauge.last()
         if last is None:
             raise LookupError("no meter samples yet")
-        watts = self._frame.trailing_rates(self.window_ms)
+        inputs = self._frame.trailing_rates(self.window_ms)
         k = len(self.processes)
-        if watts is None:  # an uncovered window reads 0
-            watts = [0.0] * (2 * k)
+        if inputs is None:  # an uncovered window reads 0
+            inputs = [0.0] * (2 * k)
+        inputs.append(last.value)
+        # == is bit equality for every float but the two zeros (a NaN equals
+        # nothing), and calibrate keeps a zero's sign: with a zero among
+        # the inputs, their bytes decide
+        if inputs == self._inputs and (
+            0.0 not in inputs or _bits(inputs) == _bits(self._inputs)
+        ):
+            return
         self.snapshot = calibrate(
-            tuple(watts[:k]), tuple(watts[k:]), last.value, self.m_idle_w, self._system
+            tuple(inputs[:k]), tuple(inputs[k:-1]), inputs[-1], self.m_idle_w, self._system
         )
+        self._inputs = inputs
 
     def step(self, time_ms: int) -> None:
         self.log.append([time_ms, *self.snapshot.cal_dyn, *self.snapshot.cal_idle])

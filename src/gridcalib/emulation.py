@@ -386,6 +386,13 @@ class PowerModelEmitter:
     time, workload dynamic powers, idle powers and system power, the
     oracle real nodes lack; node_total_w is the latest firing's true
     node draw.
+
+    A run that draws no noise (approximation sigma_w and every
+    workload's noise_sigma_w are 0) maps the same load levels to the
+    same truth and watts, so a firing whose levels equal the last
+    firing's reuses them: it still integrates joules, appends the
+    frame's row and logs the truth row. A run that draws noise computes
+    every firing, so every draw happens in order.
     """
 
     def __init__(
@@ -410,6 +417,11 @@ class PowerModelEmitter:
         self._clock = clock
         self._plan = [(w, random.Random(f"{seed}:truth:{w.process_id}")) for w in self.workloads]
         self._approx_rng = random.Random(f"{seed}:approx")
+        noiseless = params.sigma_w == 0 and not any(w.noise_sigma_w for w in self.workloads)
+        # each workload's load knob, whose levels a noiseless firing compares;
+        # None when the run draws noise and every firing computes
+        self._knobs = [w.load_knob for w in self.workloads] if noiseless else None
+        self._levels: list[float] | None = None  # the knobs' levels at the last firing
         # (process_id, namespace): the workloads in config order, then system
         self.processes = [(w.process_id, w.namespace) for w in self.workloads]
         self.processes.append((SYSTEM_PROCESS_ID, SYSTEM_NAMESPACE))
@@ -430,6 +442,8 @@ class PowerModelEmitter:
         names = [f"{pid}_true_{m}_w" for m in ("dyn", "idle") for pid, _ in self.processes[:-1]]
         self.truth = TickLog(["time_ms", *names, "system_true_dyn_w"], int_columns=1)
         self._dyn, self._idle = self._sample_truth()
+        self._watts: list[float] = []  # the last firing's approximated watts
+        self._node_total_w: float | None = None  # node_total_w of this truth, once read
         clock.schedule(self.emission_interval_ms, self._fire)
 
     def _sample_truth(self) -> tuple[list[float], list[float]]:
@@ -443,22 +457,31 @@ class PowerModelEmitter:
 
     def _fire(self) -> None:
         now_ms = self._clock.now_ms()
-        dyn, idle = self._sample_truth()
         system = self.system_baseline_w
-        watts, _, _ = approximate(
-            dyn, idle, system, self.params, self._approx_rng, *self._approximation
-        )
+        # == may take a -0.0 level for 0.0: true_power gives both the same
+        # bits, since coeff * level adds a zero to the idle share and
+        # max(0.0, ...) turns a zero sum into 0.0
+        levels = None if self._knobs is None else [self._loads[k] for k in self._knobs]
+        if levels is None or levels != self._levels:
+            dyn, idle = self._sample_truth()
+            self._watts, _, _ = approximate(
+                dyn, idle, system, self.params, self._approx_rng, *self._approximation
+            )
+            self._dyn, self._idle, self._levels = dyn, idle, levels
+            self._node_total_w = None
         dt_s = (now_ms - self._last_emit_ms) / 1000.0
-        self._joules = [j + w * dt_s for j, w in zip(self._joules, watts)]
+        self._joules = [j + w * dt_s for j, w in zip(self._joules, self._watts)]
         self.frame.append(now_ms, self._joules)
         self._last_emit_ms = now_ms
-        self._dyn, self._idle = dyn, idle
-        self.truth.append([now_ms, *dyn, *idle, system])
+        self.truth.append([now_ms, *self._dyn, *self._idle, system])
 
     @property
     def node_total_w(self) -> float:
-        """The latest firing's true node draw, which the meter measures."""
-        return node_true_total(self._dyn, self._idle, self.system_baseline_w)
+        """The latest firing's true node draw, which the meter measures.
+        It is added up once for each new truth, at its first read."""
+        if self._node_total_w is None:
+            self._node_total_w = node_true_total(self._dyn, self._idle, self.system_baseline_w)
+        return self._node_total_w
 
 
 class MeterEmitter:
@@ -508,8 +531,8 @@ class MeterPublisher:
 class MeterListener(SelectorServer):
     """Accepts meter publisher connections and feeds the meter gauge.
     A connection's selector data is its unfinished line. `dropped`
-    counts the lines skipped, one per line; an unfinished line past
-    MAX_LINE is one, and its connection is closed."""
+    counts the lines skipped, one per line; a line past MAX_LINE, whole
+    or unfinished, is one, and its connection is closed."""
 
     def __init__(self, bind: tuple[str, int], gauge: Series):
         super().__init__(bind)
@@ -517,38 +540,48 @@ class MeterListener(SelectorServer):
         self.dropped = 0
 
     def _advance(self, key) -> None:
-        """Read more of a connection's stream and store each whole line."""
+        """Read more of a connection's stream and store each whole line.
+        Every line, whole or unfinished, is held to MAX_LINE, so how TCP
+        splits the stream does not decide whether a line is stored."""
         conn, pending = key.fileobj, key.data
         try:
             chunk = conn.recv(65536)
         except OSError:  # reset: its unfinished line goes with it, uncounted
             return self._close(conn)
-        if not chunk:  # a clean EOF ends the last line
-            self._close(conn)
-            chunk = b"\n"
-        pending += chunk
+        pending += chunk or b"\n"  # a clean EOF ends the last line
         end = pending.rfind(b"\n") + 1  # past the last whole line; 0 when none is
-        lines = pending[:end].split(b"\n")
+        lines = pending[:end].split(b"\n")[:-1]
         del pending[:end]
-        if len(pending) > MAX_LINE:
-            self.dropped += 1
-            self._close(conn)
         for raw in lines:
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                power_w, ts_ms = record["power_w"], record["ts_ms"]
-                # a JSON number for power_w and a JSON integer for ts_ms,
-                # as the config walker reads them: no bool, string or null
-                if type(power_w) not in (int, float) or type(ts_ms) is not int:
-                    raise TypeError
-                power_w = float(power_w)
-            except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
-                self.dropped += 1  # malformed, nested past the parser's depth, or past float
-                continue
-            self.ingest(ts_ms, power_w)
+            if len(raw) > MAX_LINE:
+                return self._drop_line(conn)
+            self._store(raw)
+        if len(pending) > MAX_LINE:
+            self._drop_line(conn)
+        elif not chunk:
+            self._close(conn)
+
+    def _drop_line(self, conn: socket.socket) -> None:
+        """Skip a line past MAX_LINE, and everything after it on its connection."""
+        self.dropped += 1
+        self._close(conn)
+
+    def _store(self, raw: bytes) -> None:
+        line = raw.decode("utf-8", errors="replace").strip()
+        if not line:
+            return
+        try:
+            record = json.loads(line)
+            power_w, ts_ms = record["power_w"], record["ts_ms"]
+            # a JSON number for power_w and a JSON integer for ts_ms,
+            # as the config walker reads them: no bool, string or null
+            if type(power_w) not in (int, float) or type(ts_ms) is not int:
+                raise TypeError
+            power_w = float(power_w)
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
+            self.dropped += 1  # malformed, nested past the parser's depth, or past float
+            return
+        self.ingest(ts_ms, power_w)
 
     def ingest(self, ts_ms: int, power_w: float) -> None:
         try:

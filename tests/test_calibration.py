@@ -202,6 +202,88 @@ class TestCalibrationStage:
         assert snap.cal_idle == (0.0, 0.0)
 
 
+class TestStageReuse:
+    """A collection whose rates and meter reading equal the last
+    snapshot's, bit for bit, keeps that snapshot."""
+
+    processes = [("a", "x"), ("b", "y"), ("system", "system")]
+    # exact in binary, so every trailing rate over a plateau repeats its bits
+    rates = [3.0, 1.0, 2.0, 4.0, 0.5, 1.5]
+
+    def build(self):
+        clock = VirtualClock()
+        frame, gauge = stage_series(MetricStore(), self.processes)
+        stage = CalibrationStage(self.processes, frame, gauge, clock, 40.0, **TIMING)
+        frame.append(0, [0.0] * len(self.rates))
+        self.joules = [0.0] * len(self.rates)
+        return clock, frame, gauge, stage
+
+    def second(self, clock, frame, gauge, rates, meter_w):
+        """One second at these rates, ending in a collection."""
+        t = clock.now_ms() + 1000
+        self.joules = [j + r for j, r in zip(self.joules, rates)]
+        frame.append(t, self.joules)
+        gauge.append((t, meter_w))
+        clock.advance(1000)
+
+    @pytest.mark.parametrize("zero", [None, 1, 4], ids=["no_zero", "zero_rate", "zero_idle_rate"])
+    def test_equal_inputs_keep_the_snapshot(self, zero):
+        rates = list(self.rates)
+        if zero is not None:  # equal zeros are kept too, when their bits are
+            rates[zero] = 0.0
+        clock, frame, gauge, stage = self.build()
+        for _ in range(2):  # the 2 s window is covered from the second collection on
+            self.second(clock, frame, gauge, rates, 300.0)
+        snap = stage.snapshot
+        for _ in range(3):
+            self.second(clock, frame, gauge, rates, 300.0)
+        assert stage.snapshot is snap
+        assert stage.last_collection_ms == 5000
+        assert snap == calibrate(tuple(rates[:3]), tuple(rates[3:]), 300.0, 40.0, (2,))
+
+    @pytest.mark.parametrize("changed", range(7), ids=[*(f"rate{i}" for i in range(6)), "meter"])
+    def test_any_changed_input_replaces_the_snapshot(self, changed):
+        clock, frame, gauge, stage = self.build()
+        for _ in range(2):
+            self.second(clock, frame, gauge, self.rates, 300.0)
+        snap = stage.snapshot
+        rates, meter_w = list(self.rates), 300.0
+        if changed < len(rates):
+            rates[changed] += 2.0  # for one second: the 2 s trailing rate rises by 1 W
+        else:
+            meter_w = 301.0
+        self.second(clock, frame, gauge, rates, meter_w)
+        inputs = [*self.rates, 300.0]
+        inputs[changed] += 1.0
+        assert stage.snapshot is not snap
+        assert stage.snapshot == calibrate(
+            tuple(inputs[:3]), tuple(inputs[3:6]), inputs[6], 40.0, (2,)
+        )
+
+    @pytest.mark.parametrize("signed", ["idle_rate", "meter"])
+    def test_minus_zero_is_a_changed_input(self, signed):
+        # == takes -0.0 for 0.0, but calibrate keeps a zero's sign:
+        # a -0.0 idle rate calibrates to -0.0 W and a -0.0 reading is m
+        clock, frame, gauge, stage = self.build()
+        rates = list(self.rates)
+        rates[3] = 0.0  # process a's idle counter stays at 0 J
+        for _ in range(2):
+            self.second(clock, frame, gauge, rates, 0.0)
+        snap = stage.snapshot
+        assert math.copysign(1.0, snap.cal_idle[0]) == math.copysign(1.0, snap.m) == 1.0
+        if signed == "idle_rate":
+            # counters only check for a fall, and -0.0 is no fall from 0.0:
+            # a row of -0.0 J gives the trailing rate (-0.0 - 0.0) / 2 s
+            self.joules[3] = rates[3] = -0.0
+            self.second(clock, frame, gauge, rates, 0.0)
+            assert stage.snapshot.p_dyn == snap.p_dyn
+            assert math.copysign(1.0, stage.snapshot.cal_idle[0]) == -1.0
+        else:
+            self.second(clock, frame, gauge, rates, -0.0)
+            assert math.copysign(1.0, stage.snapshot.m) == -1.0
+        assert stage.snapshot is not snap
+
+
 class TestNamespacePowerActor:
     def build(self, rates, meter_before=260.0, meter_after=400.0, strict=False):
         # one process per namespace, named after it; idle counters stay

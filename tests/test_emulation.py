@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 import pytest
 
+from gridcalib import emulation
 from gridcalib.emulation import (
     LOAD_KNOBS,
     MAX_LINE,
@@ -533,6 +534,62 @@ class TestPowerModelEmitter:
         clock.advance(1000)
         assert emitter.node_total_w == 60.0
 
+    @pytest.mark.parametrize(
+        "params, sigmas",
+        [(ApproximationParams(sigma_w=1.0), (0.0, 0.0)), (ApproximationParams(), (0.0, 2.0))],
+        ids=["approximation_noise", "workload_noise"],
+    )
+    def test_a_noisy_run_draws_at_every_firing(self, params, sigmas):
+        # the loads hold one level, so only the noise tells the firings apart
+        workloads = [spec(process_id=f"w{i}", noise_sigma_w=s) for i, s in enumerate(sigmas)]
+        store, clock, bank, emitter = self.make(workloads=workloads, seed=5, params=params)
+        bank["rps"] = 800
+        firings = 12
+        clock.advance(firings * 1000)
+
+        def twin(name: str, sigma: float) -> random.Random:
+            stream = random.Random(f"5:{name}")
+            for _ in range(firings + (name != "approx")):  # construction samples truth once
+                if sigma > 0:
+                    stream.gauss(0.0, sigma)
+            return stream
+
+        assert emitter._approx_rng.getstate() == twin("approx", params.sigma_w).getstate()
+        for (w, rng), sigma in zip(emitter._plan, sigmas, strict=True):
+            assert rng.getstate() == twin(f"truth:{w.process_id}", sigma).getstate()
+
+    def test_a_noiseless_plateau_computes_its_first_firing_only(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return approximate(*args)
+
+        monkeypatch.setattr(emulation, "approximate", counting)
+        store, clock, bank, emitter = self.make(baseline=5.0)
+        bank["rps"] = 1000
+        clock.advance(4000)
+        assert len(calls) == 1
+        assert emitter.node_total_w == 65.0
+        bank["rps"] = 2000
+        clock.advance(1000)  # the first firing after the step computes the new level
+        assert len(calls) == 2
+        assert emitter.node_total_w == 115.0
+        rows = list(zip(*(c.tolist() for c in emitter.truth.columns().values())))
+        assert rows == [(t, 50.0, 10.0, 5.0) for t in (1000, 2000, 3000, 4000)] + [
+            (5000, 100.0, 10.0, 5.0)
+        ]
+        dyn = counter(store, series_labels("bench", MODE_DYNAMIC, "svc"))
+        assert [rate(dyn, t - 1000, t) for t in (4000, 5000)] == [50.0, 100.0]
+
+    @pytest.mark.parametrize("idle_share_w", [0.0, -0.0, 10.0])
+    def test_levels_minus_zero_and_zero_give_the_same_truth_bits(self, idle_share_w):
+        # why a noiseless firing may compare its load levels with ==
+        workload = spec(idle_share_w=idle_share_w)
+        rng = random.Random(0)
+        bits = {struct.pack("d", true_power(workload, level, rng)) for level in (0.0, -0.0)}
+        assert len(bits) == 1
+
 
 def meter_gauge() -> Series:
     return Series("meter_watts", kind=GAUGE)
@@ -589,6 +646,19 @@ def wait_until(predicate) -> bool:
             return False
         time.sleep(0.01)
     return True
+
+
+def serve_for(listener: MeterListener, seconds: float) -> None:
+    """Serve the listener on this thread for `seconds`."""
+    deadline = time.monotonic() + seconds
+    while (remaining := deadline - time.monotonic()) > 0:
+        listener.poll(remaining)
+
+
+def open_connections(listener: MeterListener) -> int:
+    """Publisher connections the listener's loop still serves: every
+    socket it selects on but its own listener and waker."""
+    return len(listener._selector.get_map()) - 2
 
 
 def meter_line(ts_ms: int, power_w: float) -> bytes:
@@ -769,6 +839,27 @@ class TestMeterWireProtocol:
                 assert wait_until(lambda: len(gauge) == 3)
             assert listener.dropped == 1
         assert samples(gauge) == [(1000, 260.0), (2000, 261.0), (3000, 262.0)]
+
+    def test_line_past_max_line_dropped_however_tcp_splits_it(self):
+        # a valid reading padded past MAX_LINE, sent whole and in two halves
+        # with the listener served between them, on this thread
+        line = b'{"power_w": 261.0,' + b" " * 10_000 + b'"ts_ms": 2000}\n'
+        half = len(line) // 2
+        outcomes = []
+        for parts in ([line], [line[:half], line[half:]]):
+            gauge = meter_gauge()
+            listener = MeterListener(("127.0.0.1", 0), gauge)
+            try:
+                with socket.create_connection(listener.server_address, timeout=5.0) as sock:
+                    sock.sendall(meter_line(1000, 260.0))
+                    for part in parts:
+                        with contextlib.suppress(OSError):  # the listener may have closed it
+                            sock.sendall(part)
+                        serve_for(listener, 0.2)
+                    outcomes.append((listener.dropped, samples(gauge), open_connections(listener)))
+            finally:
+                listener.server_close()
+        assert outcomes == [(1, [(1000, 260.0)], 0)] * 2
 
     def test_reset_mid_line_drops_the_line_uncounted(self):
         gauge = meter_gauge()

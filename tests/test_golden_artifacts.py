@@ -26,6 +26,13 @@ and one without. Their digests were made at commit 9765b90, before the
 engine came to keep the battery's charge, and a test checks that the
 two runs reach every bound settlement clamps to.
 
+The noiseless-plateaus config pins the emitter's and the calibration
+stage's reuse of their last result while the inputs repeat: no noise
+anywhere, three workloads in two namespaces, emissions and collections
+that fall on different ticks, and a schedule that repeats a level,
+returns to an earlier one and steps from -0.0 to 0.0. Its digests were
+made at commit 29ef3e3, which recomputed every firing and collection.
+
 The cpu-offset and four-workloads-even regression_report.json and
 regression_points.csv digests were re-made when the regression's dot
 products came to be numpy's own pairwise sums in place of OpenBLAS's
@@ -62,6 +69,34 @@ def _multi_workload_config(idle_split: str, seed: int, emission_interval_ms: int
         meter=MeterSpec(relative_error_v=0.005, relative_error_i=0.01, seed=seed),
         approximation=ApproximationParams(gain=1.02, bias_w=4.5, sigma_w=0.7),
         actors=(NamespaceActorSpec("front"), NamespaceActorSpec("ml")),
+    )
+
+
+def _plateau_config() -> ScenarioConfig:
+    """Noiseless, so the emitter and the calibration stage reuse their last
+    result while the loads hold a level. Emissions every 2 s and
+    collections every 3 s fall on different ticks, and the schedule
+    repeats a level, returns to an earlier one and steps between -0.0
+    and the 0.0 the completion sets."""
+    workloads = (
+        WorkloadSpec("api", "service", "front", 18.0, 0.03, "rps", 0.0, 0.1),
+        WorkloadSpec("edge", "service", "front", 0.0, 0.05, "rps", 0.0, 0.25),
+        WorkloadSpec("etl", "batch", "data", 22.0, 3.0, "batch_size", 0.0, 0.0),
+    )
+    return ScenarioConfig(
+        duration_ms=100_000,
+        seed=23,
+        warmup_ms=10_000,
+        emission_interval_ms=2000,
+        signal_interval_ms=3000,
+        idle_split="requested",
+        system_baseline_w=4.0,
+        workloads=workloads,
+        schedule=LoadSchedule(
+            "custom", (600.0, 600.0, 1500.0, -0.0, 600.0, -0.0), runtime_ms=14_000, knob="rps"
+        ),
+        approximation=ApproximationParams(gain=1.03, bias_w=2.5),
+        actors=(NamespaceActorSpec("front"), NamespaceActorSpec("data")),
     )
 
 
@@ -115,6 +150,7 @@ EXTRA_CONFIGS = {
     "four-workloads-requested": _multi_workload_config("requested", 21, 500),
     "four-workloads-even": _multi_workload_config("even", 22, 1500),
     **{name: parse_config(doc) for name, doc in BATTERY_DOCUMENTS.items()},
+    "noiseless-plateaus": _plateau_config(),
 }
 
 GOLDEN = {
@@ -197,6 +233,16 @@ GOLDEN = {
         "ground_truth.csv": "b7c606055661564416c06f7cf344a5c4fd6ad111042ccd31d7103561bc9abe9e",
         "events.csv": "56a2dab25c64c5e65a22802d98e7f1a150296a535234227cd1e6fa2fd0d067aa",
         "config.json": "5359a0d5d4814ad7f04c2f73eef9b36748537c84b55a65b051eb5ae5f2d91f44",
+    },
+    "noiseless-plateaus": {
+        "monitor.csv": "8f32238869f4670218109f7c7eb49ccc3f8094a801872d773716ab2ca05c5435",
+        "calibrated_power.csv": "f0d52442e2ebc4f9463d3c2a8c80e3c1adea9139fe8359e94e14fdb23d59aa6c",
+        "energy_summary.csv": "6f1125f34dbc7ebfaf4cb805fef6282423c691fa93d88110c4945615ef3cbac7",
+        "regression_report.json": "649a884c1b97691020024784c4dd7126628d4778f20cee691353d6d0b40f317d",
+        "regression_points.csv": "dfa460a78925575cae8cae406d0c19fe265920ef0641388b127ebedd7c40db02",
+        "ground_truth.csv": "55c1fbc6e905135d681e8ff24bcdbeebd83e87930ec7cc7fb9ee40806197e2a2",
+        "events.csv": "81e11dad45d4b33f00721a930041068bd527b7c93e2eb94d49cf68d6fad2b436",
+        "config.json": "ae1740c0d697de0d691957b56d59a17cb9e216196900fbce920bfa0387316481",
     },
 }
 
