@@ -132,7 +132,7 @@ class ScenarioConfig:
         if self.approximation is None:
             object.__setattr__(self, "approximation", ApproximationParams())
         seen_ids: set[str] = set()
-        for spec in self.actors:
+        for i, spec in enumerate(self.actors):
             actor_id = spec.actor_id
             if isinstance(spec, NamespaceActorSpec):
                 actor_id = spec.resolved_id
@@ -140,6 +140,11 @@ class ScenarioConfig:
                     raise ConfigError(
                         f"actors: namespace actor {actor_id!r} needs at "
                         "least one workload to observe"
+                    )
+                # it would report 0 W on every tick
+                if all(w.namespace != spec.namespace for w in self.workloads):
+                    raise ConfigError(
+                        f"actors[{i}].namespace: no workload runs in {spec.namespace!r}"
                     )
             if actor_id in seen_ids:
                 raise ConfigError(f"actors: duplicate actor id {actor_id!r}")

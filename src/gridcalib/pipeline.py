@@ -280,15 +280,15 @@ def _energy_summary(
 
 
 def _node_regression(
-    config: ScenarioConfig, gauge: Series | None, frame: CounterFrame | None
+    gauge: Series | None, frame: CounterFrame | None
 ) -> tuple[RegressionReport | None, str | None, tuple[np.ndarray, ...] | None]:
     """Fit measured node power against the approximated node total. The
     points are _regression_points' columns, None when skipped."""
-    if not config.workloads:
+    if frame is None:
         return None, "no workloads", None
     if len(gauge) == 0:
         return None, "no meter samples", None
-    points = _regression_points(gauge, frame, config.emission_interval_ms)
+    points = _regression_points(gauge, frame)
     if len(points[0]) < 2:
         return None, "not enough aligned samples", None
     try:
@@ -299,22 +299,31 @@ def _node_regression(
 
 
 def _regression_points(
-    gauge: Series, frame: CounterFrame, interval_ms: int
+    gauge: Series, frame: CounterFrame
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The t, x and y columns, one entry per meter sample whose trailing
-    interval the emitter's counter frame covers: x is the sum of the
-    counter rates over that interval, which recovers exactly the watts
-    the emitter integrated, and y is the sample's reading. The rates come
-    from the frame's vector shape of the rate rule, a window per meter
-    sample, and are added in store key order: the sum's last bits, and
-    so the artifacts', depend on that order."""
+    """The t, x and y columns, one entry per meter sample that follows a
+    firing of the emitter. y is the sample's reading, which measured the
+    truth of the latest firing at or before it, and x is that firing's
+    approximated node watts: the sum of each counter's rise over the
+    firing's own row, divided by the row's interval, which is rate() over
+    the row's interval bit for bit. Row 0 is the counters' start, not a
+    firing. A firing and a meter sample at one instant pair because
+    _Runtime.build schedules the emitter before the meter, so the firing
+    lands first. The watts are added in store key order: the sum's last
+    bits, and so the artifacts', depend on that order."""
     ts, measured = gauge.columns()
-    watts, covered = frame.rates(ts, interval_ms)
-    members = frame.members
-    total = np.zeros(len(watts))
-    for j in sorted(range(len(members)), key=lambda j: members[j].key):
-        total += watts[:, j]
-    return ts[covered], total, measured[covered]
+    members = sorted(frame.members, key=lambda series: series.key)
+    # a member's later copy holds at least the rows of this one
+    emitted = members[0].columns()[0]
+    rows = np.searchsorted(emitted, ts, side="right") - 1
+    paired = rows >= 1
+    rows = rows[paired]
+    interval_s = (emitted[rows] - emitted[rows - 1]) / 1000.0
+    total = np.zeros(len(rows))
+    for series in members:
+        joules = series.columns()[1]
+        total += (joules[rows] - joules[rows - 1]) / interval_s
+    return ts[paired], total, measured[paired]
 
 
 def _truth_csv(emitter: PowerModelEmitter | None) -> bytes:
@@ -338,7 +347,7 @@ def _regression(runtime: _Runtime) -> tuple:
     when the first of them is built."""
     if runtime.fit is None:
         frame = runtime.emitter.frame if runtime.emitter is not None else None
-        runtime.fit = _node_regression(runtime.config, runtime.gauge, frame)
+        runtime.fit = _node_regression(runtime.gauge, frame)
     return runtime.fit
 
 

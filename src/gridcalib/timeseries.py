@@ -13,13 +13,12 @@ column and each keeps its own value column, so a row costs 8 bytes for
 the timestamp and 8 per member, and a reader treats a member as any
 series. A rate has one rule: _locate puts a window edge on a row,
 between two rows, or outside them, and _interpolate reads a column
-between two rows. Its scalar shape (rate, CounterFrame.trailing_rates)
-indexes the live columns; its vector shape (CounterFrame.rates) locates
-each edge for every member with one np.searchsorted and hands numpy a
-copy of a column prefix, ``ts[:n]``, never the live column: numpy over
-a live array exports its buffer, and while any export is alive the
-writer's next append raises BufferError ("cannot resize an array that
-is exporting buffers"), which would stop a live run.
+between two rows; rate and CounterFrame.trailing_rates read it from the
+live columns. Series.columns hands numpy a copy of each column prefix,
+``ts[:n]``, never the live column: numpy over a live array exports its
+buffer, and while any export is alive the writer's next append raises
+BufferError ("cannot resize an array that is exporting buffers"), which
+would stop a live run.
 
 Concurrency: one writer per series, or per frame, and any number of
 readers. An append validates the sample, or the whole row, before it
@@ -198,9 +197,7 @@ def _locate(ts: array, n: int, t_ms: int) -> int | None:
 
 
 def _interpolate(t_ms, ts, column, i):
-    """column's value at t_ms, linear between rows i - 1 and i. The same
-    code reads a Python array at an int i and a numpy array at an array
-    of rows, so both shapes of the rule round alike."""
+    """column's value at t_ms, linear between rows i - 1 and i."""
     t0 = ts[i - 1]
     v0 = column[i - 1]
     return v0 + (column[i] - v0) * (t_ms - t0) / (ts[i] - t0)
@@ -210,8 +207,7 @@ def rate(series: Series, t1_ms: int, t2_ms: int) -> float:
     """Average power in watts over [t1, t2] from a joules counter.
 
     Both endpoints must lie inside the sampled range (values at the
-    boundaries are interpolated between the two nearest samples): the
-    scalar shape's one-column case, with the edges read inline.
+    boundaries are interpolated between the two nearest samples).
     """
     if t2_ms <= t1_ms:
         raise BadInterval(f"rate window [{t1_ms}, {t2_ms}] is empty or inverted")
@@ -488,35 +484,6 @@ class CounterFrame:
             (column[last] - _interpolate(start, ts, column, ~i)) / per_s
             for column in self._columns
         ]
-
-    def rates(self, ends: np.ndarray, window_ms: int) -> tuple[np.ndarray, np.ndarray]:
-        """The vector shape: rate() of every member over [end - window_ms,
-        end] for each end of the int64 array `ends` whose window the rows
-        cover. Returns those rates, one row per covered end and one
-        column per member, and the mask of the covered ends; rate()
-        raises EmptyWindow for the others. Each window edge is located
-        for every member by one np.searchsorted, bisect_left's rule, and
-        read by _interpolate, so each rate equals rate()'s bit for bit."""
-        if window_ms <= 0:
-            raise BadInterval(f"window must be positive, got {window_ms}")
-        n = len(self._ts)  # the count first, then copies of the prefixes
-        ts = np.frombuffer(self._ts[:n], np.int64)
-        rows = np.empty((n, len(self._columns)))
-        for j, column in enumerate(self._columns):
-            rows[:, j] = np.frombuffer(column[:n], np.float64)
-        starts = ends - window_ms
-        covered = (starts >= ts[0]) & (ends <= ts[-1]) if n else np.zeros(len(ends), bool)
-        at = []
-        for t_ms in (starts[covered], ends[covered]):
-            i = np.searchsorted(ts, t_ms)  # every edge lies in [ts[0], ts[-1]]
-            values = rows.take(i, axis=0)  # the rows hit exactly
-            between = np.flatnonzero(ts[i] != t_ms)
-            values[between] = _interpolate(t_ms[between, None], ts[:, None], rows, i[between])
-            at.append(values)
-        watts = at[1]  # in place: a long run's rates are the post-pass's largest arrays
-        watts -= at[0]
-        watts /= window_ms / 1000.0
-        return watts, covered
 
 
 class QueryResult(NamedTuple):

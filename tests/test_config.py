@@ -227,6 +227,22 @@ class TestActors:
         with pytest.raises(ConfigError, match="needs at least one workload"):
             parse_config(data)
 
+    @pytest.mark.parametrize("namespace", ["bnech", "system"])
+    def test_namespace_actor_needs_a_workload_in_its_namespace(self, namespace):
+        # it would observe nothing and report 0 W on every tick; system's
+        # calibrated dynamic power is 0 by construction
+        data = minimal_dict(
+            workloads=[{"process_id": "svc", "namespace": "bench"}],
+            actors=[
+                {"type": "static", "actor_id": "pv", "power_w": 1.0},
+                {"type": "namespace", "namespace": namespace},
+            ],
+        )
+        with pytest.raises(
+            ConfigError, match=rf"^actors\[1\]\.namespace: no workload runs in '{namespace}'$"
+        ):
+            parse_config(data)
+
     def test_duplicate_actor_ids(self):
         data = minimal_dict(
             workloads=[{"process_id": "svc"}],

@@ -37,9 +37,20 @@ The cpu-offset and four-workloads-even regression_report.json and
 regression_points.csv digests were re-made when the regression's dot
 products came to be numpy's own pairwise sums in place of OpenBLAS's
 ddot, whose last bits depend on the CPU kernel OpenBLAS picks.
+
+The four-workloads-even and noiseless-plateaus regression_report.json
+and regression_points.csv digests were re-made when each meter reading
+came to be paired with the approximated watts of the latest firing at
+or before it, its own counter row, in place of the counters' rate over
+the emission interval that ends at the reading. Their emissions (1500
+and 2000 ms) miss some meter instants, where that window took part of
+its watts from a firing the meter had not seen. Every other file, and
+every file of the other configs, is unchanged: where the meter reads at
+emission instants the two rules give the same bits.
 """
 
 import csv
+import dataclasses
 import hashlib
 import io
 
@@ -208,8 +219,8 @@ GOLDEN = {
         "monitor.csv": "b5b31aae50acac4a69490a48e89f9ff386b4ce9b9d9efcedbdc26e588328719e",
         "calibrated_power.csv": "eeac277121ae911d0fb8b00eede96df3b44879649c5321c67443a274966eb83f",
         "energy_summary.csv": "06663913b3c0109a838cfa5ecc0bd4e69fa176725614288d89a9f9fc9b794561",
-        "regression_report.json": "c754c47baa52159782609438ccd39926c98e7c14e6e6a6fad2923718bc5883c7",
-        "regression_points.csv": "7b3b41fa78aaff9a6cff25d500bb8186a7a7d571ae678229d9a6bf99f31472ac",
+        "regression_report.json": "6ed33ea6e04b707a5d69d113e5a6fbfee83eca06cd4574b3187eb65e3703b396",
+        "regression_points.csv": "93a24f9e1c29ebdf13b9d9ecd8a0846ab2c0d31089724c3b85ae05161790695b",
         "ground_truth.csv": "8aa7bd92aa4544e5f63e53ff3debb27d1ef107ce6ca80bc7c4cfdacbdc39b5b4",
         "events.csv": "a68e425511f8c8ec65dfb0f71f043c1419376bb3e04fdf2da0cb4c8209aded63",
         "config.json": "2861d9646c16601810bd0cd1ca7fefbd695bb5ae6514102d743471e4aa42e765",
@@ -238,8 +249,8 @@ GOLDEN = {
         "monitor.csv": "8f32238869f4670218109f7c7eb49ccc3f8094a801872d773716ab2ca05c5435",
         "calibrated_power.csv": "f0d52442e2ebc4f9463d3c2a8c80e3c1adea9139fe8359e94e14fdb23d59aa6c",
         "energy_summary.csv": "6f1125f34dbc7ebfaf4cb805fef6282423c691fa93d88110c4945615ef3cbac7",
-        "regression_report.json": "649a884c1b97691020024784c4dd7126628d4778f20cee691353d6d0b40f317d",
-        "regression_points.csv": "dfa460a78925575cae8cae406d0c19fe265920ef0641388b127ebedd7c40db02",
+        "regression_report.json": "fb30354cf8ea6efbe4616972a193718f9b102e4f84cf6b60223b9980764c2203",
+        "regression_points.csv": "687bc494001bfdeacf7e8932dab165e76e758e3b9ef855da71d8d35566676cf2",
         "ground_truth.csv": "55c1fbc6e905135d681e8ff24bcdbeebd83e87930ec7cc7fb9ee40806197e2a2",
         "events.csv": "81e11dad45d4b33f00721a930041068bd527b7c93e2eb94d49cf68d6fad2b436",
         "config.json": "ae1740c0d697de0d691957b56d59a17cb9e216196900fbce920bfa0387316481",
@@ -277,3 +288,22 @@ def test_battery_configs_reach_every_settlement_bound(tmp_path):
             if storage["max_discharge_rate_w"] is not None and delta_j == -storage["max_discharge_rate_w"]:
                 hit.add("discharge-rate limit")
     assert hit == {"full", "empty", "charge-rate limit", "discharge-rate limit"}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        EXTRA_CONFIGS["noiseless-plateaus"],
+        dataclasses.replace(preset_config("gpu-leakage"), emission_interval_ms=2000),
+    ],
+    ids=["noiseless-plateaus", "gpu-leakage-2s-emissions"],
+)
+def test_noiseless_run_recovers_gain_and_bias(config, tmp_path):
+    """The meter reads every second and the emitter fires every two, so
+    half the readings fall between firings. With no noise anywhere each
+    reading is the latest firing's approximated watts under the gain and
+    bias, up to rounding."""
+    fitted = pipeline.run(config, tmp_path).regression
+    assert abs(fitted.slope - config.approximation.gain) < 1e-12
+    assert abs(fitted.intercept_w - config.approximation.bias_w) < 1e-9
+    assert fitted.residual_max_w < 1e-9

@@ -35,7 +35,6 @@ from gridcalib.emulation import (
 from gridcalib.errors import (
     BindError,
     ConfigError,
-    EmptyWindow,
     GridCalibError,
     MissingArtifact,
     SeriesNotEmpty,
@@ -337,18 +336,19 @@ class TestRunArtifacts:
             pipeline.run(cfg, tmp_path / "strict")
 
 
-def scalar_regression_points(gauge, counters, interval_ms):
-    """The regression points as (meter timestamp, x, meter reading), with x
-    one scalar rate() per meter sample and counter, added in the
-    counters' order."""
+def scalar_regression_points(gauge, counters):
+    """The regression points as (meter timestamp, x, meter reading): for
+    each reading, the latest row k >= 1 at or before it, and x the sum of
+    rate() over [e[k - 1], e[k]], one per counter in the counters' order."""
+    emitted = counters[0].columns()[0].tolist()
     points = []
     for ts, measured in zip(*(column.tolist() for column in gauge.columns())):
-        total = 0.0
-        try:
-            for series in counters:
-                total += rate(series, ts - interval_ms, ts)
-        except EmptyWindow:
+        k = max((k for k, e in enumerate(emitted) if e <= ts), default=0)
+        if k < 1:
             continue
+        total = 0.0
+        for series in counters:
+            total += rate(series, emitted[k - 1], emitted[k])
         points.append((ts, total, measured))
     return points
 
@@ -364,13 +364,12 @@ class TestRegressionX:
         ),
         st.sampled_from([500, 1000, 1500]),  # row spacing
         st.sampled_from([700, 1000, 3000]),  # meter spacing
-        st.sampled_from([1000, 2000, 2500]),  # emission interval
         st.integers(min_value=0, max_value=999),  # meter offset
         st.data(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_vectorised_equals_scalar_rate_loop(
-        self, start, count, watts, step, meter_step, interval, offset, data
+    def test_points_equal_the_scalar_rate_of_each_readings_firing(
+        self, start, count, watts, step, meter_step, offset, data
     ):
         # the frame's member order is drawn, so it is rarely key order
         labels = data.draw(st.permutations(range(len(watts))))
@@ -385,9 +384,9 @@ class TestRegressionX:
         gauge = store.get_or_create(METER_GAUGE_METRIC, None, GAUGE)
         for t in range(offset, 12 * step + 2000, meter_step):
             gauge.append((t, 100.0 + t / 7))
-        t, x, y = pipeline._regression_points(gauge, frame, interval)
+        t, x, y = pipeline._regression_points(gauge, frame)
         got = list(zip(t.tolist(), x.tolist(), y.tolist()))
-        want = scalar_regression_points(gauge, store.match(POWER_COUNTER_METRIC, None), interval)
+        want = scalar_regression_points(gauge, store.match(POWER_COUNTER_METRIC, None))
         assert got == want
         assert all(type(t) is int and type(x) is float and type(y) is float for t, x, y in got)
 
@@ -396,14 +395,12 @@ class TestRegressionX:
         store = MetricStore()
         art = pipeline.run(config, tmp_path / "r", store=store)
         [gauge] = store.match(METER_GAUGE_METRIC)
-        report, _, (t, _, y) = pipeline._node_regression(config, gauge, art.emitter.frame)
+        report, _, (t, _, y) = pipeline._node_regression(gauge, art.emitter.frame)
         points = list(zip(t.tolist(), y.tolist()))
         readings = dict(zip(*(column.tolist() for column in gauge.columns())))
         assert all(t in readings and y == readings[t] for t, y in points)
-        covered = scalar_regression_points(
-            gauge, store.match(POWER_COUNTER_METRIC, None), config.emission_interval_ms
-        )
-        assert len(points) == len(covered) == report.n
+        paired = scalar_regression_points(gauge, store.match(POWER_COUNTER_METRIC, None))
+        assert len(points) == len(paired) == report.n
         assert len(points) > 100
 
     def test_counters_the_run_did_not_emit_stay_out_of_the_fit(self, tmp_path):
@@ -428,7 +425,7 @@ class TestRegressionX:
         [gauge] = store.match(METER_GAUGE_METRIC)
         # the counters take their rows through the emitter's frame
         frame = art.emitter.frame
-        report, skipped, _ = pipeline._node_regression(config, gauge, frame)
+        report, skipped, _ = pipeline._node_regression(gauge, frame)
         assert report is not None and skipped is None
         assert set(store.series()) == {gauge, *frame.members}
         t = max(series.last_timestamp() for series in store.series()) + 1000

@@ -3,7 +3,6 @@
 import sys
 import threading
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -123,7 +122,6 @@ def test_append_after_reads():
     frame = make_frame([(t, [float(t)]) for t in range(0, 5001, 1000)], store=store)
     [series] = store.match("e", {"i": "0"})
     ts, values = series.columns()
-    frame.rates(ts, 2000)
     query(store, "sum(rate(e[2s]))")
     frame.append(6000, [6000.0])
     assert len(series) == 7 and len(ts) == len(values) == 6
@@ -532,8 +530,9 @@ def test_reads_race_series_creation():
                 for series in store.match("e", {"mode": "dynamic"})[:20]:
                     ts, values = series.columns()
                     assert len(ts) == len(values)
-                    watts, covered = frame.rates(ts, 2000)
-                    assert watts.tolist() == [[1.0, 2.0]] * int(covered.sum())
+                for i, member in enumerate(frame.members):
+                    ts, joules = member.columns()
+                    assert joules.tolist() == [(i + 1) * t / 1000 for t in ts.tolist()]
                 query(store, expr)
                 assert store.match("missing") == []
                 format_exposition(store)
@@ -628,40 +627,6 @@ def test_trailing_rates_reject_an_empty_window():
     frame = make_frame([(0, [0.0]), (1000, [1.0])])
     with pytest.raises(BadInterval):
         frame.trailing_rates(0)
-
-
-@given(frame_rows, st.integers(min_value=1, max_value=5000), st.data())
-@settings(max_examples=300, deadline=None)
-def test_vectorised_rates_equal_scalar_rate(rows, window_ms, data):
-    # window edges that hit a row exactly, fall between rows, or fall
-    # outside the rows on either side; a frame of zero or one row covers
-    # no window
-    width, rows = rows
-    frame = make_frame(rows, width)
-    stamps = [t for t, _ in rows]
-    points = st.integers(min_value=0, max_value=40_000)
-    if stamps:
-        shifted = stamps + [t + window_ms for t in stamps]
-        points = st.one_of(points, st.sampled_from(shifted))
-    ends = data.draw(st.lists(points, max_size=30))
-    got, covered = frame.rates(np.array(ends, dtype=np.int64), window_ms)
-    assert covered.shape == (len(ends),) and got.shape == (covered.sum(), width)
-    rows = iter(got.tolist())
-    for t, ok in zip(ends, covered.tolist()):
-        try:
-            want = [rate(series, t - window_ms, t) for series in frame.members]
-        except EmptyWindow:
-            assert not ok
-        else:
-            assert ok and [value.hex() for value in next(rows)] == [value.hex() for value in want]
-
-
-def test_vectorised_rates_reject_what_rate_rejects():
-    frame = make_frame([(0, [0.0]), (4000, [400.0])])
-    with pytest.raises(BadInterval):
-        frame.rates(np.array([3000]), 0)
-    with pytest.raises(BadInterval):
-        frame.rates(np.array([3000]), -1000)
 
 
 @pytest.mark.parametrize(
@@ -773,8 +738,14 @@ def test_frame_reads_race_frame_appends():
                     assert trailing_rate(series, 2000) in (None, i + 1)
                 watts = frame.trailing_rates(2000)
                 assert watts is None or watts == [i + 1.0 for i in range(width)]
-                watts, covered = frame.rates(ts, 2000)
-                assert watts.tolist() == [[i + 1.0 for i in range(width)]] * int(covered.sum())
+                # the post-pass's read: the timestamps once, then each value
+                # column, whose later copy holds at least as many rows
+                emitted = frame.members[0].columns()[0]
+                for i, series in enumerate(frame.members):
+                    values = series.columns()[1][:len(emitted)]
+                    assert len(values) == len(emitted)
+                    for t, v in zip(emitted.tolist(), values.tolist()):
+                        check(i, t, v)
                 # coverage only grows, so the covered members are the last ones
                 result = evaluate(store, "sum(rate(e[2s]))")
                 assert result.matched == width
